@@ -15,17 +15,10 @@ import sys
 import time
 
 from nestedamc.circuit import count_boundary_nodes
-from nestedamc.cnf import LabeledCnf, primal_graph
+from nestedamc.cnf import equivalence_cnf
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.treedecomp import constrain_and_root
-
-
-def equivalence_cnf(n):
-    clauses = []
-    for i in range(1, n + 1):
-        clauses += [(-i, n + i), (i, -(n + i))]
-    return LabeledCnf(2 * n, clauses, outer_vars=frozenset(range(1, n + 1)))
 
 
 def main(argv=None):

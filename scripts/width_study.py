@@ -13,13 +13,14 @@ Usage: python scripts/width_study.py [--per-family 50] [--seed 0]
 import argparse
 import random
 import sys
+from pathlib import Path
 
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.programs import TaskKind, build_instance
 from nestedamc.treedecomp import constrain_and_root
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from gen import random_program  # noqa: E402
 
 FAMILIES = (("map", TaskKind.MAP), ("meu", TaskKind.MEU), ("smp", TaskKind.SMP))

@@ -111,8 +111,11 @@ def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
                 raise ParseError("duplicate header", lineno)
             if len(parts) != 4:
                 raise ParseError("malformed header", lineno)
+            try:
+                _, _, declared_vars = map(int, parts[1:])
+            except ValueError:
+                raise ParseError("malformed header", lineno)
             header_seen = True
-            declared_vars = int(parts[3])
             continue
         if not header_seen:
             raise ParseError("node line before header", lineno)
@@ -298,16 +301,16 @@ class NestedInstance:
         spec = TRANSFORMS[cnf.transform]
         if spec.inner is not None and spec.inner != cnf.inner_sr:
             raise ConfigError(
-                f"{cnf.transform.token} expects inner semiring {spec.inner.token}"
+                f"{cnf.transform.value} expects inner semiring {spec.inner.value}"
             )
         if spec.outer is not None and spec.outer != cnf.outer_sr:
             raise ConfigError(
-                f"{cnf.transform.token} expects outer semiring {spec.outer.token}"
+                f"{cnf.transform.value} expects outer semiring {spec.outer.value}"
             )
         if spec.inner is None and _VALUE_FAMILY[cnf.inner_sr] != _VALUE_FAMILY[cnf.outer_sr]:
             raise ConfigError(
                 "identity transform between incompatible value domains"
-                f" ({cnf.inner_sr.token} -> {cnf.outer_sr.token})"
+                f" ({cnf.inner_sr.value} -> {cnf.outer_sr.value})"
             )
 
 
@@ -320,7 +323,7 @@ class EvaluationRefused(PreconditionError):
 
 
 def evaluate_verified(circuit: Circuit, instance: NestedInstance, d=frozenset(),
-                      outer_first_required: bool = False, collect=None,
+                      outer_first_required: bool = False,
                       equivalence_var_limit: int = 20):
     """Verify the circuit's properties for the instance's partition first and
     refuse evaluation (carrying the report) when they do not hold."""
@@ -335,7 +338,7 @@ def evaluate_verified(circuit: Circuit, instance: NestedInstance, d=frozenset(),
             f"outer_first_mod_defs={report.outer_first_mod_defs}",
             report,
         )
-    return evaluate_nested(circuit, instance, collect=collect)
+    return evaluate_nested(circuit, instance)
 
 
 def evaluate_nested(circuit: Circuit, instance: NestedInstance, collect=None):
@@ -576,6 +579,11 @@ def _decision_literal(circuit: Circuit, child: int, dvar: int) -> Optional[int]:
     return None
 
 
+# or-nodes that are not syntactic decisions fall back to pairwise SAT checks
+# only in circuits up to this size; larger ones are reported nondeterministic
+_SAT_CHECK_NODE_LIMIT = 2000
+
+
 def _sat_pairwise_deterministic(circuit: Circuit, or_nodes) -> bool:
     """Fallback determinism check: each pair of or-children must be jointly
     unsatisfiable. Standard node-variable encoding of both subcircuits."""
@@ -622,7 +630,6 @@ def verify_circuit(
     cnf: LabeledCnf,
     d=frozenset(),
     equivalence_var_limit: int = 20,
-    sat_check_node_limit: int = 2000,
 ) -> PropertyReport:
     """Check decomposability, determinism, smoothness, outer-firstness, and
     outer-firstness modulo the statically defined variables `d`.
@@ -659,7 +666,7 @@ def verify_circuit(
         if None in fixed or len(set(fixed)) != len(fixed):
             sat_fallback.append(i)
     if sat_fallback:
-        if circuit.node_count <= sat_check_node_limit:
+        if circuit.node_count <= _SAT_CHECK_NODE_LIMIT:
             deterministic = _sat_pairwise_deterministic(circuit, sat_fallback)
         else:
             deterministic = False

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .circuit import (
     NestedInstance,
@@ -25,11 +24,11 @@ from .circuit import (
     smooth,
     verify_circuit,
 )
-from .cnf import LabeledCnf, parse_cnf
+from .cnf import LabeledCnf, equivalence_cnf, parse_cnf
 from .compiler import CompileConfig, CompileMode, compile_cnf
 from .definability import defined_vars
-from .errors import CapacityError, NestedAmcError
-from .programs import TaskKind, build_instance, parse_program, plan_order, solve_instance
+from .errors import CapacityError, NestedAmcError, ParseError
+from .programs import TaskKind, build_instance, parse_program, plan_order, solve
 from .semirings import NEG_INF, SemiringId
 
 _EXIT_INPUT = 1
@@ -75,8 +74,12 @@ def format_value(value, sr: SemiringId, names) -> tuple[str, str | None]:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"non-ASCII byte in {path}", data.count(b"\n", 0, e.start) + 1)
 
 
 def _load_instance(path: str, task: str | None) -> NestedInstance:
@@ -96,20 +99,16 @@ def _emit_value(out: _Output, value, cnf: LabeledCnf):
 
 
 def _cmd_solve(args, out: _Output) -> int:
-    t0 = time.perf_counter()
-    program = parse_program(_read(args.input))
-    inst = build_instance(program, TaskKind(args.task))
-    build_time = time.perf_counter() - t0
-    value, diag = solve_instance(
-        inst,
+    value, diag = solve(
+        parse_program(_read(args.input)),
+        TaskKind(args.task),
         mode=CompileMode(args.mode),
         seed=args.seed,
         cache_budget=args.cache_mb << 20,
     )
-    diag.times = {"build": build_time, **diag.times}
     for stage, metric, val in diag.metrics():
         out.kv(stage, metric, val)
-    _emit_value(out, value, inst.cnf)
+    _emit_value(out, value, diag.instance.cnf)
     if args.stats:
         with open(args.stats, "w") as fh:
             for stage, metric, val in diag.metrics():
@@ -191,7 +190,12 @@ def _cmd_defined(args, out: _Output) -> int:
     cnf = parse_cnf(_read(args.input))
     base = cnf.outer_vars
     if args.base:
-        base = frozenset(int(v) for v in args.base.split(","))
+        try:
+            base = frozenset(int(v) for v in args.base.split(","))
+        except ValueError:
+            raise NestedAmcError(
+                f"bad --base {args.base!r}, expected comma-separated variable indices"
+            )
     report = defined_vars(cnf, base)
     base_s = " ".join(cnf.name_of(v) for v in sorted(report.base)) or "(empty)"
     defined_s = " ".join(cnf.name_of(v) for v in sorted(report.defined)) or "(empty)"
@@ -220,10 +224,7 @@ def _cmd_separation(args, out: _Output) -> int:
 
     out.text(f"{'n':>3} {'x_nodes':>8} {'x_boundary':>10} {'xd_nodes':>8}")
     for n in range(lo, hi + 1):
-        clauses = []
-        for i in range(1, n + 1):
-            clauses += [(-i, n + i), (i, -(n + i))]
-        cnf = LabeledCnf(2 * n, clauses, outer_vars=frozenset(range(1, n + 1)))
+        cnf = equivalence_cnf(n)
         x = cnf.outer_vars
         _, order_x = constrain_and_root(cnf, x, frozenset(), seed=args.seed)
         cx = compile_cnf(cnf, CompileConfig(order_x, CompileMode.X_FIRST))
@@ -245,18 +246,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp, seed=False, cache=False):
         sp.add_argument("--format", choices=("text", "kv"), default="text")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cache-mb", type=int, default=256)
+        if cache:
+            sp.add_argument("--cache-mb", type=int, default=256)
 
     sp = sub.add_parser("solve", help="run the full pipeline on a program")
     sp.add_argument("input")
     sp.add_argument("--task", choices=[t.value for t in TaskKind], required=True)
     sp.add_argument("--mode", choices=[m.value for m in CompileMode], default="xd")
     sp.add_argument("--stats", default=None)
-    common(sp)
+    common(sp, seed=True, cache=True)
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("compile", help="compile a labeled CNF to a circuit")
@@ -264,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=[m.value for m in CompileMode], default="xd")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--smooth", action="store_true")
-    common(sp)
+    common(sp, seed=True, cache=True)
     sp.set_defaults(fn=_cmd_compile)
 
     sp = sub.add_parser("eval", help="evaluate a circuit against a labeled CNF")
@@ -296,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("separation", help="constrained-size experiment table")
     sp.add_argument("--n", default="2..8", help="range of pair counts, e.g. 2..8")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(fn=_cmd_separation)
 
     return ap

@@ -1,5 +1,6 @@
-"""Labeled CNF data model, DIMACS-style I/O, conditioning, primal graph, and
-a brute-force model enumerator used as oracle.
+"""Labeled CNF data model, DIMACS-style I/O, conditioning, primal graph, the
+biconditional separation family, and a brute-force model enumerator used as
+oracle.
 
 The textual format is standard DIMACS plus comment directives:
 
@@ -24,13 +25,7 @@ from typing import Iterable, Iterator, Optional
 import networkx as nx
 
 from .errors import CapacityError, ParseError, PreconditionError
-from .semirings import (
-    SEMIRING_TOKENS,
-    SEMIRINGS,
-    TRANSFORM_TOKENS,
-    SemiringId,
-    TransformId,
-)
+from .semirings import SEMIRINGS, SemiringId, TransformId
 
 
 @dataclass(frozen=True, init=False)
@@ -112,6 +107,13 @@ def _is_tautology(cl: tuple[int, ...]) -> bool:
     return any(-l in s for l in s)
 
 
+def _token(kind, tok: str, lineno: int):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise ParseError(f"unknown token {tok}", lineno)
+
+
 def parse_cnf(text) -> LabeledCnf:
     """Parse the labeled DIMACS format. Raises ParseError with a line number."""
     if isinstance(text, bytes):
@@ -150,12 +152,9 @@ def parse_cnf(text) -> LabeledCnf:
             if kind == "s":
                 if len(parts) != 5:
                     raise ParseError("semiring header needs three tokens", lineno)
-                try:
-                    inner_sr = SEMIRING_TOKENS[parts[2]]
-                    outer_sr = SEMIRING_TOKENS[parts[3]]
-                    transform = TRANSFORM_TOKENS[parts[4]]
-                except KeyError as e:
-                    raise ParseError(f"unknown token {e.args[0]}", lineno)
+                inner_sr = _token(SemiringId, parts[2], lineno)
+                outer_sr = _token(SemiringId, parts[3], lineno)
+                transform = _token(TransformId, parts[4], lineno)
             elif kind == "o":
                 if parts[-1] != "0":
                     raise ParseError("outer variable list not terminated by 0", lineno)
@@ -217,7 +216,7 @@ def parse_cnf(text) -> LabeledCnf:
         sr = SEMIRINGS[side_sr]
         if len(fields) != sr.label_arity:
             raise ParseError(
-                f"{side_sr.token} labels take {sr.label_arity} field(s), got {len(fields)}",
+                f"{side_sr.value} labels take {sr.label_arity} field(s), got {len(fields)}",
                 lineno,
             )
         try:
@@ -250,7 +249,7 @@ def emit_cnf(cnf: LabeledCnf) -> str:
     """Serialize back to the labeled DIMACS format (parse round-trips)."""
     out = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
     out.append(
-        f"c s {cnf.inner_sr.token} {cnf.outer_sr.token} {cnf.transform.token}"
+        f"c s {cnf.inner_sr.value} {cnf.outer_sr.value} {cnf.transform.value}"
     )
     if cnf.outer_vars:
         out.append("c o " + " ".join(str(v) for v in sorted(cnf.outer_vars)) + " 0")
@@ -303,6 +302,16 @@ def primal_graph(cnf: LabeledCnf) -> nx.Graph:
             for v in vs[i + 1 :]:
                 g.add_edge(u, v)
     return g
+
+
+def equivalence_cnf(n: int) -> LabeledCnf:
+    """n biconditionals X_i <-> Y_i with the X block as outer variables: every
+    Y_i is defined by the X block, yet a strict outer-first circuit needs 2^n
+    boundary nodes."""
+    clauses = []
+    for i in range(1, n + 1):
+        clauses += [(-i, n + i), (i, -(n + i))]
+    return LabeledCnf(2 * n, clauses, outer_vars=frozenset(range(1, n + 1)))
 
 
 def enumerate_models(cnf: LabeledCnf, max_vars: int = 30) -> Iterator[frozenset[int]]:

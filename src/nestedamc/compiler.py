@@ -46,7 +46,6 @@ class CompileConfig:
     order: VariableOrder
     mode: CompileMode = CompileMode.XD_FIRST
     cache_budget: int = DEFAULT_BUDGET
-    unit_propagation: bool = True
 
 
 @dataclass
@@ -235,11 +234,9 @@ class _Compilation:
         return result
 
     def _compile_fresh(self, clauses) -> int:
-        lits: list[int] = []
-        if self.cfg.unit_propagation:
-            lits, clauses, conflict = self._propagate(clauses)
-            if conflict:
-                return self._false()
+        lits, clauses, conflict = self._propagate(clauses)
+        if conflict:
+            return self._false()
         comps = self._split(clauses) if clauses else []
         if lits or len(comps) > 1:
             children = [self._lit(l) for l in lits]

@@ -62,15 +62,12 @@ class PadoaSession:
         return self.solver.solve(assumptions) is None
 
 
-def is_defined(cnf: LabeledCnf, base, y: int) -> bool:
-    """One-shot Padoa query: is y functionally determined by the base set?"""
-    return PadoaSession(cnf).is_defined(base, y)
-
-
 def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
     """All variables outside the base that the base defines, via one shared
     incremental solver."""
     base = frozenset(base)
+    if not base <= cnf.variables:
+        raise PreconditionError("base mentions variables not in the theory")
     session = PadoaSession(cnf)
     verdicts = {}
     for y in sorted(cnf.variables - base):

@@ -398,6 +398,7 @@ class Diagnostics:
     circuit_edges: int = 0
     compile_stats: Optional[object] = None
     times: dict[str, float] = field(default_factory=dict)
+    instance: Optional[NestedInstance] = None  # what was solved; names its value
 
     def metrics(self):
         out = [
@@ -453,7 +454,7 @@ def solve_instance(
     needs; a free-mode order on a nontrivial partition can produce a circuit
     that gets refused here rather than silently misevaluated.
     """
-    diag = Diagnostics()
+    diag = Diagnostics(instance=inst)
     t0 = time.perf_counter()
     order = plan_order(inst.cnf, mode, seed=seed, diag=diag)
     diag.times["order"] = time.perf_counter() - t0

@@ -135,17 +135,6 @@ class SatSolver:
                 i += 1
         return None
 
-    def propagate(self):
-        """Public propagation entry: returns (implied literals, conflict clause).
-
-        The implied literals are those newly forced since the previous call;
-        the conflict clause is None when propagation closes without conflict.
-        """
-        start = len(self.trail)
-        conflict = self._propagate()
-        implied = self.trail[start:]
-        return list(implied), (list(conflict) if conflict is not None else None)
-
     # ---------------------------------------------------------------- search
 
     def decide(self, lit: int):
@@ -288,11 +277,3 @@ class SatSolver:
                 self._cancel_until(0)
                 return model
             self.decide(v if self.phase[v] else -v)
-
-
-def solve(clauses, num_vars: int = 0, assumptions=()) -> list[int] | None:
-    """One-shot satisfiability check over a clause set."""
-    s = SatSolver(num_vars)
-    for cl in clauses:
-        s.add_clause(cl)
-    return s.solve(assumptions)

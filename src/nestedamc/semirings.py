@@ -31,10 +31,6 @@ class SemiringId(enum.Enum):
     MAP_ARGMAX = "mapargmax"
     MEU_ARGMAX = "meuargmax"
 
-    @property
-    def token(self) -> str:
-        return self.value
-
 
 def litset_key(lits):
     """Sort key realising the fixed total order on literal sets.
@@ -83,7 +79,7 @@ class Semiring:
 
     def check(self, v):
         if not self.contains(v):
-            raise InvalidValueError(f"{v!r} is not a {self.id.token} value")
+            raise InvalidValueError(f"{v!r} is not a {self.id.value} value")
         return v
 
     def eq(self, a, b) -> bool:
@@ -309,26 +305,6 @@ SEMIRINGS: dict[SemiringId, Semiring] = {
     )
 }
 
-SEMIRING_TOKENS = {s.token: s for s in SemiringId}
-
-
-def semiring(sr: SemiringId) -> Semiring:
-    return SEMIRINGS[sr]
-
-
-def add(sr: SemiringId, a, b):
-    s = SEMIRINGS[sr]
-    s.check(a)
-    s.check(b)
-    return s.add(a, b)
-
-
-def mul(sr: SemiringId, a, b):
-    s = SEMIRINGS[sr]
-    s.check(a)
-    s.check(b)
-    return s.mul(a, b)
-
 
 class TransformId(enum.Enum):
     IDENTITY = "identity"
@@ -336,18 +312,12 @@ class TransformId(enum.Enum):
     EU_PROJECT = "euproject"
     RATIO = "ratio"
 
-    @property
-    def token(self) -> str:
-        return self.value
-
 
 def _t_identity(v):
     return v
 
 
 def _t_prob_to_map(v):
-    if v == 0.0:
-        return (0.0, frozenset())
     return (v, frozenset())
 
 
@@ -417,14 +387,6 @@ TRANSFORMS: dict[TransformId, TransformSpec] = {
     )
 }
 
-TRANSFORM_TOKENS = {t.token: t for t in TransformId}
-
-
-def transform(t: TransformId, v):
-    """Map an inner-semiring value to its outer-semiring image."""
-    return TRANSFORMS[t].fn(v)
-
-
 def transform_semirings(
     t: TransformId, inner: Optional[SemiringId] = None, outer: Optional[SemiringId] = None
 ) -> tuple[Semiring, Semiring]:
@@ -437,9 +399,9 @@ def transform_semirings(
     inner = spec.inner or inner or SemiringId.PROBABILITY
     outer = spec.outer or outer or inner
     if spec.inner is not None and inner != spec.inner:
-        raise InvalidValueError(f"{t.token} expects inner semiring {spec.inner.token}")
+        raise InvalidValueError(f"{t.value} expects inner semiring {spec.inner.value}")
     if spec.outer is not None and outer != spec.outer:
-        raise InvalidValueError(f"{t.token} expects outer semiring {spec.outer.token}")
+        raise InvalidValueError(f"{t.value} expects outer semiring {spec.outer.value}")
     return SEMIRINGS[inner], SEMIRINGS[outer]
 
 
@@ -467,7 +429,7 @@ def check_homomorphism(
         sin.check(b)
         if enforce_domain and dom is not None and not (dom(a) and dom(b)):
             raise PreconditionError(
-                f"sample outside the declared homomorphism domain of {t.token}"
+                f"sample outside the declared homomorphism domain of {t.value}"
             )
         if not sout.eq(fn(sin.mul(a, b)), sout.mul(fn(a), fn(b))):
             return False

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from nestedamc.cnf import LabeledCnf, enumerate_models
+# equivalence_cnf is re-exported for the tests and the benchmark that import it from here
+from nestedamc.cnf import LabeledCnf, enumerate_models, equivalence_cnf  # noqa: F401
 from nestedamc.programs import Program, parse_program
 
 PROB_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -33,14 +34,6 @@ def random_partitioned_cnf(rng: random.Random, max_vars: int = 14,
     k = rng.randint(0, cnf.num_vars)
     outer = frozenset(rng.sample(range(1, cnf.num_vars + 1), k))
     return LabeledCnf(cnf.num_vars, cnf.clauses, outer_vars=outer)
-
-
-def equivalence_cnf(n: int, labelled: bool = False) -> LabeledCnf:
-    """n biconditionals X_i <-> Y_i with the X block as outer variables."""
-    clauses = []
-    for i in range(1, n + 1):
-        clauses += [(-i, n + i), (i, -(n + i))]
-    return LabeledCnf(2 * n, clauses, outer_vars=frozenset(range(1, n + 1)))
 
 
 def brute_defined(cnf: LabeledCnf, base, y: int) -> bool:

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from nestedamc.cli import main
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 LEX = "0.4::a.\n0.6::b.\nc :- a.\nd :- b.\nquery(c).\n"
 LEX_MAP = "0.4::a.\n0.6::b.\nc :- a.\nd :- b.\nmap(c).\n"
@@ -214,3 +218,121 @@ def test_stats_file_written(files, capsys, tmp_path):
     text = stats.read_text()
     assert "compile nodes" in text
     assert "time compile" in text
+
+
+# `solve --format kv` stdout of the committed examples (mode xd), byte for byte
+GOLDEN_SOLVE = {
+    ("succ", "lex.pl"): """\
+definability defined 0
+definability queries 0
+order separator 0
+order width 1
+compile nodes 15
+compile edges 14
+compile decisions 2
+compile propagations 4
+compile cache_hits 0
+compile cache_entries 7
+result value 0.4
+""",
+    ("map", "lex_map.pl"): """\
+definability defined 1
+definability queries 3
+order separator 0
+order width 1
+compile nodes 15
+compile edges 14
+compile decisions 2
+compile propagations 4
+compile cache_hits 0
+compile cache_entries 7
+result value 0.6
+result witness ~c
+""",
+    ("meu", "leu.pl"): """\
+definability defined 1
+definability queries 3
+order separator 0
+order width 1
+compile nodes 15
+compile edges 14
+compile decisions 2
+compile propagations 4
+compile cache_hits 0
+compile cache_entries 7
+result value 48.0
+result witness a
+""",
+    ("smp", "lsm.pl"): """\
+definability defined 2
+definability queries 4
+order separator 0
+order width 1
+compile nodes 22
+compile edges 21
+compile decisions 3
+compile propagations 6
+compile cache_hits 0
+compile cache_entries 10
+result value 0.5
+""",
+}
+
+GOLDEN_SEPARATION = """\
+separation n2_x_nodes 21
+separation n2_x_boundary 4
+separation n2_xd_nodes 15
+separation n3_x_nodes 41
+separation n3_x_boundary 8
+separation n3_xd_nodes 22
+separation n4_x_nodes 77
+separation n4_x_boundary 16
+separation n4_xd_nodes 29
+separation n5_x_nodes 145
+separation n5_x_boundary 32
+separation n5_xd_nodes 36
+"""
+
+
+@pytest.mark.parametrize("task,program", sorted(GOLDEN_SOLVE))
+def test_solve_kv_golden(capsys, task, program):
+    code, out, err = run(
+        capsys, "solve", "--task", task, str(PROGRAMS / program),
+        "--mode", "xd", "--format", "kv",
+    )
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SOLVE[task, program]
+
+
+def test_separation_kv_golden(capsys):
+    code, out, err = run(capsys, "separation", "--n", "2..5", "--format", "kv")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_SEPARATION
+
+
+# malformed inputs end with exit code 1 and one `error:` line, not a traceback
+
+
+def test_nnf_header_with_non_integer_fields_is_input_error(files, capsys, tmp_path):
+    nnf = tmp_path / "bad.nnf"
+    nnf.write_text("nnf x y z\nL 1\n")
+    code, out, err = run(capsys, "eval", str(nnf), files["aex.cnf"])
+    assert code == 1
+    assert err.startswith("error: line 1: malformed header")
+    assert out == ""
+
+
+def test_defined_non_integer_base_is_input_error(files, capsys):
+    code, out, err = run(capsys, "defined", files["aex.cnf"], "--base", "a")
+    assert code == 1
+    assert err.startswith("error: bad --base 'a'")
+    assert out == ""
+
+
+def test_non_ascii_input_is_input_error(capsys, tmp_path):
+    src = tmp_path / "accent.pl"
+    src.write_bytes(LEX.encode() + "% caf\u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "solve", "--task", "succ", str(src))
+    assert code == 1
+    assert err.startswith("error: line 6: non-ASCII byte in ")
+    assert out == ""

@@ -88,11 +88,7 @@ def test_model_equivalence_random_suite():
             )
         seq = list(cnf.variables)
         rng.shuffle(seq)
-        cfg = CompileConfig(
-            VariableOrder(tuple(seq)), mode,
-            unit_propagation=rng.random() < 0.8,
-        )
-        circ = compile_cnf(cnf, cfg)
+        circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
         assert models_of(circ, cnf) == frozenset(enumerate_models(cnf)), f"trial {trial}"
 
 
@@ -111,9 +107,9 @@ def test_exponential_separation_lower_and_upper():
     for n in range(2, 11):
         cnf = equivalence_cnf(n)
         x = cnf.outer_vars
-        # strict outer-first with propagation disabled: boundary blow-up
+        # strict outer-first: one boundary node per outer assignment
         order = order_of(*(list(range(1, n + 1)) + list(range(n + 1, 2 * n + 1))))
-        cx = compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST, unit_propagation=False))
+        cx = compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST))
         assert count_boundary_nodes(cx, x) >= 2 ** n
         # relaxed mode with an interleaved order: linear size
         inter = [v for i in range(1, n + 1) for v in (i, n + i)]

@@ -4,7 +4,7 @@ import pytest
 
 from gen import brute_defined, equivalence_cnf, random_cnf
 from nestedamc.cnf import LabeledCnf
-from nestedamc.definability import defined_vars, is_defined
+from nestedamc.definability import PadoaSession, defined_vars
 from nestedamc.errors import PreconditionError
 
 
@@ -13,7 +13,7 @@ def lex_completion():
 
 
 def test_lex_defined_atoms():
-    assert is_defined(lex_completion(), {1, 2}, 3)
+    assert PadoaSession(lex_completion()).is_defined({1, 2}, 3)
     report = defined_vars(lex_completion(), {1, 2})
     assert report.defined == frozenset([3, 4])
     assert report.query_count == 2
@@ -28,12 +28,15 @@ def test_equivalence_theory_block_defined():
 def test_parity_counterexample_not_defined():
     # {z or y or ~x, z or ~y or x}: once z holds, x is unconstrained
     cnf = LabeledCnf(3, [(1, 2, -3), (1, -2, 3)])
-    assert not is_defined(cnf, {1, 2}, 3)
+    assert not PadoaSession(cnf).is_defined({1, 2}, 3)
 
 
 def test_base_membership_rejected():
     with pytest.raises(PreconditionError):
-        is_defined(lex_completion(), {1, 2}, 1)
+        PadoaSession(lex_completion()).is_defined({1, 2}, 1)
+    # a base naming a variable outside the theory, even with no candidate left
+    with pytest.raises(PreconditionError):
+        defined_vars(lex_completion(), {1, 2, 3, 4, 5})
 
 
 def test_full_base_defines_nothing_new():
@@ -45,9 +48,9 @@ def test_full_base_defines_nothing_new():
 
 def test_entailed_variable_is_defined_by_anything():
     cnf = LabeledCnf(3, [(2,), (1, 3)])  # entails 2
-    assert is_defined(cnf, frozenset(), 2)
-    assert is_defined(cnf, {1}, 2)
-    assert is_defined(cnf, {3}, 2)
+    assert PadoaSession(cnf).is_defined(frozenset(), 2)
+    assert PadoaSession(cnf).is_defined({1}, 2)
+    assert PadoaSession(cnf).is_defined({3}, 2)
 
 
 def test_unsatisfiable_theory_defines_everything():

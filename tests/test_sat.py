@@ -5,7 +5,7 @@ import numpy as np
 from gen import random_clauses
 from nestedamc.definability import PadoaSession
 from nestedamc.cnf import LabeledCnf
-from nestedamc.sat import SatSolver, solve
+from nestedamc.sat import SatSolver
 
 
 def tt_satisfiable(num_vars, clauses):
@@ -26,13 +26,20 @@ def satisfies(model, clauses):
     return all(any(l in lits for l in cl) for cl in clauses)
 
 
+def solver_for(clauses, num_vars=0):
+    s = SatSolver(num_vars)
+    for cl in clauses:
+        s.add_clause(cl)
+    return s
+
+
 def test_assumption_forces_branch():
-    model = solve([(1, 2)], assumptions=[-1])
+    model = solver_for([(1, 2)]).solve([-1])
     assert model is not None and -1 in model and 2 in model
 
 
 def test_contradiction_unsat():
-    assert solve([(1,), (-1,)]) is None
+    assert solver_for([(1,), (-1,)]).solve() is None
 
 
 def test_padoa_encoding_of_defined_variable_is_unsat():
@@ -52,39 +59,35 @@ def test_padoa_encoding_of_defined_variable_is_unsat():
     assert list(enumerate_models(twelve)) == []
 
 
+# SatSolver.value reads 1 for a true literal, -1 for a false one and 0 while
+# unassigned; a unit clause added at level 0 propagates to a fixpoint at once.
+
+
 def test_propagate_unit_implication():
-    s = SatSolver(3)
-    s.add_clause([-1, 3])
-    s.decide(1)
-    implied, conflict = s.propagate()
-    assert implied == [3] and conflict is None
+    s = solver_for([(-1, 3)], 3)
+    s.add_clause([1])
+    assert s.value(3) == 1 and not s.unsat
 
 
 def test_propagate_nothing_to_do():
-    s = SatSolver(2)
-    s.add_clause([1, 2])
-    implied, conflict = s.propagate()
-    assert implied == [] and conflict is None
+    s = solver_for([(1, 2)], 2)
+    assert s.value(1) == s.value(2) == 0
+    assert s.trail == [] and not s.unsat
 
 
 def test_propagate_conflict():
-    s = SatSolver(3)
-    s.add_clause([-1, 3])
-    s.add_clause([-1, -3])
-    s.decide(1)
-    implied, conflict = s.propagate()
-    assert conflict is not None
+    s = solver_for([(-1, 3), (-1, -3)], 3)
+    s.add_clause([1])
+    assert s.unsat
 
 
 def test_propagate_is_a_closure():
-    s = SatSolver(4)
-    s.add_clause([-1, 2])
-    s.add_clause([-2, 3])
-    s.decide(1)
-    first, conflict = s.propagate()
-    assert conflict is None and set(first) == {2, 3}
-    again, conflict = s.propagate()
-    assert again == [] and conflict is None
+    s = solver_for([(-1, 2), (-2, 3)], 4)
+    s.add_clause([1])
+    assert set(s.trail) == {1, 2, 3} and not s.unsat
+    assert s.value(4) == 0
+    s.add_clause([3])  # already implied: nothing new is forced
+    assert set(s.trail) == {1, 2, 3} and not s.unsat
 
 
 def test_agrees_with_truth_table_on_random_3cnf():
@@ -92,7 +95,7 @@ def test_agrees_with_truth_table_on_random_3cnf():
     for trial in range(1000):
         n = rng.randint(1, 14)
         clauses = random_clauses(rng, n, rng.randint(1, 4 * n))
-        model = solve(clauses, num_vars=n)
+        model = solver_for(clauses, n).solve()
         expected = tt_satisfiable(n, clauses)
         assert (model is not None) == expected, f"trial {trial}"
         if model is not None:
@@ -107,7 +110,7 @@ def test_agrees_with_model_enumeration():
     for _ in range(200):
         n = rng.randint(1, 10)
         clauses = random_clauses(rng, n, rng.randint(1, 3 * n))
-        model = solve(clauses, num_vars=n)
+        model = solver_for(clauses, n).solve()
         some_model = next(iter(enumerate_models(LabeledCnf(n, clauses))), None)
         assert (model is not None) == (some_model is not None)
         if model is not None:

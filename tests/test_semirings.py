@@ -9,75 +9,80 @@ from nestedamc.errors import InvalidValueError, PreconditionError
 from nestedamc.semirings import (
     NEG_INF,
     SEMIRINGS,
+    TRANSFORMS,
     SemiringId,
     TransformId,
-    add,
     check_homomorphism,
     litset_key,
-    mul,
     respects_zero,
-    transform,
 )
 
 APPROX = dict(rel=1e-9, abs=1e-12)
+PROB = SEMIRINGS[SemiringId.PROBABILITY]
+EU = SEMIRINGS[SemiringId.EU]
 
 
 # ----------------------------------------------------------- golden examples
 
 
 def test_probability_add_models():
-    assert add(SemiringId.PROBABILITY, 0.24, 0.16) == pytest.approx(0.40, **APPROX)
+    assert PROB.add(0.24, 0.16) == pytest.approx(0.40, **APPROX)
 
 
 def test_maxplus_neutral():
-    assert add(SemiringId.MAX_PLUS, 3.5, NEG_INF) == 3.5
-    assert add(SemiringId.MAX_PLUS, NEG_INF, -2.0) == -2.0
+    s = SEMIRINGS[SemiringId.MAX_PLUS]
+    assert s.add(3.5, NEG_INF) == 3.5
+    assert s.add(NEG_INF, -2.0) == -2.0
 
 
 def test_natpair_componentwise():
-    assert add(SemiringId.NAT_PAIR, (1, 2), (0, 1)) == (1, 3)
+    assert SEMIRINGS[SemiringId.NAT_PAIR].add((1, 2), (0, 1)) == (1, 3)
 
 
 def test_eu_neutral_element():
-    assert mul(SemiringId.EU, (1.0, 0.0), (0.7, 3.0)) == (0.7, 3.0)
+    assert EU.mul((1.0, 0.0), (0.7, 3.0)) == (0.7, 3.0)
 
 
 def test_eu_product():
-    p, u = mul(SemiringId.EU, (0.4, 8.0), (0.5, 1.0))
+    p, u = EU.mul((0.4, 8.0), (0.5, 1.0))
     assert p == pytest.approx(0.2, **APPROX)
     assert u == pytest.approx(4.4, **APPROX)
 
 
 def test_probability_annihilation():
-    assert mul(SemiringId.PROBABILITY, 0.4, 0.0) == 0.0
+    assert PROB.mul(0.4, 0.0) == 0.0
 
 
 def test_domain_mismatch_rejected():
     with pytest.raises(InvalidValueError):
-        add(SemiringId.PROBABILITY, 0.5, (1, 2))
+        PROB.check((1, 2))
     with pytest.raises(InvalidValueError):
-        mul(SemiringId.NAT_PAIR, (1, 2), 0.5)
+        SEMIRINGS[SemiringId.NAT_PAIR].check(0.5)
     with pytest.raises(InvalidValueError):
-        add(SemiringId.MAP_ARGMAX, (0.5, frozenset([1])), 0.5)
+        SEMIRINGS[SemiringId.MAP_ARGMAX].check(0.5)
+    # well-typed values pass through unchanged
+    assert PROB.check(0.5) == 0.5
+    assert SEMIRINGS[SemiringId.NAT_PAIR].check((1, 2)) == (1, 2)
 
 
 def test_transform_ratio():
-    assert transform(TransformId.RATIO, (1, 2)) == pytest.approx(0.5, **APPROX)
-    assert transform(TransformId.RATIO, (0, 0)) == 0.0
+    assert TRANSFORMS[TransformId.RATIO].fn((1, 2)) == pytest.approx(0.5, **APPROX)
+    assert TRANSFORMS[TransformId.RATIO].fn((0, 0)) == 0.0
 
 
 def test_transform_identity():
-    assert transform(TransformId.IDENTITY, 0.4) == 0.4
+    assert TRANSFORMS[TransformId.IDENTITY].fn(0.4) == 0.4
 
 
 def test_transform_eu_project():
-    val = transform(TransformId.EU_PROJECT, (0.0, 7.0))
+    val = TRANSFORMS[TransformId.EU_PROJECT].fn((0.0, 7.0))
     assert val[0] == NEG_INF
-    assert transform(TransformId.EU_PROJECT, (1.0, 5.5)) == (5.5, frozenset())
+    assert TRANSFORMS[TransformId.EU_PROJECT].fn((1.0, 5.5)) == (5.5, frozenset())
 
 
 def test_transform_prob_to_map():
-    assert transform(TransformId.PROB_TO_MAP, 0.3) == (0.3, frozenset())
+    assert TRANSFORMS[TransformId.PROB_TO_MAP].fn(0.3) == (0.3, frozenset())
+    assert TRANSFORMS[TransformId.PROB_TO_MAP].fn(0.0) == SEMIRINGS[SemiringId.MAP_ARGMAX].zero
 
 
 def test_homomorphism_ratio_example():
@@ -138,7 +143,7 @@ def sample_value(rng: random.Random, sr: SemiringId):
 @pytest.mark.parametrize("sr", list(SemiringId))
 def test_semiring_axioms(sr):
     s = SEMIRINGS[sr]
-    rng = random.Random(sum(sr.token.encode()))
+    rng = random.Random(sum(sr.value.encode()))
     for _ in range(300):
         a, b, c = (sample_value(rng, sr) for _ in range(3))
         assert s.eq(s.add(a, b), s.add(b, a))
