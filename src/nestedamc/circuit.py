@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .cnf import LabeledCnf, enumerate_models
-from .errors import CapacityError, ConfigError, ParseError, PreconditionError
+from .errors import CapacityError, ConfigError, ParseError, PreconditionError, decode_ascii
 from .sat import SatSolver
 from .semirings import SEMIRINGS, TRANSFORMS, SemiringId
 
@@ -98,7 +98,7 @@ def _mask_of(vars_iter: Iterable[int]) -> int:
 def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
     """Parse the exchange format; the root is the last node."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = decode_ascii(text)
     nodes: list[Node] = []
     declared_vars = 0
     header_seen = False

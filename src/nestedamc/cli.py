@@ -27,7 +27,7 @@ from .circuit import (
 from .cnf import LabeledCnf, equivalence_cnf, parse_cnf
 from .compiler import CompileConfig, CompileMode, compile_cnf
 from .definability import defined_vars
-from .errors import CapacityError, NestedAmcError, ParseError
+from .errors import CapacityError, NestedAmcError, decode_ascii
 from .programs import TaskKind, build_instance, parse_program, plan_order, solve
 from .semirings import NEG_INF, SemiringId
 
@@ -75,11 +75,7 @@ def format_value(value, sr: SemiringId, names) -> tuple[str, str | None]:
 
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"non-ASCII byte in {path}", data.count(b"\n", 0, e.start) + 1)
+        return decode_ascii(fh.read(), path)
 
 
 def _load_instance(path: str, task: str | None) -> NestedInstance:
@@ -219,6 +215,8 @@ def _cmd_separation(args, out: _Output) -> int:
     try:
         lo, hi = (int(x) for x in args.n.split(".."))
     except ValueError:
+        raise NestedAmcError(f"bad range {args.n!r}, expected like 2..8")
+    if not 0 <= lo <= hi:
         raise NestedAmcError(f"bad range {args.n!r}, expected like 2..8")
     from .treedecomp import constrain_and_root
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
-import networkx as nx
-
-from .errors import CapacityError, ParseError, PreconditionError
+from .errors import CapacityError, ParseError, PreconditionError, decode_ascii
 from .semirings import SEMIRINGS, SemiringId, TransformId
+
+# an undirected graph as symmetric adjacency sets, one key per vertex
+Graph = dict[int, set[int]]
 
 
 @dataclass(frozen=True, init=False)
@@ -117,7 +118,7 @@ def _token(kind, tok: str, lineno: int):
 def parse_cnf(text) -> LabeledCnf:
     """Parse the labeled DIMACS format. Raises ParseError with a line number."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = decode_ascii(text)
     num_vars = None
     declared_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -292,15 +293,13 @@ def condition(cnf: LabeledCnf, y: PartialAssignment) -> LabeledCnf:
     )
 
 
-def primal_graph(cnf: LabeledCnf) -> nx.Graph:
+def primal_graph(cnf: LabeledCnf) -> Graph:
     """Vertices are the live variables; edges join variables sharing a clause."""
-    g = nx.Graph()
-    g.add_nodes_from(sorted(cnf.variables))
+    g: Graph = {v: set() for v in sorted(cnf.variables)}
     for cl in cnf.clauses:
-        vs = sorted({abs(l) for l in cl})
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                g.add_edge(u, v)
+        vs = {abs(l) for l in cl}
+        for v in vs:
+            g[v] |= vs - {v}
     return g
 
 

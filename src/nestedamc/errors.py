@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the ASCII decoding that reports where it failed."""
 
 
 class NestedAmcError(Exception):
@@ -33,3 +33,11 @@ class CapacityError(NestedAmcError):
     def __init__(self, message, stats=None):
         self.stats = stats
         super().__init__(message)
+
+
+def decode_ascii(data: bytes, source: str = "input") -> str:
+    """Decode ASCII text; a non-ASCII byte is a ParseError on its line."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"non-ASCII byte in {source}", data.count(b"\n", 0, e.start) + 1)

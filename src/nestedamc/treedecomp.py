@@ -12,10 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-from networkx.algorithms.flow import edmonds_karp
-
-from .cnf import LabeledCnf, primal_graph
+from .cnf import Graph, LabeledCnf, primal_graph
 from .errors import PreconditionError
 
 DEFAULT_RESTARTS = 8
@@ -27,7 +24,7 @@ class TreeDecomposition:
     """A tree of bags over graph vertices with a designated root."""
 
     bags: dict[int, frozenset[int]]
-    tree: nx.Graph
+    tree: Graph  # adjacency sets over bag ids
     root: int
 
     @property
@@ -35,7 +32,7 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags.values()), default=1) - 1
 
     def children(self, node: int, parent: int | None = None):
-        return sorted(n for n in self.tree.neighbors(node) if n != parent)
+        return sorted(n for n in self.tree[node] if n != parent)
 
 
 @dataclass(frozen=True)
@@ -50,9 +47,9 @@ class VariableOrder:
         return {v: i for i, v in enumerate(self.sequence)}
 
 
-def _min_fill_order(g: nx.Graph, rng: random.Random):
+def _min_fill_order(g: Graph, rng: random.Random):
     """One min-fill elimination run; returns [(vertex, neighbours at elimination)]."""
-    adj = {v: set(g.neighbors(v)) for v in g.nodes}
+    adj = {v: set(nbrs) for v, nbrs in g.items()}
     out = []
     while adj:
         best_cost = None
@@ -88,26 +85,21 @@ def _td_from_elimination(order) -> TreeDecomposition:
     """Build a decomposition from an elimination order the standard way: the
     bag of v is v plus its neighbours at elimination, attached to the bag of
     the earliest-eliminated such neighbour."""
-    pos = {v: i for i, (v, _) in enumerate(order)}
-    bags: dict[int, frozenset[int]] = {}
-    tree = nx.Graph()
     if not order:
-        bags[0] = frozenset()
-        tree.add_node(0)
-        return TreeDecomposition(bags, tree, 0)
+        return TreeDecomposition({0: frozenset()}, {0: set()}, 0)
+    pos = {v: i for i, (v, _) in enumerate(order)}
+    bags = {i: frozenset([v] + nbrs) for i, (v, nbrs) in enumerate(order)}
+    tree: Graph = {i: set() for i in bags}
     for i, (v, nbrs) in enumerate(order):
-        bags[i] = frozenset([v] + nbrs)
-        tree.add_node(i)
-    for i, (v, nbrs) in enumerate(order):
-        if nbrs:
-            parent = min(pos[u] for u in nbrs)
-            tree.add_edge(i, parent)
-        elif i + 1 < len(order):
-            tree.add_edge(i, i + 1)  # keep disconnected pieces in one tree
+        if nbrs or i + 1 < len(order):
+            # a bag without neighbours links to the next: one tree for all pieces
+            parent = min(pos[u] for u in nbrs) if nbrs else i + 1
+            tree[i].add(parent)
+            tree[parent].add(i)
     return TreeDecomposition(bags, tree, len(order) - 1)
 
 
-def decompose(g: nx.Graph, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> TreeDecomposition:
+def decompose(g: Graph, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> TreeDecomposition:
     """Heuristic tree decomposition of a graph; width is the best of
     `restarts` seeded min-fill runs, not optimal."""
     rng = random.Random(seed)
@@ -119,29 +111,47 @@ def decompose(g: nx.Graph, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> T
     return best
 
 
-def validate_td(g: nx.Graph, td: TreeDecomposition) -> bool:
-    """Exhaustively check vertex coverage, edge coverage, and connectedness of
-    every vertex's occurrence set."""
+def _reach(g: Graph, start, inside) -> set:
+    """The vertices of `inside` reachable from `start` through `inside`."""
+    seen = {v for v in start if v in inside}
+    stack = list(seen)
+    while stack:
+        for w in g[stack.pop()]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def validate_td(g: Graph, td: TreeDecomposition) -> bool:
+    """Exhaustively check vertex coverage, edge coverage, that the tree is a
+    tree over the bags, and connectedness of every vertex's occurrence set."""
     covered = set()
     for b in td.bags.values():
         covered |= b
-    if not set(g.nodes) <= covered:
+    if not set(g) <= covered:
         return False
-    for u, v in g.edges:
-        if not any(u in b and v in b for b in td.bags.values()):
-            return False
-    if td.bags and not nx.is_tree(td.tree):
+    for u in g:
+        for v in g[u]:
+            if not any(u in b and v in b for b in td.bags.values()):
+                return False
+    nodes = set(td.tree)
+    edges = sum(len(n) for n in td.tree.values()) // 2
+    if td.bags and (
+        nodes != set(td.bags)
+        or edges != len(nodes) - 1
+        or _reach(td.tree, [td.root], nodes) != nodes
+    ):
         return False
-    for v in g.nodes:
-        occ = [t for t, b in td.bags.items() if v in b]
-        sub = td.tree.subgraph(occ)
-        if len(occ) > 1 and not nx.is_connected(sub):
+    for v in g:
+        occ = {t for t, b in td.bags.items() if v in b}
+        if _reach(td.tree, [min(occ)], occ) != occ:
             return False
     return True
 
 
 def find_separator(
-    g: nx.Graph, x, allowed, flow_bound: int = DEFAULT_FLOW_BOUND
+    g: Graph, x, allowed, flow_bound: int = DEFAULT_FLOW_BOUND
 ) -> frozenset[int]:
     """A vertex set S within `allowed` cutting every path from x to the
     vertices outside `allowed`.
@@ -149,85 +159,93 @@ def find_separator(
     Exact minimum cut via node-splitting max-flow while the flow value stays
     at most `flow_bound`; beyond that the frontier of `allowed` is returned.
     """
-    x = frozenset(x) & set(g.nodes)
-    allowed = frozenset(allowed) & set(g.nodes)
-    targets = set(g.nodes) - allowed
+    x = frozenset(x).intersection(g)
+    allowed = frozenset(allowed).intersection(g)
+    targets = set(g) - allowed
     if not targets or not x:
         return frozenset()
     if not x <= allowed:
         raise PreconditionError("source vertices outside the removable set have no cut")
 
-    inf = g.number_of_nodes() + flow_bound + 1
-    flow = nx.DiGraph()
-    for v in sorted(g.nodes):
-        flow.add_edge(("i", v), ("o", v), capacity=1 if v in allowed else inf)
-    for u, v in sorted(g.edges):
-        flow.add_edge(("o", u), ("i", v), capacity=inf)
-        flow.add_edge(("o", v), ("i", u), capacity=inf)
-    for v in sorted(x):
-        flow.add_edge("s", ("i", v), capacity=inf)
-    for v in sorted(targets):
-        flow.add_edge(("o", v), "t", capacity=inf)
+    # vertex v is the arc 2v -> 2v+1; `res` holds residual capacities, with a
+    # zero-capacity reverse entry for every arc. The flow is at most |x|, so
+    # arcs of capacity `inf` never saturate.
+    inf = len(g) + 1
+    res: dict = {}
 
-    residual = edmonds_karp(flow, "s", "t", cutoff=flow_bound + 1)
-    if residual.graph["flow_value"] > flow_bound:
-        return frozenset(v for v in allowed if any(u in targets for u in g.neighbors(v)))
+    def arc(u, v, cap):
+        res.setdefault(u, {})[v] = cap
+        res.setdefault(v, {})[u] = 0
 
-    # min cut nearest the target side: split edges leaving the set of nodes
-    # that still reach the sink in the residual graph
-    reach = {"t"}
-    stack = ["t"]
-    while stack:
-        w = stack.pop()
-        for u in residual.predecessors(w):
-            if u not in reach and residual[u][w]["capacity"] - residual[u][w]["flow"] > 0:
-                reach.add(u)
-                stack.append(u)
-    return frozenset(v for v in allowed if ("o", v) in reach and ("i", v) not in reach)
+    for v in g:
+        arc(2 * v, 2 * v + 1, 1 if v in allowed else inf)
+        for u in g[v]:
+            arc(2 * v + 1, 2 * u, inf)
+    for v in x:
+        arc("s", 2 * v, inf)
+    for v in targets:
+        arc(2 * v + 1, "t", inf)
+
+    flow = 0
+    while flow <= flow_bound:
+        prev = {"s": None}  # breadth-first search for a shortest augmenting path
+        queue = ["s"]
+        for u in queue:
+            for w, cap in res[u].items():
+                if cap > 0 and w not in prev:
+                    prev[w] = u
+                    queue.append(w)
+            if "t" in prev:
+                break
+        if "t" not in prev:
+            break
+        # push one unit: the path enters some 2v, v in x, whose residual arcs out
+        # carry at most one unit
+        w = "t"
+        while w != "s":
+            u = prev[w]
+            res[u][w] -= 1
+            res[w][u] += 1
+            w = u
+        flow += 1
+    if flow > flow_bound:
+        return frozenset(v for v in allowed if g[v] & targets)
+
+    # min cut nearest the target side: split arcs leaving the set of nodes
+    # that still reach the sink in the residual network
+    back = {w: {u for u in res[w] if res[u][w] > 0} for w in res}
+    reach = _reach(back, ["t"], back)
+    return frozenset(v for v in allowed if 2 * v + 1 in reach and 2 * v not in reach)
 
 
-def separates(g: nx.Graph, sep, x, targets) -> bool:
+def separates(g: Graph, sep, x, targets) -> bool:
     """True iff removing `sep` leaves no path from x to the target side."""
-    sep = set(sep)
-    rest = g.subgraph(set(g.nodes) - sep)
-    seen = set(v for v in x if v not in sep)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        if u in targets:
-            return False
-        for v in rest.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return not (set(x) & set(targets) - sep)
+    return not _reach(g, x, set(g) - set(sep)) & set(targets)
 
 
 def order_from_td(td: TreeDecomposition, first) -> tuple[int, ...]:
     """First-occurrence variable order of a depth-first traversal from the
     root, children visited smaller subtree first, with `first` leading."""
+    # explicit stacks: a decomposition of many disconnected pieces is a long path
+    kids = {}
+    walk = [(td.root, None)]
+    for node, parent in walk:  # grows while it is read: top-down order
+        kids[node] = td.children(node, parent)
+        walk += [(c, node) for c in kids[node]]
     sizes: dict[int, int] = {}
+    for node, _ in reversed(walk):
+        sizes[node] = 1 + sum(sizes[c] for c in kids[node])
 
-    def size(node, parent):
-        s = 1
-        for c in td.children(node, parent):
-            s += size(c, node)
-        sizes[node] = s
-        return s
-
-    size(td.root, None)
     seen = list(first)
     seen_set = set(first)
-
-    def visit(node, parent):
+    stack = [td.root]
+    while stack:
+        node = stack.pop()
         for v in sorted(td.bags[node]):
             if v not in seen_set:
                 seen_set.add(v)
                 seen.append(v)
-        for c in sorted(td.children(node, parent), key=lambda c: (sizes[c], c)):
-            visit(c, node)
-
-    visit(td.root, None)
+        stack += sorted(kids[node], key=lambda c: (sizes[c], c), reverse=True)
     return tuple(seen)
 
 
@@ -247,20 +265,16 @@ def constrain_and_root(
     and the order lists the separator block first.
     """
     g = primal_graph(cnf)
-    x = frozenset(x) & set(g.nodes)
-    allowed = x | (frozenset(d) & set(g.nodes))
-    targets = set(g.nodes) - allowed
+    x = frozenset(x).intersection(g)
+    allowed = x | frozenset(d).intersection(g)
+    targets = set(g) - allowed
 
     if not targets:
         td = decompose(g, seed=seed, restarts=restarts)
         return td, VariableOrder(order_from_td(td, ()), 0)
 
     sep = find_separator(g, x, allowed, flow_bound=flow_bound)
-    g2 = g.copy()
-    svs = sorted(sep)
-    for i, u in enumerate(svs):
-        for v in svs[i + 1 :]:
-            g2.add_edge(u, v)
+    g2 = {v: nbrs | sep - {v} if v in sep else set(nbrs) for v, nbrs in g.items()}
     td = decompose(g2, seed=seed, restarts=restarts)
 
     host = None
@@ -273,7 +287,8 @@ def constrain_and_root(
     else:
         new = max(td.bags) + 1
         td.bags[new] = frozenset(sep)
-        td.tree.add_edge(new, host)
+        td.tree[new] = {host}
+        td.tree[host].add(new)
         td.root = new
     order = order_from_td(td, sorted(sep))
     return td, VariableOrder(order, len(sep))
@@ -285,6 +300,7 @@ def emit_td(td: TreeDecomposition, num_vertices: int) -> str:
     lines = [f"s td {len(td.bags)} {td.width + 1} {num_vertices}"]
     for node in sorted(td.bags):
         lines.append(f"b {ids[node]} " + " ".join(str(v) for v in sorted(td.bags[node])))
-    for u, v in sorted((min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in td.tree.edges):
+    edges = ((ids[a], ids[b]) for a in td.tree for b in td.tree[a])
+    for u, v in sorted((u, v) for u, v in edges if u < v):
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"

@@ -243,7 +243,7 @@ def test_5_constrained_decomposition_guarantees():
         d = defined_vars(cnf, x).defined
         td, order = constrain_and_root(cnf, x, d, seed=i)
         g = primal_graph(cnf)
-        targets = set(g.nodes) - set(x) - set(d)
+        targets = set(g) - set(x) - set(d)
         root_bag = td.bags[td.root]
         ok = ok and validate_td(g, td)
         ok = ok and root_bag <= x | d

@@ -114,6 +114,12 @@ def test_parse_rejects_forward_reference():
     assert e.value.line == 2
 
 
+def test_parse_non_ascii_bytes():
+    with pytest.raises(ParseError) as e:
+        parse_nnf(b"nnf 1 0 1\nc \xe9\nL 1\n")
+    assert e.value.line == 2
+
+
 def test_parse_rejects_self_reference():
     with pytest.raises(ParseError):
         parse_nnf("nnf 1 1 1\nO 1 1 0\n")

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nestedamc
 from nestedamc.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -195,6 +199,14 @@ def test_structured_output_deterministic(files, capsys):
     assert b"result value 0.5" in outs[0]
 
 
+@pytest.mark.parametrize("span", ["5..2", "-2..1"])
+def test_separation_empty_or_negative_range_is_input_error(capsys, span):
+    code, out, err = run(capsys, "separation", f"--n={span}", "--format", "kv")
+    assert code == 1
+    assert err.startswith(f"error: bad range '{span}'")
+    assert out == ""
+
+
 def test_separation_table_monotone(capsys):
     code, out, _ = run(capsys, "separation", "--n", "2..6", "--format", "kv")
     assert code == 0
@@ -336,3 +348,14 @@ def test_non_ascii_input_is_input_error(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: line 6: non-ASCII byte in ")
     assert out == ""
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site-packages off the path, so a third-party import fails outright
+    src = str(Path(nestedamc.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, nestedamc.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    top = {m.split(".")[0] for m in loaded}
+    assert top - set(sys.stdlib_module_names) == {"__main__", "nestedamc"}
