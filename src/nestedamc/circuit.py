@@ -407,6 +407,8 @@ def brute_force_nested(instance: NestedInstance, max_vars: int = 24):
     """Direct evaluation of the defining double aggregate: enumerate the
     outer assignments and, per outer assignment, the models extending it.
     This is the independent oracle the circuit path is checked against."""
+    if max_vars < 0:
+        raise ConfigError(f"oracle guard must not be negative, got {max_vars}")
     cnf = instance.cnf
     variables = sorted(cnf.variables)
     n = len(variables)

@@ -19,6 +19,22 @@ Three modes:
              left, unit-propagated inner literals are buffered until that
              boundary, and component splits keep at most one outer-containing
              block so the circuit satisfies the strict outer-first shape.
+
+Residual formulas are lists of clauses, and three rules keep the work per
+decision small without changing which nodes are built or in which order:
+
+  Sorted clauses. Every clause is a sorted tuple from the root on, and
+      conditioning only removes literals, so a canonical key is the sorted
+      set of the clauses themselves.
+  Earliest unit. Propagation always takes the eligible unit clause that
+      comes first in the residual list. Conditioning keeps the list order,
+      so that is the unit with the smallest position in the block, and a
+      heap of positions over occurrence lists finds it without rescanning.
+  Settled blocks. A block handed down by a split after exhaustive
+      propagation holds no eligible unit and is connected (an X_FIRST blob
+      splits back into itself), so it goes straight to the decision. The
+      exception is an X_FIRST pure-inner block holding inner units that were
+      buffered while outer variables remained: it still propagates.
 """
 
 from __future__ import annotations
@@ -26,10 +42,12 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import chain
 
 from .circuit import Circuit, Node
 from .cnf import LabeledCnf
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, ConfigError, PreconditionError
 from .treedecomp import VariableOrder
 
 DEFAULT_BUDGET = 256 << 20  # bytes
@@ -70,56 +88,80 @@ class CompileStats:
 
 
 def _condition(clauses, lit):
-    out = []
-    for cl in clauses:
-        if lit in cl:
-            continue
-        if -lit in cl:
-            out.append(tuple(l for l in cl if l != -lit))
-        else:
-            out.append(cl)
-    return out
-
-
-def _canon(clauses) -> tuple:
-    return tuple(sorted(set(tuple(sorted(cl)) for cl in clauses)))
+    """The clauses under `lit`, in their order; None when one becomes empty."""
+    neg = -lit
+    out = [tuple(l for l in cl if l != neg) if neg in cl else cl
+           for cl in clauses if lit not in cl]
+    return None if () in out else out
 
 
 def _components(clauses):
-    """Partition clauses into variable-connected groups (union-find)."""
+    """Partition clauses into variable-connected groups, keeping the clause
+    order inside a group and ordering the groups by their smallest variable.
+    The union-find keeps the smallest variable of a group as its root."""
     parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    roots = 0
     for cl in clauses:
-        vs = [abs(l) for l in cl]
-        for v in vs:
-            parent.setdefault(v, v)
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[rb] = ra
+        top = 0
+        for l in cl:
+            v = l if l > 0 else -l
+            r = parent.get(v)
+            if r is None:
+                parent[v] = r = v
+                roots += 1
+            else:
+                while True:
+                    p = parent[r]
+                    if p == r:
+                        break
+                    parent[v] = r = p
+            if not top:
+                top = r
+            elif r != top:
+                roots -= 1
+                if r < top:
+                    parent[top] = top = r
+                else:
+                    parent[r] = top
+    if roots == 1:
+        return [clauses]
     groups: dict[int, list] = {}
     for cl in clauses:
-        r = find(abs(cl[0]))
-        groups.setdefault(r, []).append(cl)
-    return [groups[r] for r in sorted(groups, key=lambda r: min(min(abs(l) for l in c) for c in groups[r]))]
+        v = cl[0] if cl[0] > 0 else -cl[0]
+        r = parent[v]
+        while parent[r] != r:
+            r = parent[r]
+        parent[v] = r
+        got = groups.get(r)
+        if got is None:
+            groups[r] = [cl]
+        else:
+            got.append(cl)
+    return [groups[r] for r in sorted(groups)]
 
 
 class _Compilation:
     def __init__(self, cnf: LabeledCnf, cfg: CompileConfig):
         if frozenset(cfg.order.sequence) != cnf.variables:
             raise PreconditionError("variable order is not a permutation of the theory's variables")
+        if cfg.cache_budget <= 0:
+            raise ConfigError(f"cache budget must be positive, got {cfg.cache_budget} bytes")
         self.cnf = cnf
         self.cfg = cfg
-        self.outer = cnf.outer_vars
-        self.pos = cfg.order.position()
+        self.x_first = cfg.mode is CompileMode.X_FIRST
+        # both literals of every outer variable
+        self.outer_lits = frozenset(cnf.outer_vars) | {-v for v in cnf.outer_vars}
+        # decision rank by literal: order position, outer variables first in X_FIRST
+        seq = cfg.order.sequence
+        if self.x_first:
+            seq = [v for v in seq if v in cnf.outer_vars] + [
+                v for v in seq if v not in cnf.outer_vars]
+        self.by_rank = tuple(seq)
+        self.rank = {l: i for i, v in enumerate(seq) for l in (v, -v)}
         self.nodes: list[Node] = []
         self.index: dict[Node, int] = {}
+        self.lit_ids: dict[int, int] = {}
+        self.true_id: int | None = None
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
 
@@ -143,10 +185,15 @@ class _Compilation:
         return idx
 
     def _lit(self, lit: int) -> int:
-        return self._mk(Node("L", lit=lit))
+        got = self.lit_ids.get(lit)
+        if got is None:
+            got = self.lit_ids[lit] = self._mk(Node("L", lit=lit))
+        return got
 
     def _true(self) -> int:
-        return self._mk(Node("A"))
+        if self.true_id is None:
+            self.true_id = self._mk(Node("A"))
+        return self.true_id
 
     def _false(self) -> int:
         return self._mk(Node("O"))
@@ -165,103 +212,143 @@ class _Compilation:
 
     # ------------------------------------------------------------- semantics
 
-    def _has_outer(self, clauses) -> bool:
-        return any(abs(l) in self.outer for cl in clauses for l in cl)
-
     def _propagate(self, clauses):
         """Exhaustive unit propagation; in X_FIRST mode inner units are left
         in place while the clause set still contains outer variables.
         Returns (implied literals, residual clauses, conflict flag)."""
+        if min(map(len, clauses)) > 1:
+            return (), clauses, False
+        x_first = self.x_first
+        outer_lits = self.outer_lits
+        cur = list(clauses)  # None marks a satisfied clause
+        occ: dict[int, list[int]] = {}
+        # positions of unit clauses; outside X_FIRST every unit is "inner"
+        outer_heap: list[int] = []
+        inner_heap: list[int] = []
+        n_outer = 0  # outer literal occurrences left in the block
+        for i, cl in enumerate(cur):
+            for l in cl:
+                got = occ.get(l)
+                if got is None:
+                    occ[l] = [i]
+                else:
+                    got.append(i)
+            if len(cl) == 1:
+                if x_first and cl[0] in outer_lits:
+                    outer_heap.append(i)
+                else:
+                    inner_heap.append(i)
+            if x_first and not outer_lits.isdisjoint(cl):
+                n_outer += sum(l in outer_lits for l in cl)
         implied: list[int] = []
         while True:
-            restrict = self.cfg.mode is CompileMode.X_FIRST and self._has_outer(clauses)
-            unit = None
-            for cl in clauses:
-                if len(cl) == 1 and (not restrict or abs(cl[0]) in self.outer):
-                    unit = cl[0]
-                    break
-            if unit is None:
-                return implied, clauses, False
+            heap = outer_heap if n_outer else inner_heap
+            while heap and cur[heap[0]] is None:
+                heappop(heap)
+            if not heap:
+                return implied, [cl for cl in cur if cl is not None], False
+            unit = cur[heappop(heap)][0]
             implied.append(unit)
             self.stats.propagations += 1
-            clauses = _condition(clauses, unit)
-            if any(len(cl) == 0 for cl in clauses):
-                return implied, clauses, True
+            for j in occ.get(unit, ()):
+                cl = cur[j]
+                if cl is not None:
+                    cur[j] = None
+                    if n_outer:
+                        n_outer -= sum(l in outer_lits for l in cl)
+            neg = -unit
+            outer_neg = x_first and neg in outer_lits
+            for j in occ.get(neg, ()):
+                cl = cur[j]
+                if cl is None:
+                    continue
+                short = tuple(l for l in cl if l != neg)
+                if not short:
+                    return implied, None, True
+                cur[j] = short
+                if outer_neg:
+                    n_outer -= len(cl) - len(short)
+                if len(short) == 1:
+                    if x_first and short[0] in outer_lits:
+                        heappush(outer_heap, j)
+                    else:
+                        heappush(inner_heap, j)
 
     def _split(self, clauses):
+        """The blocks of a propagated residual, each paired with whether it
+        is settled (see the module docstring)."""
         comps = _components(clauses)
-        if self.cfg.mode is not CompileMode.X_FIRST or len(comps) <= 1:
-            return comps
+        if not self.x_first:
+            return [(comp, True) for comp in comps]
         # keep the strict outer-first shape: pure-outer components may split
         # off, everything else stays one block while a mixed component exists
-        pure_outer, pure_inner, mixed = [], [], []
+        outer_lits = self.outer_lits
+        pure_outer, rest, flags = [], [], []
+        mixed = False
         for comp in comps:
-            has_o = self._has_outer(comp)
-            has_i = any(abs(l) not in self.outer for cl in comp for l in cl)
-            if has_o and has_i:
-                mixed.append(comp)
-            elif has_o:
-                pure_outer.append(comp)
+            lits = set().union(*comp)
+            if outer_lits.isdisjoint(lits):
+                # a pure-inner block may hold inner units buffered above it
+                rest.append(comp)
+                flags.append(min(map(len, comp)) > 1)
             else:
-                pure_inner.append(comp)
+                if not outer_lits.issuperset(lits):
+                    mixed = True
+                    rest.append(comp)
+                else:
+                    pure_outer.append(comp)
+                flags.append(True)
         if not mixed:
-            return comps
-        blob = [cl for comp in mixed + pure_inner for cl in comp]
-        return pure_outer + [blob]
+            return list(zip(comps, flags))
+        # the blob is canonicalised by the cache, so its clause order is free
+        blob = [cl for comp in rest for cl in comp]
+        return [(comp, True) for comp in pure_outer] + [(blob, True)]
 
-    def _pick_var(self, clauses) -> int:
-        cand = {abs(l) for cl in clauses for l in cl}
-        if self.cfg.mode is CompileMode.X_FIRST:
-            outer_cand = cand & self.outer
-            if outer_cand:
-                cand = outer_cand
-        return min(cand, key=self.pos.__getitem__)
-
-    def _compile(self, clauses) -> int:
-        if any(len(cl) == 0 for cl in clauses):
+    def _compile(self, clauses, settled=False) -> int:
+        if clauses is None:
             return self._false()
         if not clauses:
             return self._true()
-        key = _canon(clauses)
+        key = tuple(sorted(set(clauses)))
         got = self.cache.get(key)
         if got is not None:
             self.stats.cache_hits += 1
             return got
-        result = self._compile_fresh(key)
+        result = self._compile_fresh(key, settled)
         self.cache[key] = result
         self.stats.cache_entries += 1
-        self._budget(56 + 16 * sum(len(cl) for cl in key))
+        self._budget(56 + 16 * sum(map(len, key)))
         return result
 
-    def _compile_fresh(self, clauses) -> int:
-        lits, clauses, conflict = self._propagate(clauses)
-        if conflict:
-            return self._false()
-        comps = self._split(clauses) if clauses else []
-        if lits or len(comps) > 1:
-            children = [self._lit(l) for l in lits]
-            children += [self._compile(comp) for comp in comps]
-            true_id = self._true()
-            children = [c for c in children if c != true_id]
-            if not children:
-                return true_id
-            return self._and(children)
-        if not clauses:
-            return self._true()
-        v = self._pick_var(clauses)
+    def _compile_fresh(self, clauses, settled) -> int:
+        if not settled:
+            lits, clauses, conflict = self._propagate(clauses)
+            if conflict:
+                return self._false()
+            blocks = self._split(clauses)
+            if lits or len(blocks) > 1:
+                children = [self._lit(l) for l in lits]
+                children += [self._compile(b, s) for b, s in blocks]
+                true_id = self._true()
+                children = [c for c in children if c != true_id]
+                if not children:
+                    return true_id
+                return self._and(children)
+        v = self.by_rank[min(map(self.rank.__getitem__, chain.from_iterable(clauses)))]
         self.stats.decisions += 1
         pos = self._compile(_condition(clauses, v))
         neg = self._compile(_condition(clauses, -v))
         return self._decision(v, pos, neg)
 
     def run(self) -> Circuit:
-        clauses = [cl for cl in self.cnf.clauses if not any(-l in cl for l in cl)]
+        clauses = [tuple(sorted(cl)) for cl in self.cnf.clauses
+                   if not any(-l in cl for l in cl)]
         limit = sys.getrecursionlimit()
         needed = 4 * (len(self.cnf.variables) + len(clauses)) + 1000
         if needed > limit:
             sys.setrecursionlimit(needed)
         try:
-            root = self._compile(_canon(clauses))
+            root = self._compile(None if () in clauses else clauses)
         finally:
             sys.setrecursionlimit(limit)
         nodes, root = self._compact(root)
@@ -298,7 +385,8 @@ def compile_cnf(cnf: LabeledCnf, cfg: CompileConfig) -> Circuit:
     models equal the theory's models; statistics are attached to the result.
 
     Raises CapacityError carrying partial statistics when the configured
-    budget is exhausted, and PreconditionError when the order does not cover
-    exactly the theory's variables.
+    budget is exhausted, PreconditionError when the order does not cover
+    exactly the theory's variables, and ConfigError when the budget is not
+    positive.
     """
     return _Compilation(cnf, cfg).run()

@@ -43,9 +43,6 @@ class VariableOrder:
     sequence: tuple[int, ...]
     boundary_index: int = 0
 
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.sequence)}
-
 
 def _min_fill_order(g: Graph, rng: random.Random):
     """One min-fill elimination run; returns [(vertex, neighbours at elimination)]."""

@@ -186,6 +186,21 @@ def test_capacity_exit_code(files, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mb", ["0", "-1"])
+def test_non_positive_cache_budget_is_input_error(files, capsys, mb):
+    code, out, err = run(capsys, "solve", "--task", "succ", files["lex.pl"], f"--cache-mb={mb}")
+    assert code == 1
+    assert err.startswith("error: cache budget must be positive")
+    assert out == ""
+
+
+def test_negative_oracle_guard_is_input_error(files, capsys):
+    code, out, err = run(capsys, "oracle", files["aex.cnf"], "--max-oracle-vars=-1")
+    assert code == 1
+    assert err.startswith("error: oracle guard must not be negative")
+    assert out == ""
+
+
 def test_structured_output_deterministic(files, capsys):
     outs = []
     for _ in range(2):

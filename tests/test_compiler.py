@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -168,3 +170,39 @@ def test_stats_populated():
     assert s.nodes == circ.node_count
     assert s.edges == circ.edge_count
     assert s.decisions > 0
+
+
+def _structure(circ):
+    return (circ.root, [(nd.kind, nd.lit, nd.dvar, nd.children) for nd in circ.nodes],
+            dataclasses.astuple(circ.stats))
+
+
+def test_compiled_structure_golden():
+    # pins the exact circuits and counters, not just their models: node lists,
+    # roots and stats of 60 random instances in every mode, plus the partial
+    # stats of a budget overflow
+    rng = random.Random(2718)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        cnf = random_partitioned_cnf(rng, 12, 25)
+        seq = list(cnf.variables)
+        rng.shuffle(seq)
+        for mode in CompileMode:
+            circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
+            digest.update(repr(_structure(circ)).encode())
+    with pytest.raises(CapacityError) as e:
+        compile_cnf(equivalence_cnf(8), CompileConfig(
+            order_of(*range(1, 17)), CompileMode.X_FIRST, cache_budget=20_000))
+    digest.update(repr(dataclasses.astuple(e.value.stats)).encode())
+    assert digest.hexdigest()[:16] == "236f467ce2ca5f22"
+
+
+def test_buffered_inner_units_propagate_below_the_split():
+    # (3,) and (-3, 4) form a pure-inner block whose unit was held back while
+    # the outer clause (1, 2) remained; the block must still propagate after
+    # the split instead of deciding on 3
+    cnf = LabeledCnf(4, [(1, 2), (3,), (-3, 4)], outer_vars={1, 2})
+    circ = compile_cnf(cnf, CompileConfig(order_of(1, 2, 3, 4), CompileMode.X_FIRST))
+    s = circ.stats
+    assert (s.decisions, s.propagations, s.nodes, s.cache_entries) == (1, 3, 9, 4)
+    assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))

@@ -170,7 +170,7 @@ def test_order_separator_block_first():
         cnf = random_partitioned_cnf(rng, max_vars=12, max_clauses=24)
         td, order = constrain_and_root(cnf, cnf.outer_vars, frozenset(), seed=1)
         sep = set(order.sequence[: order.boundary_index])
-        pos = order.position()
+        pos = {v: i for i, v in enumerate(order.sequence)}
         assert all(
             pos[s] < pos[v]
             for s in sep
