@@ -4,9 +4,22 @@ Watched literals, first-UIP clause learning, activity-based branching with
 decay, geometric restarts and phase saving. Assumptions are enqueued as
 pseudo-decisions below the real decision levels, so repeated queries on one
 clause database reuse learned clauses.
+
+The branching variable is the most active unassigned one, lowest index on
+ties. It comes from a lazy heap of `(-activity, var)` entries instead of a
+scan over all variables. Invariant: every unassigned variable has an entry
+keyed by its current activity. A variable gets an entry when it is created
+and each time backtracking unassigns it; activity only changes by bumping an
+assigned variable, or by the rescale, after which the heap is rebuilt. So
+the first popped entry whose variable is unassigned and whose key is still
+current names exactly the variable the scan would pick; stale entries are
+dropped as they surface, and the heap is rebuilt from the unassigned
+variables when it outgrows `_HEAP_SLACK` entries per variable.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .errors import PreconditionError
 
@@ -17,6 +30,7 @@ _FALSE = -1
 _VAR_DECAY = 0.95
 _RESTART_BASE = 100
 _RESTART_FACTOR = 1.5
+_HEAP_SLACK = 4
 
 
 class SatSolver:
@@ -30,6 +44,7 @@ class SatSolver:
         self.phase: list[bool] = [False]
         self.activity: list[float] = [0.0]
         self.var_inc = 1.0
+        self.order_heap: list[tuple[float, int]] = []  # lazy (-activity, var)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -49,6 +64,7 @@ class SatSolver:
             self.activity.append(0.0)
             self.watches[self.num_vars] = []
             self.watches[-self.num_vars] = []
+            heappush(self.order_heap, (-0.0, self.num_vars))
 
     def value(self, lit: int) -> int:
         v = self.assign[abs(lit)]
@@ -147,13 +163,25 @@ class SatSolver:
         if len(self.trail_lim) <= level:
             return
         bound = self.trail_lim[level]
+        heap, activity = self.order_heap, self.activity
         for lit in reversed(self.trail[bound:]):
             v = abs(lit)
             self.assign[v] = _UNASSIGNED
             self.reason[v] = -1
+            heappush(heap, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
+        if len(heap) > _HEAP_SLACK * self.num_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        self.order_heap = [
+            (-self.activity[v], v)
+            for v in range(1, self.num_vars + 1)
+            if self.assign[v] == _UNASSIGNED
+        ]
+        heapify(self.order_heap)
 
     def _bump(self, v: int):
         self.activity[v] += self.var_inc
@@ -161,6 +189,7 @@ class SatSolver:
             for u in range(1, self.num_vars + 1):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_heap()  # every key is stale now
 
     def _analyze(self, conflict: list[int]):
         """First-UIP conflict analysis; returns (learnt clause, backjump level)."""
@@ -205,11 +234,14 @@ class SatSolver:
         return learnt, back
 
     def _pick_branch_var(self):
-        best, best_act = 0, -1.0
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] == _UNASSIGNED and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
-        return best
+        """The most active unassigned variable, lowest index on ties; 0 when
+        every variable is assigned."""
+        heap, assign, activity = self.order_heap, self.assign, self.activity
+        while heap:
+            key, v = heappop(heap)
+            if assign[v] == _UNASSIGNED and -key == activity[v]:
+                return v
+        return 0
 
     def solve(self, assumptions=()) -> list[int] | None:
         """Search for a model extending the assumptions.

@@ -2,7 +2,11 @@
 rooted, separator-first decompositions that yield compilation variable orders.
 
 Decomposition uses min-fill elimination with seeded random tie-breaking and a
-configurable number of restarts, keeping the smallest width found. Separators
+configurable number of restarts, keeping the smallest width found. Fill costs
+are kept in buckets and updated only around each eliminated vertex: its
+neighbours are recounted, and any other vertex loses one for each new fill
+edge between two of its neighbours. The candidates drawn from at each step
+are the same sorted least-cost vertices a full rescan finds. Separators
 are exact vertex min-cuts computed by node-splitting max-flow as long as the
 flow stays under a bound, with the frontier of the allowed set as fallback.
 """
@@ -44,37 +48,63 @@ class VariableOrder:
     boundary_index: int = 0
 
 
+def _fill_cost(adj: Graph, v: int) -> int:
+    """The number of edges eliminating v would add: non-adjacent neighbour pairs."""
+    ns = list(adj[v])
+    return sum(1 for i, u in enumerate(ns) for w in ns[i + 1 :] if w not in adj[u])
+
+
 def _min_fill_order(g: Graph, rng: random.Random):
-    """One min-fill elimination run; returns [(vertex, neighbours at elimination)]."""
+    """One min-fill elimination run; returns [(vertex, neighbours at elimination)].
+
+    Each step draws uniformly from the sorted vertices of least fill cost.
+    Costs live in buckets and change only around the eliminated vertex v
+    with neighbours N: each u in N lost v and gained fill edges, so its cost
+    is recounted; any other vertex w keeps its neighbourhood, and its cost
+    drops by one for each new fill edge (a, b) with both ends adjacent to w.
+    """
     adj = {v: set(nbrs) for v, nbrs in g.items()}
+    cost: dict[int, int] = {}
+    buckets: dict[int, set[int]] = {}  # fill cost -> vertices of that cost
+
+    def put(v, c):
+        cost[v] = c
+        buckets.setdefault(c, set()).add(v)
+
+    def take(v) -> int:
+        c = cost.pop(v)
+        bucket = buckets[c]
+        bucket.discard(v)
+        if not bucket:
+            del buckets[c]
+        return c
+
+    for v in adj:
+        put(v, _fill_cost(adj, v))
     out = []
     while adj:
-        best_cost = None
-        candidates = []
-        for v in sorted(adj):
-            nbrs = adj[v]
-            cost = 0
-            ns = sorted(nbrs)
-            for i, u in enumerate(ns):
-                au = adj[u]
-                for w in ns[i + 1 :]:
-                    if w not in au:
-                        cost += 1
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                candidates = [v]
-            elif cost == best_cost:
-                candidates.append(v)
+        candidates = sorted(buckets[min(buckets)])
         v = candidates[rng.randrange(len(candidates))]
         nbrs = sorted(adj[v])
         out.append((v, nbrs))
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                adj[u].add(w)
-                adj[w].add(u)
+        fill = [
+            (a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a]
+        ]
+        for a, b in fill:
+            adj[a].add(b)
+            adj[b].add(a)
         for u in nbrs:
             adj[u].discard(v)
         del adj[v]
+        take(v)
+        near = set(nbrs)
+        for a, b in fill:
+            for w in adj[a] & adj[b]:
+                if w not in near:
+                    put(w, take(w) - 1)
+        for u in nbrs:
+            take(u)
+            put(u, _fill_cost(adj, u))
     return out
 
 

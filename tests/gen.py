@@ -123,6 +123,12 @@ def random_program(rng: random.Random, family: str, max_vars: int = 14,
             return p
 
 
+def independent_facts(n: int) -> Program:
+    """n independent probabilistic facts at 0.5 and a success query on the
+    first: the family of the scale regression tests at n=1100."""
+    return parse_program("\n".join([f"0.5::f{i}." for i in range(n)] + ["query(f0)."]))
+
+
 def random_labels(rng: random.Random, cnf: LabeledCnf) -> LabeledCnf:
     """Probability labels on a structure-only theory (identity transform)."""
     inner = {}

@@ -1,14 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
-from gen import random_program
+from gen import independent_facts, random_partitioned_cnf, random_program
 from nestedamc.circuit import brute_force_nested, evaluate_nested, smooth
 from nestedamc.cnf import enumerate_models
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import ConfigError, ParseError
 from nestedamc.programs import (
+    Diagnostics,
     TaskKind,
     build_instance,
     clark_completion,
@@ -259,3 +261,31 @@ def test_transforms_are_homomorphic_on_observed_values():
                 inst.cnf.inner_sr, inst.cnf.outer_sr,
                 enforce_domain=False,
             )
+
+
+def test_planned_orders_golden():
+    # pins the planning layer: orders, separator blocks, widths and Padoa
+    # verdicts of 60 random instances in every mode
+    rng = random.Random(3141)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        cnf = random_partitioned_cnf(rng, 12, 25)
+        seed = rng.randrange(1 << 16)
+        for mode in CompileMode:
+            diag = Diagnostics()
+            order = plan_order(cnf, mode, seed=seed, diag=diag)
+            digest.update(repr((
+                order.sequence, order.boundary_index, sorted(diag.defined),
+                diag.definability_queries, diag.separator_size, diag.width,
+            )).encode())
+        verdicts = defined_vars(cnf, cnf.outer_vars).verdicts
+        digest.update(repr(sorted(verdicts.items())).encode())
+    assert digest.hexdigest()[:16] == "344208cf433503d8"
+
+
+@pytest.mark.parametrize("mode", [CompileMode.XD_FIRST, CompileMode.FREE])
+def test_solve_1100_independent_facts(mode):
+    # 1100 isolated vertices: one long decomposition path for order_from_td
+    # and 1100 elimination steps per min-fill restart
+    value, _ = solve(independent_facts(1100), TaskKind.SUCC, mode=mode)
+    assert value == pytest.approx(0.5, rel=1e-9)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 
 from gen import random_clauses
+from nestedamc import definability
 from nestedamc.definability import PadoaSession
 from nestedamc.cnf import LabeledCnf
 from nestedamc.sat import SatSolver
@@ -135,3 +136,67 @@ def test_incremental_reuse_across_assumption_queries():
         if model is not None:
             assert satisfies(model, clauses)
             assert all(a in model for a in assumptions)
+
+
+class ScanSolver(SatSolver):
+    """Branching by a full scan over the variables: the reference that the
+    lazy order heap must match choice for choice."""
+
+    def _pick_branch_var(self):
+        best, best_act = 0, -1.0
+        for v in range(1, self.num_vars + 1):
+            if self.assign[v] == 0 and self.activity[v] > best_act:
+                best, best_act = v, self.activity[v]
+        return best
+
+
+def random_3cnf(rng, n, m):
+    return [
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    ]
+
+
+def test_branching_matches_activity_scan(monkeypatch):
+    # 3-CNF near the threshold: searches that conflict, learn and backjump
+    rng = random.Random(8)
+    learned = rescaled = 0
+    for trial in range(300):
+        n = rng.randint(10, 40)
+        clauses = random_3cnf(rng, n, int(n * rng.uniform(3.5, 5)))
+        heap, scan = solver_for(clauses, n), ScanSolver(n)
+        for cl in clauses:
+            scan.add_clause(cl)
+        attached = len(heap.clauses)
+        if trial % 3 == 0:
+            # start near the activity ceiling so the rescale, and with it the
+            # heap rebuild, happens after a few bumps
+            heap.var_inc = scan.var_inc = 1e99
+        for _ in range(10):
+            k = rng.randint(0, 6)
+            assumptions = [
+                v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)
+            ]
+            assert heap.solve(assumptions) == scan.solve(assumptions)
+            assert heap.clauses == scan.clauses
+            assert heap.activity == scan.activity
+            assert heap.unsat == scan.unsat
+        learned += len(heap.clauses) > attached
+        rescaled += heap.var_inc < 1.0
+    assert learned > 250 and rescaled > 50
+
+    # one Padoa query stream, the workload the heap was built for
+    r = random.Random(1)
+    cnf = LabeledCnf(40, random_3cnf(r, 40, 120), outer_vars=r.sample(range(1, 41), 20))
+    session = PadoaSession(cnf)
+    attached = len(session.solver.clauses)
+    monkeypatch.setattr(definability, "SatSolver", ScanSolver)
+    reference = PadoaSession(cnf)
+    for y in sorted(cnf.variables - cnf.outer_vars):
+        assert session.is_defined(cnf.outer_vars, y) == reference.is_defined(
+            cnf.outer_vars, y
+        )
+        assert session.solver.clauses == reference.solver.clauses
+        assert session.solver.activity == reference.solver.activity
+        assert session.solver.unsat == reference.solver.unsat
+    assert len(session.solver.clauses) > attached

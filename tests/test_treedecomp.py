@@ -6,6 +6,7 @@ from nestedamc.cnf import LabeledCnf, primal_graph
 from nestedamc.definability import defined_vars
 from nestedamc.treedecomp import (
     TreeDecomposition,
+    _min_fill_order,
     constrain_and_root,
     decompose,
     emit_td,
@@ -192,3 +193,54 @@ def test_order_from_td_deep_tree():
     g = primal_graph(LabeledCnf(1100, []))
     td = decompose(g, restarts=1)
     assert sorted(order_from_td(td, ())) == list(range(1, 1101))
+
+
+def full_rescan_min_fill(g, rng):
+    """Min-fill that rescores every remaining vertex at every step: the
+    reference the bucketed fill costs must match draw for draw."""
+    adj = {v: set(nbrs) for v, nbrs in g.items()}
+    out = []
+    while adj:
+        best_cost = None
+        candidates = []
+        for v in sorted(adj):
+            ns = sorted(adj[v])
+            cost = sum(1 for i, u in enumerate(ns) for w in ns[i + 1 :] if w not in adj[u])
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                candidates = [v]
+            elif cost == best_cost:
+                candidates.append(v)
+        v = candidates[rng.randrange(len(candidates))]
+        nbrs = sorted(adj[v])
+        out.append((v, nbrs))
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1 :]:
+                adj[u].add(w)
+                adj[w].add(u)
+        for u in nbrs:
+            adj[u].discard(v)
+        del adj[v]
+    return out
+
+
+def clique_with_pendants(k):
+    """The strict-separation shape: a clique on 1..k, and each k+i hanging
+    off vertex i."""
+    return graph(list(itertools.combinations(range(1, k + 1), 2))
+                 + [(i, k + i) for i in range(1, k + 1)])
+
+
+def test_min_fill_matches_full_rescan():
+    rng = random.Random(17)
+    graphs = [
+        gnp_graph(rng.randint(1, 30), rng.random() * 0.4, seed=rng.randrange(1 << 30))
+        for _ in range(300)
+    ]
+    graphs += [clique_with_pendants(k) for k in range(1, 16)]
+    for g in graphs:
+        seed = rng.randrange(1 << 30)
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):  # restarts share one stream, so later draws count too
+            assert _min_fill_order(g, fast) == full_rescan_min_fill(g, slow)
+        assert fast.getstate() == slow.getstate()
