@@ -591,30 +591,39 @@ def _sat_pairwise_deterministic(circuit: Circuit, or_nodes) -> bool:
     unsatisfiable. Standard node-variable encoding of both subcircuits."""
     node_var = {}
     solver = SatSolver(circuit.num_vars)
-    next_var = [circuit.num_vars]
+    next_var = circuit.num_vars
 
-    def encode(i: int) -> int:
-        got = node_var.get(i)
-        if got is not None:
-            return got
-        nd = circuit.nodes[i]
-        if nd.kind == "L":
-            node_var[i] = nd.lit
-            return nd.lit
-        next_var[0] += 1
-        v = next_var[0]
-        solver.ensure_vars(v)
-        node_var[i] = v
-        lits = [encode(c) for c in nd.children]
-        if nd.kind == "A":
-            for l in lits:
-                solver.add_clause([-v, l])
-            solver.add_clause([v] + [-l for l in lits])
-        else:
-            solver.add_clause([-v] + lits)
-            for l in lits:
-                solver.add_clause([v, -l])
-        return v
+    def encode(top: int) -> int:
+        # explicit stack, so circuit depth is not bounded by Python's
+        # recursion limit; a node gets its variable on the way down and its
+        # clauses once every child has one
+        nonlocal next_var
+        stack = [(top, False)]
+        while stack:
+            i, expanded = stack.pop()
+            nd = circuit.nodes[i]
+            if expanded:
+                v = node_var[i]
+                lits = [node_var[c] for c in nd.children]
+                if nd.kind == "A":
+                    for l in lits:
+                        solver.add_clause([-v, l])
+                    solver.add_clause([v] + [-l for l in lits])
+                else:
+                    solver.add_clause([-v] + lits)
+                    for l in lits:
+                        solver.add_clause([v, -l])
+            elif i in node_var:
+                continue
+            elif nd.kind == "L":
+                node_var[i] = nd.lit
+            else:
+                next_var += 1
+                solver.ensure_vars(next_var)
+                node_var[i] = next_var
+                stack.append((i, True))
+                stack.extend((c, False) for c in reversed(nd.children))
+        return node_var[top]
 
     for i in or_nodes:
         children = circuit.nodes[i].children

@@ -303,6 +303,53 @@ def primal_graph(cnf: LabeledCnf) -> Graph:
     return g
 
 
+def clause_components(clauses):
+    """Partition non-empty clauses into the connected components of their
+    primal graph, keeping the clause order inside a group and ordering the
+    groups by their smallest variable; one group comes back as the input list
+    itself. The union-find keeps the smallest variable of a group as its
+    root."""
+    parent: dict[int, int] = {}
+    roots = 0
+    for cl in clauses:
+        top = 0
+        for l in cl:
+            v = l if l > 0 else -l
+            r = parent.get(v)
+            if r is None:
+                parent[v] = r = v
+                roots += 1
+            else:
+                while True:
+                    p = parent[r]
+                    if p == r:
+                        break
+                    parent[v] = r = p
+            if not top:
+                top = r
+            elif r != top:
+                roots -= 1
+                if r < top:
+                    parent[top] = top = r
+                else:
+                    parent[r] = top
+    if roots == 1:
+        return [clauses]
+    groups: dict[int, list] = {}
+    for cl in clauses:
+        v = cl[0] if cl[0] > 0 else -cl[0]
+        r = parent[v]
+        while parent[r] != r:
+            r = parent[r]
+        parent[v] = r
+        got = groups.get(r)
+        if got is None:
+            groups[r] = [cl]
+        else:
+            got.append(cl)
+    return [groups[r] for r in sorted(groups)]
+
+
 def equivalence_cnf(n: int) -> LabeledCnf:
     """n biconditionals X_i <-> Y_i with the X block as outer variables: every
     Y_i is defined by the X block, yet a strict outer-first circuit needs 2^n

@@ -46,7 +46,7 @@ from heapq import heappop, heappush
 from itertools import chain
 
 from .circuit import Circuit, Node
-from .cnf import LabeledCnf
+from .cnf import LabeledCnf, clause_components
 from .errors import CapacityError, ConfigError, PreconditionError
 from .treedecomp import VariableOrder
 
@@ -93,51 +93,6 @@ def _condition(clauses, lit):
     out = [tuple(l for l in cl if l != neg) if neg in cl else cl
            for cl in clauses if lit not in cl]
     return None if () in out else out
-
-
-def _components(clauses):
-    """Partition clauses into variable-connected groups, keeping the clause
-    order inside a group and ordering the groups by their smallest variable.
-    The union-find keeps the smallest variable of a group as its root."""
-    parent: dict[int, int] = {}
-    roots = 0
-    for cl in clauses:
-        top = 0
-        for l in cl:
-            v = l if l > 0 else -l
-            r = parent.get(v)
-            if r is None:
-                parent[v] = r = v
-                roots += 1
-            else:
-                while True:
-                    p = parent[r]
-                    if p == r:
-                        break
-                    parent[v] = r = p
-            if not top:
-                top = r
-            elif r != top:
-                roots -= 1
-                if r < top:
-                    parent[top] = top = r
-                else:
-                    parent[r] = top
-    if roots == 1:
-        return [clauses]
-    groups: dict[int, list] = {}
-    for cl in clauses:
-        v = cl[0] if cl[0] > 0 else -cl[0]
-        r = parent[v]
-        while parent[r] != r:
-            r = parent[r]
-        parent[v] = r
-        got = groups.get(r)
-        if got is None:
-            groups[r] = [cl]
-        else:
-            got.append(cl)
-    return [groups[r] for r in sorted(groups)]
 
 
 class _Compilation:
@@ -277,7 +232,7 @@ class _Compilation:
     def _split(self, clauses):
         """The blocks of a propagated residual, each paired with whether it
         is settled (see the module docstring)."""
-        comps = _components(clauses)
+        comps = clause_components(clauses)
         if not self.x_first:
             return [(comp, True) for comp in comps]
         # keep the strict outer-first shape: pure-outer components may split

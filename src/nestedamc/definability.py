@@ -6,15 +6,38 @@ take a primed copy T' of T, force the base variables equal across the copies
 through selector literals, and ask for a model with y true and y' false.
 Unsatisfiability of the query is equivalent to definedness.
 
-The selector encoding lets a single incremental solver answer the queries for
-every candidate y over the same theory, reusing learned clauses.
+`defined_vars` answers every candidate outside the base with far fewer and
+smaller queries than one per candidate over the whole theory, and reaches the
+same verdicts because the solver is complete:
+
+  Components. The theory splits into the connected components of its primal
+      graph. When T is satisfiable, a component's variables are defined by T
+      exactly when the component's own clauses define them from the base
+      variables inside it, so each component with candidates gets its own
+      `PadoaSession`, numbered compactly, and a query propagates only that
+      component.
+  Model pairs. A satisfiable query returns a model of T ∧ T' in which the two
+      copies agree on the base. Every candidate z with z ≠ z' in that model
+      has two models agreeing on the base and differing on z, so it is not
+      defined and needs no query of its own.
+  Satisfiability. An unsatisfiable theory defines every variable, and a
+      component-local "not defined" only holds when every other component is
+      satisfiable. A component is proven satisfiable once a query on it has
+      returned a model. So when some verdict is "not defined", one plain
+      satisfiability check runs over the clauses of every component not yet
+      proven (candidate-free ones and empty clauses included); if it fails,
+      every candidate is defined. "Defined" needs no check: it holds either
+      way.
+
+Within a session, the selector encoding lets one incremental solver answer
+the queries for every candidate of its component, reusing learned clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import LabeledCnf
+from .cnf import LabeledCnf, clause_components
 from .errors import PreconditionError
 from .sat import SatSolver
 
@@ -28,27 +51,34 @@ class DefinabilityReport:
 
 
 class PadoaSession:
-    """Incremental definability queries over one theory."""
+    """Incremental definability queries over one theory.
+
+    With k variables, the i-th smallest is solver variable i, its primed copy
+    k + i and its selector 2k + i; `_prime` and `_selector` map the theory's
+    variables to those solver variables. `refuted` collects every variable
+    whose two copies differ in some model a query returned: none of them is
+    defined by the base of that query.
+    """
 
     def __init__(self, cnf: LabeledCnf):
         self.cnf = cnf
         self.variables = sorted(cnf.variables)
-        n = cnf.num_vars
-        self._prime = {v: v + n for v in self.variables}
-        self._selector = {v: 2 * n + i + 1 for i, v in enumerate(self.variables)}
-        self.solver = SatSolver(2 * n + len(self.variables))
+        k = len(self.variables)
+        self._index = {v: i for i, v in enumerate(self.variables, 1)}
+        self._prime = {v: i + k for v, i in self._index.items()}
+        self._selector = {v: i + 2 * k for v, i in self._index.items()}
+        self.solver = SatSolver(3 * k)
+        index = self._index
         for cl in cnf.clauses:
-            self.solver.add_clause(cl)
-            self.solver.add_clause([self._shift(l) for l in cl])
-        for v in self.variables:
-            s, p = self._selector[v], self._prime[v]
-            self.solver.add_clause([-s, -v, p])
-            self.solver.add_clause([-s, v, -p])
+            lits = [index[l] if l > 0 else -index[-l] for l in cl]
+            self.solver.add_clause(lits)
+            self.solver.add_clause([l + k if l > 0 else l - k for l in lits])
+        for i in range(1, k + 1):
+            s, p = i + 2 * k, i + k
+            self.solver.add_clause([-s, -i, p])
+            self.solver.add_clause([-s, i, -p])
         self.query_count = 0
-
-    def _shift(self, lit: int) -> int:
-        p = self._prime[abs(lit)]
-        return p if lit > 0 else -p
+        self.refuted: set[int] = set()
 
     def is_defined(self, base, y: int) -> bool:
         base = frozenset(base)
@@ -57,24 +87,58 @@ class PadoaSession:
         if y not in self.cnf.variables or not base <= self.cnf.variables:
             raise PreconditionError("query mentions variables not in the theory")
         assumptions = [self._selector[v] for v in sorted(base)]
-        assumptions += [y, -self._prime[y]]
+        assumptions += [self._index[y], -self._prime[y]]
         self.query_count += 1
-        return self.solver.solve(assumptions) is None
+        model = self.solver.solve(assumptions)
+        if model is None:
+            return True
+        k = len(self.variables)
+        self.refuted.update(
+            v
+            for v, a, b in zip(self.variables, model, model[k:])
+            if (a > 0) != (b > 0)
+        )
+        return False
 
 
 def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
-    """All variables outside the base that the base defines, via one shared
-    incremental solver."""
+    """All variables outside the base that the base defines, via one
+    incremental session per connected component and model-pair refutation."""
     base = frozenset(base)
     if not base <= cnf.variables:
         raise PreconditionError("base mentions variables not in the theory")
-    session = PadoaSession(cnf)
-    verdicts = {}
-    for y in sorted(cnf.variables - base):
-        verdicts[y] = session.is_defined(base, y)
+    verdicts = dict.fromkeys(sorted(cnf.variables - base), True)
+    queries = 0
+    unproven = [cl for cl in cnf.clauses if not cl]
+    clauses = [cl for cl in cnf.clauses if cl]
+    groups = [
+        (group, frozenset(abs(l) for cl in group for l in cl))
+        for group in clause_components(clauses)
+    ]
+    isolated = cnf.variables.difference(*(vs for _, vs in groups))
+    groups += [([], frozenset([v])) for v in sorted(isolated)]
+    for group, variables in groups:
+        candidates = sorted(variables - base)
+        if not candidates:
+            unproven += group
+            continue
+        session = PadoaSession(LabeledCnf(cnf.num_vars, group, variables=variables))
+        local_base = base & variables
+        for y in candidates:
+            verdicts[y] = y not in session.refuted and session.is_defined(local_base, y)
+        queries += session.query_count
+        if not session.refuted:
+            unproven += group
+    if unproven and not all(verdicts.values()):
+        checker = SatSolver(cnf.num_vars)
+        for cl in unproven:
+            checker.add_clause(cl)
+        queries += 1
+        if checker.solve() is None:
+            verdicts = dict.fromkeys(verdicts, True)
     return DefinabilityReport(
         base=base,
         defined=frozenset(v for v, ok in verdicts.items() if ok),
-        query_count=session.query_count,
+        query_count=queries,
         verdicts=verdicts,
     )

@@ -246,8 +246,9 @@ class SatSolver:
     def solve(self, assumptions=()) -> list[int] | None:
         """Search for a model extending the assumptions.
 
-        Returns a total assignment as a sorted literal list, or None when no
-        model extends the assumptions (complete procedure).
+        Returns a total assignment as a literal list in variable order
+        (`model[v - 1]` is v or -v), or None when no model extends the
+        assumptions (complete procedure).
         """
         assumptions = list(assumptions)
         self._cancel_until(0)
@@ -302,10 +303,10 @@ class SatSolver:
                 continue
             v = self._pick_branch_var()
             if v == 0:
-                model = sorted(
-                    (u if self.assign[u] == _TRUE else -u)
-                    for u in range(1, self.num_vars + 1)
-                )
+                assign = self.assign
+                model = [
+                    u if assign[u] == _TRUE else -u for u in range(1, self.num_vars + 1)
+                ]
                 self._cancel_until(0)
                 return model
             self.decide(v if self.phase[v] else -v)

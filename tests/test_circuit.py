@@ -356,6 +356,23 @@ def test_verifier_flags_nondecision_or():
     assert not rep2.deterministic
 
 
+def test_sat_determinism_check_on_deep_circuit():
+    # x1 | (a chain of single-child and-nodes over x2): the or-node has no
+    # decision structure, so the satisfiability fallback encodes the chain
+    def report(depth):
+        b = Builder()
+        x1, top = b.lit(1), b.lit(2)
+        for _ in range(depth):
+            top = b.and_(top)
+        circ = b.circuit(b.or_(0, x1, top), 2)
+        assert circ.node_count == depth + 3
+        return verify_circuit(circ, LabeledCnf(2, [(1, 2)]))
+
+    shallow = report(100)
+    assert not shallow.deterministic and shallow.model_equivalent
+    assert report(500) == shallow  # 503 nodes, well under the SAT check limit
+
+
 def test_boundary_node_count():
     circ = fig_left()
     assert count_boundary_nodes(circ, frozenset([1, 2])) == 4

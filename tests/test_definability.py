@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gen import brute_defined, equivalence_cnf, random_cnf
-from nestedamc.cnf import LabeledCnf
+from nestedamc.cnf import LabeledCnf, enumerate_models
 from nestedamc.definability import PadoaSession, defined_vars
 from nestedamc.errors import PreconditionError
 
@@ -81,3 +81,76 @@ def test_monotone_in_base():
         d_small = defined_vars(cnf, small).defined
         d_big = defined_vars(cnf, big).defined
         assert d_small - big <= d_big
+
+
+def reference_verdicts(cnf, base):
+    """One query per candidate over one whole-theory session: the path that
+    components, model pairs and the satisfiability rule must agree with."""
+    session = PadoaSession(cnf)
+    return {y: session.is_defined(base, y) for y in sorted(cnf.variables - base)}
+
+
+def disjoint_union(pieces):
+    clauses, n = [], 0
+    for piece in pieces:
+        clauses += [tuple(l + n if l > 0 else l - n for l in cl) for cl in piece.clauses]
+        n += piece.num_vars
+    return LabeledCnf(n, clauses)
+
+
+def test_verdicts_match_whole_theory_queries_on_disjoint_unions():
+    rng = random.Random(47)
+    unsat = refuted = 0
+    for _ in range(300):
+        pieces = [
+            random_cnf(rng, max_vars=7, max_clauses=rng.choice([4, 8, 16]))
+            for _ in range(rng.randint(1, 4))
+        ]
+        cnf = disjoint_union(pieces)
+        k = rng.randint(0, cnf.num_vars)
+        base = frozenset(rng.sample(range(1, cnf.num_vars + 1), k))
+        report = defined_vars(cnf, base)
+        assert report.verdicts == reference_verdicts(cnf, base)
+        unsat += not any(True for _ in enumerate_models(cnf))
+        refuted += report.query_count < len(report.verdicts)
+    assert unsat > 30 and refuted > 30  # both kinds of union occur
+
+
+@pytest.mark.parametrize(
+    "clauses, num_vars, base, defined",
+    [
+        # an unsatisfiable component with no candidates defines everything
+        ([(1, 2), (3,), (-3,)], 3, {3}, {1, 2}),
+        # an unsatisfiable component that has candidates
+        ([(1, 2), (3, 4), (3, -4), (-3, 4), (-3, -4)], 4, {1}, {2, 3, 4}),
+        # an empty clause, as conditioning leaves it, belongs to no component
+        ([(1, 2), ()], 2, {1}, {2}),
+        # an isolated variable (3 is in no clause) is not defined
+        ([(1, 2)], 3, {1}, set()),
+        # an entailed variable is defined even by the empty base
+        ([(1, 2), (3,)], 3, set(), {3}),
+        # the empty base
+        ([(-1, 2), (1, -2), (3, 4)], 4, set(), set()),
+        # a base covering a whole component, the other one undefined
+        ([(-1, 2), (1, -2), (3, 4)], 4, {1, 2}, set()),
+        # a base covering a whole component, the other one defined
+        ([(-1, 2), (1, -2), (-3, 4), (3, -4)], 4, {3, 1}, {2, 4}),
+    ],
+)
+def test_verdicts_match_whole_theory_queries_on_edge_cases(
+    clauses, num_vars, base, defined
+):
+    cnf = LabeledCnf(num_vars, clauses)
+    base = frozenset(base)
+    report = defined_vars(cnf, base)
+    assert report.verdicts == reference_verdicts(cnf, base)
+    assert report.defined == frozenset(defined)
+
+
+def test_one_model_refutes_several_candidates():
+    # 1 <-> 2 <-> 3 <-> 4: with an empty base, the first query's model has
+    # the two copies differ on every variable
+    cnf = LabeledCnf(4, [(-1, 2), (1, -2), (-2, 3), (2, -3), (-3, 4), (3, -4)])
+    report = defined_vars(cnf, frozenset())
+    assert report.defined == frozenset()
+    assert report.query_count == 1
