@@ -2,11 +2,12 @@
 rooted, separator-first decompositions that yield compilation variable orders.
 
 Decomposition uses min-fill elimination with seeded random tie-breaking and a
-configurable number of restarts, keeping the smallest width found. Fill costs
-are kept in buckets and updated only around each eliminated vertex: its
-neighbours are recounted, and any other vertex loses one for each new fill
-edge between two of its neighbours. The candidates drawn from at each step
-are the same sorted least-cost vertices a full rescan finds. Separators
+configurable number of restarts, keeping the smallest width found. A fill
+cost is the neighbour pairs less the triangles through a vertex; triangle
+counts are taken once per run and updated only around each eliminated vertex,
+so the candidates drawn from at each step are the same sorted least-cost
+vertices a full rescan finds. Restarts stop early once a run reaches the
+degeneracy of the graph, a lower bound on its treewidth. Separators
 are exact vertex min-cuts computed by node-splitting max-flow as long as the
 flow stays under a bound, with the frontier of the allowed set as fallback.
 """
@@ -48,27 +49,25 @@ class VariableOrder:
     boundary_index: int = 0
 
 
-def _fill_cost(adj: Graph, v: int) -> int:
-    """The number of edges eliminating v would add: non-adjacent neighbour pairs."""
-    ns = list(adj[v])
-    return sum(1 for i, u in enumerate(ns) for w in ns[i + 1 :] if w not in adj[u])
-
-
 def _min_fill_order(g: Graph, rng: random.Random):
     """One min-fill elimination run; returns [(vertex, neighbours at elimination)].
 
     Each step draws uniformly from the sorted vertices of least fill cost.
-    Costs live in buckets and change only around the eliminated vertex v
-    with neighbours N: each u in N lost v and gained fill edges, so its cost
-    is recounted; any other vertex w keeps its neighbourhood, and its cost
-    drops by one for each new fill edge (a, b) with both ends adjacent to w.
+    A vertex of degree d lying on t triangles has fill cost C(d, 2) - t, the
+    number of its neighbour pairs that are not adjacent. Triangle counts are
+    taken once, then kept: a new fill edge (a, b) adds one triangle for each
+    common neighbour to a, to b and to that neighbour, and removing v takes
+    len(N) - 1 from each neighbour u in N, which is a clique by then. Only
+    the vertices whose degree or count moved are re-bucketed.
     """
     adj = {v: set(nbrs) for v, nbrs in g.items()}
+    tri = {v: sum(len(nbrs & adj[u]) for u in nbrs) // 2 for v, nbrs in adj.items()}
     cost: dict[int, int] = {}
     buckets: dict[int, set[int]] = {}  # fill cost -> vertices of that cost
 
-    def put(v, c):
-        cost[v] = c
+    def put(v):
+        d = len(adj[v])
+        c = cost[v] = d * (d - 1) // 2 - tri[v]
         buckets.setdefault(c, set()).add(v)
 
     def take(v) -> int:
@@ -80,32 +79,58 @@ def _min_fill_order(g: Graph, rng: random.Random):
         return c
 
     for v in adj:
-        put(v, _fill_cost(adj, v))
+        put(v)
     out = []
     while adj:
         candidates = sorted(buckets[min(buckets)])
         v = candidates[rng.randrange(len(candidates))]
         nbrs = sorted(adj[v])
         out.append((v, nbrs))
-        fill = [
-            (a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a]
-        ]
-        for a, b in fill:
-            adj[a].add(b)
-            adj[b].add(a)
+        touched = set(nbrs)
+        if take(v):  # a vertex of cost zero adds no fill edge
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1 :]:
+                    if b not in adj[a]:
+                        common = adj[a] & adj[b]
+                        tri[a] += len(common)
+                        tri[b] += len(common)
+                        for w in common:
+                            tri[w] += 1
+                        touched |= common
+                        adj[a].add(b)
+                        adj[b].add(a)
         for u in nbrs:
             adj[u].discard(v)
-        del adj[v]
-        take(v)
-        near = set(nbrs)
-        for a, b in fill:
-            for w in adj[a] & adj[b]:
-                if w not in near:
-                    put(w, take(w) - 1)
-        for u in nbrs:
+            tri[u] -= len(nbrs) - 1
+        del adj[v], tri[v]
+        touched.discard(v)
+        for u in touched:
             take(u)
-            put(u, _fill_cost(adj, u))
+            put(u)
     return out
+
+
+def _degeneracy(g: Graph) -> int:
+    """The largest minimum degree met while deleting a vertex of minimum
+    degree until none is left: a lower bound on the treewidth of g."""
+    deg = {v: len(nbrs) for v, nbrs in g.items()}
+    buckets: list[set[int]] = [set() for _ in range(max(deg.values(), default=0) + 1)]
+    for v, d in deg.items():
+        buckets[d].add(v)
+    best = k = 0
+    for _ in range(len(deg)):
+        k = max(k - 1, 0)  # a deletion lowers the minimum degree by at most one
+        while not buckets[k]:
+            k += 1
+        v = buckets[k].pop()
+        best = max(best, k)
+        del deg[v]
+        for u in g[v]:
+            if u in deg:
+                buckets[deg[u]].remove(u)
+                deg[u] -= 1
+                buckets[deg[u]].add(u)
+    return best
 
 
 def _td_from_elimination(order) -> TreeDecomposition:
@@ -127,14 +152,22 @@ def _td_from_elimination(order) -> TreeDecomposition:
 
 
 def decompose(g: Graph, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> TreeDecomposition:
-    """Heuristic tree decomposition of a graph; width is the best of
-    `restarts` seeded min-fill runs, not optimal."""
+    """Heuristic tree decomposition of a graph; width is the best of up to
+    `restarts` seeded min-fill runs, not optimal.
+
+    The first run of least width wins. Runs stop once that width is at most
+    the degeneracy of g, a lower bound no later run can beat, so the result
+    is the one all `restarts` runs would give.
+    """
     rng = random.Random(seed)
+    bound = _degeneracy(g)
     best = None
     for _ in range(max(1, restarts)):
         td = _td_from_elimination(_min_fill_order(g, rng))
         if best is None or td.width < best.width:
             best = td
+        if best.width <= bound:
+            break
     return best
 
 
@@ -148,33 +181,6 @@ def _reach(g: Graph, start, inside) -> set:
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def validate_td(g: Graph, td: TreeDecomposition) -> bool:
-    """Exhaustively check vertex coverage, edge coverage, that the tree is a
-    tree over the bags, and connectedness of every vertex's occurrence set."""
-    covered = set()
-    for b in td.bags.values():
-        covered |= b
-    if not set(g) <= covered:
-        return False
-    for u in g:
-        for v in g[u]:
-            if not any(u in b and v in b for b in td.bags.values()):
-                return False
-    nodes = set(td.tree)
-    edges = sum(len(n) for n in td.tree.values()) // 2
-    if td.bags and (
-        nodes != set(td.bags)
-        or edges != len(nodes) - 1
-        or _reach(td.tree, [td.root], nodes) != nodes
-    ):
-        return False
-    for v in g:
-        occ = {t for t, b in td.bags.items() if v in b}
-        if _reach(td.tree, [min(occ)], occ) != occ:
-            return False
-    return True
 
 
 def find_separator(
@@ -243,11 +249,6 @@ def find_separator(
     back = {w: {u for u in res[w] if res[u][w] > 0} for w in res}
     reach = _reach(back, ["t"], back)
     return frozenset(v for v in allowed if 2 * v + 1 in reach and 2 * v not in reach)
-
-
-def separates(g: Graph, sep, x, targets) -> bool:
-    """True iff removing `sep` leaves no path from x to the target side."""
-    return not _reach(g, x, set(g) - set(sep)) & set(targets)
 
 
 def order_from_td(td: TreeDecomposition, first) -> tuple[int, ...]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 # equivalence_cnf is re-exported for the tests and the benchmark that import it from here
-from nestedamc.cnf import LabeledCnf, enumerate_models, equivalence_cnf  # noqa: F401
+from nestedamc.cnf import Graph, LabeledCnf, enumerate_models, equivalence_cnf  # noqa: F401
 from nestedamc.programs import Program, parse_program
+from nestedamc.treedecomp import TreeDecomposition, _reach
 
 PROB_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -127,6 +128,46 @@ def independent_facts(n: int) -> Program:
     """n independent probabilistic facts at 0.5 and a success query on the
     first: the family of the scale regression tests at n=1100."""
     return parse_program("\n".join([f"0.5::f{i}." for i in range(n)] + ["query(f0)."]))
+
+
+def implication_chain(n: int) -> LabeledCnf:
+    """Outer x_1..x_n chained by x_i -> x_(i+1), each x_i or-ed with its own
+    inner y_i = n + i, so the separator is all of x: the scale family for
+    order planning over a large separator clique."""
+    clauses = [(-i, i + 1) for i in range(1, n)] + [(i, n + i) for i in range(1, n + 1)]
+    return LabeledCnf(2 * n, clauses, outer_vars=frozenset(range(1, n + 1)))
+
+
+def validate_td(g: Graph, td: TreeDecomposition) -> bool:
+    """Exhaustively check vertex coverage, edge coverage, that the tree is a
+    tree over the bags, and connectedness of every vertex's occurrence set."""
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    if not set(g) <= covered:
+        return False
+    for u in g:
+        for v in g[u]:
+            if not any(u in b and v in b for b in td.bags.values()):
+                return False
+    nodes = set(td.tree)
+    edges = sum(len(n) for n in td.tree.values()) // 2
+    if td.bags and (
+        nodes != set(td.bags)
+        or edges != len(nodes) - 1
+        or _reach(td.tree, [td.root], nodes) != nodes
+    ):
+        return False
+    for v in g:
+        occ = {t for t, b in td.bags.items() if v in b}
+        if _reach(td.tree, [min(occ)], occ) != occ:
+            return False
+    return True
+
+
+def separates(g: Graph, sep, x, targets) -> bool:
+    """True iff removing `sep` leaves no path from x to the target side."""
+    return not _reach(g, x, set(g) - set(sep)) & set(targets)
 
 
 def random_labels(rng: random.Random, cnf: LabeledCnf) -> LabeledCnf:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from gen import equivalence_cnf, random_partitioned_cnf, random_program
+from gen import equivalence_cnf, random_partitioned_cnf, random_program, separates, validate_td
 from nestedamc.circuit import (
     NestedInstance,
     brute_force_nested,
@@ -33,7 +33,7 @@ from nestedamc.semirings import (
     check_homomorphism,
     respects_zero,
 )
-from nestedamc.treedecomp import constrain_and_root, separates, validate_td
+from nestedamc.treedecomp import constrain_and_root
 
 LEX = "0.4::a. 0.6::b. c :- a. d :- b. query(c)."
 LEX_MAP = "0.4::a. 0.6::b. c :- a. d :- b. map(c)."

@@ -1,19 +1,25 @@
 import itertools
 import random
 
-from gen import equivalence_cnf, random_partitioned_cnf
+from gen import (
+    equivalence_cnf,
+    implication_chain,
+    random_partitioned_cnf,
+    separates,
+    validate_td,
+)
 from nestedamc.cnf import LabeledCnf, primal_graph
 from nestedamc.definability import defined_vars
 from nestedamc.treedecomp import (
     TreeDecomposition,
+    _degeneracy,
     _min_fill_order,
+    _td_from_elimination,
     constrain_and_root,
     decompose,
     emit_td,
     find_separator,
     order_from_td,
-    separates,
-    validate_td,
 )
 
 
@@ -238,9 +244,83 @@ def test_min_fill_matches_full_rescan():
         for _ in range(300)
     ]
     graphs += [clique_with_pendants(k) for k in range(1, 16)]
+    # dense graphs: one elimination adds fill edges whose common
+    # neighbourhoods hold fill edges added earlier in the same step
+    graphs += [
+        gnp_graph(rng.randint(1, 24), 0.4 + rng.random() * 0.5, seed=rng.randrange(1 << 30))
+        for _ in range(100)
+    ]
+    for _ in range(40):
+        k = rng.randint(2, 12)
+        g = clique_with_pendants(k)
+        for _ in range(rng.randint(1, 2 * k)):
+            a, b = rng.sample(range(1, 2 * k + 1), 2)
+            g[a].add(b)
+            g[b].add(a)
+        graphs.append(g)
     for g in graphs:
         seed = rng.randrange(1 << 30)
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(3):  # restarts share one stream, so later draws count too
             assert _min_fill_order(g, fast) == full_rescan_min_fill(g, slow)
         assert fast.getstate() == slow.getstate()
+
+
+def all_restarts_decompose(g, seed, restarts):
+    """Every restart runs and the first strictly smaller width wins: the
+    reference the early stop at the degeneracy bound must match."""
+    rng = random.Random(seed)
+    best = None
+    for _ in range(max(1, restarts)):
+        td = _td_from_elimination(_min_fill_order(g, rng))
+        if best is None or td.width < best.width:
+            best = td
+    return best
+
+
+def test_decompose_matches_all_restarts():
+    rng = random.Random(23)
+    cases = [
+        (gnp_graph(rng.randint(1, 30), rng.random() * 0.6, seed=rng.randrange(1 << 30)),
+         rng.randrange(1 << 30), (1, 2, 8)[i % 3])
+        for i in range(300)
+    ]
+    # at seed 0 the first run is one above the degeneracy, and one of the
+    # first eight runs meets it
+    cases += [
+        (gnp_graph(n, p, seed=s), 0, restarts)
+        for n, p, s in [(10, 0.7, 373), (12, 0.7, 1017), (10, 0.5, 1117), (14, 0.7, 713)]
+        for restarts in (2, 8)
+    ]
+    for g, seed, restarts in cases:
+        fast, slow = decompose(g, seed, restarts), all_restarts_decompose(g, seed, restarts)
+        assert (fast.bags, fast.tree, fast.root) == (slow.bags, slow.tree, slow.root)
+
+
+def test_degeneracy_bounds_every_min_fill_width():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = gnp_graph(rng.randint(1, 30), rng.random() * 0.7, seed=rng.randrange(1 << 30))
+        bound = _degeneracy(g)
+        run = random.Random(rng.randrange(1 << 30))
+        for _ in range(3):
+            assert bound <= _td_from_elimination(_min_fill_order(g, run)).width
+
+
+def test_degeneracy_of_small_graphs():
+    for k in range(1, 8):
+        assert _degeneracy(graph(itertools.combinations(range(1, k + 1), 2), [1])) == k - 1
+    assert _degeneracy(graph([(i, i + 1) for i in range(1, 10)])) == 1
+    assert _degeneracy(graph([], range(1, 6))) == 0
+    assert _degeneracy({}) == 0
+    td = decompose({})
+    assert (td.bags, td.tree, td.root) == ({0: frozenset()}, {0: set()}, 0)
+
+
+def test_separator_clique_at_scale():
+    # a 200-vertex separator clique: quartic fill-cost upkeep stalls here
+    cnf = implication_chain(200)
+    td, order = constrain_and_root(cnf, cnf.outer_vars, ())
+    assert td.width == 199
+    assert order.boundary_index == 200
+    assert decompose(clique_with_pendants(200)).width == 199
