@@ -17,8 +17,16 @@ import time
 from nestedamc.circuit import count_boundary_nodes
 from nestedamc.cnf import equivalence_cnf
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
-from nestedamc.definability import defined_vars
-from nestedamc.treedecomp import constrain_and_root
+from nestedamc.programs import Diagnostics, plan_order
+
+
+def compile_timed(cnf, mode, seed):
+    """Plan and compile in one mode: (circuit, diagnostics, seconds)."""
+    t0 = time.perf_counter()
+    diag = Diagnostics()
+    order = plan_order(cnf, mode, seed=seed, diag=diag)
+    circ = compile_cnf(cnf, CompileConfig(order, mode))
+    return circ, diag, time.perf_counter() - t0
 
 
 def main(argv=None):
@@ -31,22 +39,11 @@ def main(argv=None):
           f"{'xd_width':>8} {'xd_nodes':>8} {'x_secs':>7} {'xd_secs':>8}")
     for n in range(2, args.n_max + 1):
         cnf = equivalence_cnf(n)
-        x = cnf.outer_vars
-
-        t0 = time.perf_counter()
-        td_x, order_x = constrain_and_root(cnf, x, frozenset(), seed=args.seed)
-        cx = compile_cnf(cnf, CompileConfig(order_x, CompileMode.X_FIRST))
-        tx = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        d = defined_vars(cnf, x).defined
-        td_xd, order_xd = constrain_and_root(cnf, x, d, seed=args.seed)
-        cxd = compile_cnf(cnf, CompileConfig(order_xd, CompileMode.XD_FIRST))
-        txd = time.perf_counter() - t0
-
-        boundary = count_boundary_nodes(cx, x)
-        print(f"{n:>3} {td_x.width:>7} {cx.node_count:>8} {boundary:>9} {2**n:>6} "
-              f"{td_xd.width:>8} {cxd.node_count:>8} {tx:>7.3f} {txd:>8.3f}")
+        cx, dx, tx = compile_timed(cnf, CompileMode.X_FIRST, args.seed)
+        cxd, dxd, txd = compile_timed(cnf, CompileMode.XD_FIRST, args.seed)
+        boundary = count_boundary_nodes(cx, cnf.outer_vars)
+        print(f"{n:>3} {dx.width:>7} {cx.node_count:>8} {boundary:>9} {2**n:>6} "
+              f"{dxd.width:>8} {cxd.node_count:>8} {tx:>7.3f} {txd:>8.3f}")
     return 0
 
 

@@ -16,9 +16,7 @@ import sys
 from pathlib import Path
 
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
-from nestedamc.definability import defined_vars
-from nestedamc.programs import TaskKind, build_instance
-from nestedamc.treedecomp import constrain_and_root
+from nestedamc.programs import Diagnostics, TaskKind, build_instance, plan_order
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from gen import random_program  # noqa: E402
@@ -40,20 +38,18 @@ def main(argv=None):
         for i in range(args.per_family):
             inst = build_instance(random_program(rng, fam), task)
             cnf = inst.cnf
-            x = cnf.outer_vars
-            d = defined_vars(cnf, x).defined
-
-            td_x, order_x = constrain_and_root(cnf, x, frozenset(), seed=i)
-            td_xd, order_xd = constrain_and_root(cnf, x, d, seed=i)
+            dx, dxd = Diagnostics(), Diagnostics()
+            order_x = plan_order(cnf, CompileMode.X_FIRST, seed=i, diag=dx)
+            order_xd = plan_order(cnf, CompileMode.XD_FIRST, seed=i, diag=dxd)
             cx = compile_cnf(cnf, CompileConfig(order_x, CompileMode.X_FIRST))
             cxd = compile_cnf(cnf, CompileConfig(order_xd, CompileMode.XD_FIRST))
 
-            print(f"{fam:>6} {len(cnf.variables):>5} {len(x):>5} {len(d):>7} "
-                  f"{td_x.width:>7} {td_xd.width:>8} "
+            print(f"{fam:>6} {cnf.num_vars:>5} {len(cnf.outer_vars):>5} "
+                  f"{len(dxd.defined):>7} {dx.width:>7} {dxd.width:>8} "
                   f"{cx.node_count:>7} {cxd.node_count:>8}")
             agg = totals.setdefault(fam, [0, 0, 0, 0])
-            agg[0] += td_x.width
-            agg[1] += td_xd.width
+            agg[0] += dx.width
+            agg[1] += dxd.width
             agg[2] += cx.node_count
             agg[3] += cxd.node_count
     print()

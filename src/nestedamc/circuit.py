@@ -41,24 +41,21 @@ class Node:
 
 
 class Circuit:
-    """A rooted DAG of literal/and/or nodes in topological order.
-
-    `variables` is the variable universe the circuit is understood over;
-    smoothing pads up to it. True is the empty and-node, false the empty
-    or-node.
+    """A rooted DAG of literal/and/or nodes in topological order, understood
+    over the variables 1..num_vars; smoothing pads up to them. True is the
+    empty and-node, false the empty or-node.
     """
 
-    def __init__(self, nodes: list[Node], root: int, num_vars: int,
-                 variables: Optional[frozenset[int]] = None, stats=None):
+    def __init__(self, nodes: list[Node], root: int, num_vars: int, stats=None):
         self.nodes = nodes
         self.root = root
         self.num_vars = num_vars
-        self.variables = (
-            frozenset(variables) if variables is not None
-            else frozenset(range(1, num_vars + 1))
-        )
         self.stats = stats
         self._masks: Optional[list[int]] = None
+
+    @property
+    def variables(self) -> frozenset[int]:
+        return frozenset(range(1, self.num_vars + 1))
 
     @property
     def node_count(self) -> int:
@@ -227,39 +224,60 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
 
     pad_memo: dict[tuple[int, int], int] = {}
 
+    def pad_targets(nid: int, missing: int):
+        """The children a padding of `nid` recurses into, or None when the
+        gates are attached at `nid` itself: every child of a mixed or-node,
+        or the unique mixed child of a mixed and-node."""
+        m = new_masks[nid]
+        if not (missing & ~out_mask and m & out_mask and m & ~out_mask):
+            return None
+        nd = nodes[nid]
+        if nd.kind == "O":
+            return nd.children or None
+        mixed = [c for c in nd.children
+                 if new_masks[c] & out_mask and new_masks[c] & ~out_mask]
+        return mixed if len(mixed) == 1 else None
+
+    def padded(nid: int, missing: int, targets, done) -> int:
+        if targets is None:
+            return attach(nid, missing)
+        nd = nodes[nid]
+        m = new_masks[nid] | missing & ~out_mask
+        if nd.kind == "O":
+            res = mk(Node("O", dvar=nd.dvar, children=tuple(done)), m)
+        else:
+            kids = tuple(done[0] if c == targets[0] else c for c in nd.children)
+            res = mk(Node("A", children=kids), m)
+        if missing & out_mask:
+            res = attach(res, missing & out_mask)
+        return res
+
     def pad(nid: int, missing: int) -> int:
+        # a depth-first recursion over mixed nodes, run on an explicit stack:
+        # each frame pads its targets one at a time, in order, and builds its
+        # own node once all are done, so nodes are made in recursion order
         if not missing:
             return nid
-        key = (nid, missing)
-        got = pad_memo.get(key)
+        got = pad_memo.get((nid, missing))
         if got is not None:
             return got
-        nd = nodes[nid]
-        m = new_masks[nid]
-        inner_missing = missing & ~out_mask
-        res = None
-        if inner_missing and m & out_mask and m & ~out_mask:
-            # mixed node: keep inner gates below the outer structure
-            if nd.kind == "O" and nd.children:
-                kids = tuple(pad(c, inner_missing) for c in nd.children)
-                res = mk(Node("O", dvar=nd.dvar, children=kids), m | inner_missing)
-            elif nd.kind == "A":
-                mixed_kids = [
-                    c for c in nd.children
-                    if new_masks[c] & out_mask and new_masks[c] & ~out_mask
-                ]
-                if len(mixed_kids) == 1:
-                    kids = tuple(
-                        pad(c, inner_missing) if c == mixed_kids[0] else c
-                        for c in nd.children
-                    )
-                    res = mk(Node("A", children=kids), m | inner_missing)
-            if res is not None and missing & out_mask:
-                res = attach(res, missing & out_mask)
-        if res is None:
-            res = attach(nid, missing)
-        pad_memo[key] = res
-        return res
+        stack = [(nid, missing, pad_targets(nid, missing), [])]
+        while True:
+            nid, missing, targets, done = stack[-1]
+            if targets is not None and len(done) < len(targets):
+                child = targets[len(done)]
+                inner = missing & ~out_mask
+                got = pad_memo.get((child, inner))
+                if got is None:
+                    stack.append((child, inner, pad_targets(child, inner), []))
+                else:
+                    done.append(got)
+                continue
+            res = pad_memo[nid, missing] = padded(nid, missing, targets, done)
+            stack.pop()
+            if not stack:
+                return res
+            stack[-1][3].append(res)
 
     mapping: list[int] = []
     for nd in circuit.nodes:
@@ -279,11 +297,9 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
             children = tuple(pad(c, union & ~new_masks[c]) for c in children)
             mapping.append(mk(Node("O", dvar=nd.dvar, children=children), union))
 
-    root = pad(
-        mapping[circuit.root],
-        _mask_of(circuit.variables) & ~new_masks[mapping[circuit.root]],
-    )
-    return Circuit(nodes, root, circuit.num_vars, circuit.variables)
+    root = mapping[circuit.root]
+    root = pad(root, _mask_of(circuit.variables) & ~new_masks[root])
+    return Circuit(nodes, root, circuit.num_vars)
 
 
 # -------------------------------------------------------------- evaluation

@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .circuit import (
+    Circuit,
     NestedInstance,
     brute_force_nested,
     count_boundary_nodes,
@@ -136,36 +137,37 @@ def _cmd_compile(args, out: _Output) -> int:
     return 0
 
 
-def _cmd_eval(args, out: _Output) -> int:
+def _load_circuit(args) -> tuple[LabeledCnf, Circuit]:
+    """The CNF and a circuit over its variables, read from the paths given."""
     cnf = parse_cnf(_read(args.cnf))
     circ = parse_nnf(_read(args.nnf), num_vars=cnf.num_vars)
     if circ.num_vars > cnf.num_vars:
         raise NestedAmcError(
             f"circuit mentions variable {circ.num_vars} beyond the theory's {cnf.num_vars}"
         )
-    circ.variables = cnf.variables
+    return cnf, circ
+
+
+def _outer_defined(cnf: LabeledCnf) -> frozenset[int]:
+    return defined_vars(cnf, cnf.outer_vars).defined if cnf.outer_vars else frozenset()
+
+
+def _cmd_eval(args, out: _Output) -> int:
+    cnf, circ = _load_circuit(args)
     circ = smooth(circ, cnf.outer_vars)
     if args.no_verify:
         value = evaluate_nested(circ, NestedInstance(cnf))
     else:
-        d = frozenset()
-        if cnf.outer_vars:
-            d = defined_vars(cnf, cnf.outer_vars).defined
-        value = evaluate_verified(circ, NestedInstance(cnf), d)
+        value = evaluate_verified(circ, NestedInstance(cnf), _outer_defined(cnf))
     _emit_value(out, value, cnf)
     return 0
 
 
 def _cmd_verify(args, out: _Output) -> int:
-    cnf = parse_cnf(_read(args.cnf))
-    circ = parse_nnf(_read(args.nnf), num_vars=cnf.num_vars)
-    circ.variables = cnf.variables
+    cnf, circ = _load_circuit(args)
     if args.smooth:
         circ = smooth(circ, cnf.outer_vars)
-    d = frozenset()
-    if cnf.outer_vars:
-        d = defined_vars(cnf, cnf.outer_vars).defined
-    report = verify_circuit(circ, cnf, d)
+    report = verify_circuit(circ, cnf, _outer_defined(cnf))
     fields = [
         ("decomposable", report.decomposable),
         ("deterministic", report.deterministic),
@@ -218,18 +220,14 @@ def _cmd_separation(args, out: _Output) -> int:
         raise NestedAmcError(f"bad range {args.n!r}, expected like 2..8")
     if not 0 <= lo <= hi:
         raise NestedAmcError(f"bad range {args.n!r}, expected like 2..8")
-    from .treedecomp import constrain_and_root
-
     out.text(f"{'n':>3} {'x_nodes':>8} {'x_boundary':>10} {'xd_nodes':>8}")
     for n in range(lo, hi + 1):
         cnf = equivalence_cnf(n)
-        x = cnf.outer_vars
-        _, order_x = constrain_and_root(cnf, x, frozenset(), seed=args.seed)
-        cx = compile_cnf(cnf, CompileConfig(order_x, CompileMode.X_FIRST))
-        d = defined_vars(cnf, x).defined
-        _, order_xd = constrain_and_root(cnf, x, d, seed=args.seed)
-        cxd = compile_cnf(cnf, CompileConfig(order_xd, CompileMode.XD_FIRST))
-        boundary = count_boundary_nodes(cx, x)
+        cx, cxd = (
+            compile_cnf(cnf, CompileConfig(plan_order(cnf, mode, seed=args.seed), mode))
+            for mode in (CompileMode.X_FIRST, CompileMode.XD_FIRST)
+        )
+        boundary = count_boundary_nodes(cx, cnf.outer_vars)
         out.text(f"{n:>3} {cx.node_count:>8} {boundary:>10} {cxd.node_count:>8}")
         out.kv("separation", f"n{n}_x_nodes", cx.node_count)
         out.kv("separation", f"n{n}_x_boundary", boundary)

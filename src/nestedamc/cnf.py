@@ -1,6 +1,5 @@
-"""Labeled CNF data model, DIMACS-style I/O, conditioning, primal graph, the
-biconditional separation family, and a brute-force model enumerator used as
-oracle.
+"""Labeled CNF data model, DIMACS-style I/O, primal graph, the biconditional
+separation family, and a brute-force model enumerator used as oracle.
 
 The textual format is standard DIMACS plus comment directives:
 
@@ -19,8 +18,8 @@ implicitly the labelled literal), two for eu/natpair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import CapacityError, ParseError, PreconditionError, decode_ascii
 from .semirings import SEMIRINGS, SemiringId, TransformId
@@ -29,33 +28,13 @@ from .semirings import SEMIRINGS, SemiringId, TransformId
 Graph = dict[int, set[int]]
 
 
-@dataclass(frozen=True, init=False)
-class PartialAssignment:
-    """A consistent set of literals; consistency is checked on construction."""
-
-    literals: frozenset[int]
-
-    def __init__(self, literals: Iterable[int]):
-        lits = frozenset(literals)
-        if any(-l in lits for l in lits):
-            raise PreconditionError("inconsistent assignment: complementary literals")
-        if any(l == 0 for l in lits):
-            raise PreconditionError("0 is not a literal")
-        object.__setattr__(self, "literals", lits)
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self.literals)
-
-
 @dataclass
 class LabeledCnf:
     """A CNF whose variables are partitioned into inner and outer, with
     per-literal labels over the two semirings.
 
-    `variables` is the set of live variables; conditioning removes assigned
-    variables from it while `num_vars` keeps the original index bound.
-    Unlabelled literals implicitly carry the multiplicative identity of their
-    side.
+    The variables are exactly 1..num_vars. Unlabelled literals implicitly
+    carry the multiplicative identity of their side.
     """
 
     num_vars: int
@@ -67,27 +46,27 @@ class LabeledCnf:
     outer_sr: SemiringId = SemiringId.PROBABILITY
     transform: TransformId = TransformId.IDENTITY
     names: dict[int, str] = field(default_factory=dict)
-    variables: Optional[frozenset[int]] = None
 
     def __post_init__(self):
-        if self.variables is None:
-            self.variables = frozenset(range(1, self.num_vars + 1))
         self.clauses = [tuple(cl) for cl in self.clauses]
         self.outer_vars = frozenset(self.outer_vars)
         for cl in self.clauses:
             for l in cl:
                 if l == 0 or abs(l) > self.num_vars:
                     raise PreconditionError(f"literal {l} out of range")
-                if abs(l) not in self.variables:
-                    raise PreconditionError(f"literal {l} references a removed variable")
         if not self.outer_vars <= self.variables:
-            raise PreconditionError("outer variables must be live variables")
+            raise PreconditionError("outer variables must lie in 1..num_vars")
+        inner = self.inner_vars
         for l in self.inner_label:
-            if abs(l) in self.outer_vars or abs(l) not in self.variables:
+            if abs(l) not in inner:
                 raise PreconditionError(f"inner label on non-inner literal {l}")
         for l in self.outer_label:
             if abs(l) not in self.outer_vars:
                 raise PreconditionError(f"outer label on non-outer literal {l}")
+
+    @property
+    def variables(self) -> frozenset[int]:
+        return frozenset(range(1, self.num_vars + 1))
 
     @property
     def inner_vars(self) -> frozenset[int]:
@@ -267,34 +246,8 @@ def emit_cnf(cnf: LabeledCnf) -> str:
     return "\n".join(out) + "\n"
 
 
-def condition(cnf: LabeledCnf, y: PartialAssignment) -> LabeledCnf:
-    """Condition the theory on a partial assignment.
-
-    Clauses with a satisfied literal disappear, falsified literals are removed
-    from the rest (possibly leaving an empty clause), and assigned variables
-    leave the variable sets and label maps.
-    """
-    lits = y.literals
-    assigned = y.variables()
-    if not assigned <= cnf.variables:
-        raise PreconditionError("assignment mentions variables not in the theory")
-    new_clauses = []
-    for cl in cnf.clauses:
-        if any(l in lits for l in cl):
-            continue
-        new_clauses.append(tuple(l for l in cl if -l not in lits))
-    return replace(
-        cnf,
-        clauses=new_clauses,
-        variables=cnf.variables - assigned,
-        outer_vars=cnf.outer_vars - assigned,
-        inner_label={l: w for l, w in cnf.inner_label.items() if abs(l) not in assigned},
-        outer_label={l: w for l, w in cnf.outer_label.items() if abs(l) not in assigned},
-    )
-
-
 def primal_graph(cnf: LabeledCnf) -> Graph:
-    """Vertices are the live variables; edges join variables sharing a clause."""
+    """Vertices are the variables; edges join variables sharing a clause."""
     g: Graph = {v: set() for v in sorted(cnf.variables)}
     for cl in cnf.clauses:
         vs = {abs(l) for l in cl}
@@ -361,7 +314,7 @@ def equivalence_cnf(n: int) -> LabeledCnf:
 
 
 def enumerate_models(cnf: LabeledCnf, max_vars: int = 30) -> Iterator[frozenset[int]]:
-    """Yield every satisfying total assignment over the live variables once,
+    """Yield every satisfying total assignment over the variables once,
     in lexicographic variable order with the positive branch first."""
     variables = sorted(cnf.variables)
     if len(variables) > max_vars:

@@ -51,6 +51,7 @@ from .errors import CapacityError, ConfigError, PreconditionError
 from .treedecomp import VariableOrder
 
 DEFAULT_BUDGET = 256 << 20  # bytes
+_TRUE = -1  # the result of an empty residual; its node is built only as a root
 
 
 class CompileMode(enum.Enum):
@@ -116,7 +117,6 @@ class _Compilation:
         self.nodes: list[Node] = []
         self.index: dict[Node, int] = {}
         self.lit_ids: dict[int, int] = {}
-        self.true_id: int | None = None
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
 
@@ -145,11 +145,6 @@ class _Compilation:
             got = self.lit_ids[lit] = self._mk(Node("L", lit=lit))
         return got
 
-    def _true(self) -> int:
-        if self.true_id is None:
-            self.true_id = self._mk(Node("A"))
-        return self.true_id
-
     def _false(self) -> int:
         return self._mk(Node("O"))
 
@@ -160,9 +155,8 @@ class _Compilation:
         return self._mk(Node("A", children=children))
 
     def _decision(self, var: int, pos: int, neg: int) -> int:
-        true_id = self._true()
-        hi = self._lit(var) if pos == true_id else self._and((self._lit(var), pos))
-        lo = self._lit(-var) if neg == true_id else self._and((self._lit(-var), neg))
+        hi = self._lit(var) if pos == _TRUE else self._and((self._lit(var), pos))
+        lo = self._lit(-var) if neg == _TRUE else self._and((self._lit(-var), neg))
         return self._mk(Node("O", dvar=var, children=(hi, lo)))
 
     # ------------------------------------------------------------- semantics
@@ -263,7 +257,7 @@ class _Compilation:
         if clauses is None:
             return self._false()
         if not clauses:
-            return self._true()
+            return _TRUE
         key = tuple(sorted(set(clauses)))
         got = self.cache.get(key)
         if got is not None:
@@ -282,12 +276,9 @@ class _Compilation:
                 return self._false()
             blocks = self._split(clauses)
             if lits or len(blocks) > 1:
+                # blocks are non-empty, so no child is _TRUE
                 children = [self._lit(l) for l in lits]
                 children += [self._compile(b, s) for b, s in blocks]
-                true_id = self._true()
-                children = [c for c in children if c != true_id]
-                if not children:
-                    return true_id
                 return self._and(children)
         v = self.by_rank[min(map(self.rank.__getitem__, chain.from_iterable(clauses)))]
         self.stats.decisions += 1
@@ -299,40 +290,16 @@ class _Compilation:
         clauses = [tuple(sorted(cl)) for cl in self.cnf.clauses
                    if not any(-l in cl for l in cl)]
         limit = sys.getrecursionlimit()
-        needed = 4 * (len(self.cnf.variables) + len(clauses)) + 1000
+        needed = 4 * (self.cnf.num_vars + len(clauses)) + 1000
         if needed > limit:
             sys.setrecursionlimit(needed)
         try:
             root = self._compile(None if () in clauses else clauses)
         finally:
             sys.setrecursionlimit(limit)
-        nodes, root = self._compact(root)
-        self.stats.nodes = len(nodes)
-        self.stats.edges = sum(len(n.children) for n in nodes)
-        return Circuit(
-            nodes, root, self.cnf.num_vars, self.cnf.variables, stats=self.stats
-        )
-
-    def _compact(self, root: int):
-        """Keep only nodes reachable from the root, in the original (and thus
-        topological) order, so the root is the last node."""
-        keep = [False] * len(self.nodes)
-        keep[root] = True
-        for i in range(root, -1, -1):
-            if keep[i]:
-                for c in self.nodes[i].children:
-                    keep[c] = True
-        remap: dict[int, int] = {}
-        out: list[Node] = []
-        for i in range(root + 1):
-            if not keep[i]:
-                continue
-            nd = self.nodes[i]
-            if nd.children:
-                nd = Node(nd.kind, nd.lit, nd.dvar, tuple(remap[c] for c in nd.children))
-            remap[i] = len(out)
-            out.append(nd)
-        return out, remap[root]
+        if root == _TRUE:
+            root = self._mk(Node("A"))
+        return Circuit(self.nodes, root, self.cnf.num_vars, stats=self.stats)
 
 
 def compile_cnf(cnf: LabeledCnf, cfg: CompileConfig) -> Circuit:

@@ -51,7 +51,8 @@ class DefinabilityReport:
 
 
 class PadoaSession:
-    """Incremental definability queries over one theory.
+    """Incremental definability queries over one theory, given as its clauses
+    and its variables.
 
     With k variables, the i-th smallest is solver variable i, its primed copy
     k + i and its selector 2k + i; `_prime` and `_selector` map the theory's
@@ -60,16 +61,15 @@ class PadoaSession:
     defined by the base of that query.
     """
 
-    def __init__(self, cnf: LabeledCnf):
-        self.cnf = cnf
-        self.variables = sorted(cnf.variables)
+    def __init__(self, clauses, variables):
+        self.variables = sorted(variables)
         k = len(self.variables)
         self._index = {v: i for i, v in enumerate(self.variables, 1)}
         self._prime = {v: i + k for v, i in self._index.items()}
         self._selector = {v: i + 2 * k for v, i in self._index.items()}
         self.solver = SatSolver(3 * k)
         index = self._index
-        for cl in cnf.clauses:
+        for cl in clauses:
             lits = [index[l] if l > 0 else -index[-l] for l in cl]
             self.solver.add_clause(lits)
             self.solver.add_clause([l + k if l > 0 else l - k for l in lits])
@@ -84,7 +84,7 @@ class PadoaSession:
         base = frozenset(base)
         if y in base:
             raise PreconditionError(f"candidate {y} is part of the base set")
-        if y not in self.cnf.variables or not base <= self.cnf.variables:
+        if y not in self._index or not self._index.keys() >= base:
             raise PreconditionError("query mentions variables not in the theory")
         assumptions = [self._selector[v] for v in sorted(base)]
         assumptions += [self._index[y], -self._prime[y]]
@@ -122,7 +122,7 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
         if not candidates:
             unproven += group
             continue
-        session = PadoaSession(LabeledCnf(cnf.num_vars, group, variables=variables))
+        session = PadoaSession(group, variables)
         local_base = base & variables
         for y in candidates:
             verdicts[y] = y not in session.refuted and session.is_defined(local_base, y)

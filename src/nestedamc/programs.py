@@ -176,24 +176,28 @@ def parse_program(text: str) -> Program:
     dep = {r.head: set() for r in p.rules}
     for r in p.rules:
         dep[r.head].update(a for a in r.pos if a in heads)
+    # depth-first on an explicit stack: `path` is the chain of atoms being
+    # visited (state 1), each with an iterator over its sorted dependencies
     state: dict[str, int] = {}
-
-    def visit(a, stack):
+    for a in sorted(dep):
+        if a in state:
+            continue
         state[a] = 1
-        for b in sorted(dep.get(a, ())):
-            if state.get(b) == 1:
-                cycle = stack[stack.index(b):] if b in stack else [a]
+        path, todo = [a], [iter(sorted(dep[a]))]
+        while path:
+            b = next(todo[-1], None)
+            if b is None:
+                state[path.pop()] = 2
+                todo.pop()
+            elif state.get(b) == 1:
                 raise ParseError(
                     "program is not tight: positive cycle "
-                    + " -> ".join(cycle + [b])
+                    + " -> ".join(path[path.index(b):] + [b])
                 )
-            if state.get(b, 0) == 0:
-                visit(b, stack + [b])
-        state[a] = 2
-
-    for a in sorted(dep):
-        if state.get(a, 0) == 0:
-            visit(a, [a])
+            elif b not in state:
+                state[b] = 1
+                path.append(b)
+                todo.append(iter(sorted(dep[b])))
     return p
 
 

@@ -282,8 +282,6 @@ def constrain_and_root(
     x,
     d,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    flow_bound: int = DEFAULT_FLOW_BOUND,
 ) -> tuple[TreeDecomposition, VariableOrder]:
     """Build a decomposition whose root bag is a separator inside x and the
     variables x defines, then emit the compilation variable order.
@@ -298,12 +296,12 @@ def constrain_and_root(
     targets = set(g) - allowed
 
     if not targets:
-        td = decompose(g, seed=seed, restarts=restarts)
+        td = decompose(g, seed=seed)
         return td, VariableOrder(order_from_td(td, ()), 0)
 
-    sep = find_separator(g, x, allowed, flow_bound=flow_bound)
+    sep = find_separator(g, x, allowed)
     g2 = {v: nbrs | sep - {v} if v in sep else set(nbrs) for v, nbrs in g.items()}
-    td = decompose(g2, seed=seed, restarts=restarts)
+    td = decompose(g2, seed=seed)
 
     host = None
     for node in sorted(td.bags):

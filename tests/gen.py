@@ -130,6 +130,14 @@ def independent_facts(n: int) -> Program:
     return parse_program("\n".join([f"0.5::f{i}." for i in range(n)] + ["query(f0)."]))
 
 
+def positive_chain(n: int) -> Program:
+    """Rules a0 :- a1, ..., a(n-1) :- an over the fact 0.3::an, and a success
+    query on a0: a positive dependency path of n edges, the family of the
+    tightness-check regression test at n=3000."""
+    rules = [f"a{i} :- a{i + 1}." for i in range(n)]
+    return parse_program("\n".join(rules + [f"0.3::a{n}.", "query(a0)."]))
+
+
 def implication_chain(n: int) -> LabeledCnf:
     """Outer x_1..x_n chained by x_i -> x_(i+1), each x_i or-ed with its own
     inner y_i = n + i, so the separator is all of x: the scale family for

@@ -6,6 +6,7 @@ reproduced at desk scale; their substitute is the property suites here plus
 the deterministic-by-seed structured output check at the end.
 """
 
+import dataclasses
 import math
 import random
 
@@ -21,10 +22,10 @@ from nestedamc.circuit import (
     verify_circuit,
 )
 from nestedamc.cli import main
-from nestedamc.cnf import LabeledCnf, PartialAssignment, condition, enumerate_models, primal_graph
+from nestedamc.cnf import LabeledCnf, enumerate_models, primal_graph
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
-from nestedamc.programs import TaskKind, build_instance, parse_program, plan_order
+from nestedamc.programs import Diagnostics, TaskKind, build_instance, parse_program, plan_order
 from nestedamc.semirings import (
     NEG_INF,
     SEMIRINGS,
@@ -49,14 +50,12 @@ def report(name: str, ok: bool) -> bool:
 
 
 def pipeline(inst: NestedInstance, mode: CompileMode, seed: int = 0):
-    """Compile and smooth one instance; returns (circuit, defined set, width)."""
+    """Plan, compile and smooth one instance; returns (circuit, defined set)."""
     cnf = inst.cnf
-    d = frozenset()
-    if mode is CompileMode.XD_FIRST and cnf.outer_vars:
-        d = defined_vars(cnf, cnf.outer_vars).defined
-    td, order = constrain_and_root(cnf, cnf.outer_vars, d, seed=seed)
+    diag = Diagnostics()
+    order = plan_order(cnf, mode, seed=seed, diag=diag)
     circ = compile_cnf(cnf, CompileConfig(order, mode))
-    return smooth(circ, cnf.outer_vars), d, td
+    return smooth(circ, cnf.outer_vars), diag.defined
 
 
 def numeric(value, sr: SemiringId):
@@ -75,14 +74,13 @@ def close(a, b, rel=1e-6):
 
 def witness_term(inst: NestedInstance, lits: frozenset):
     """Outer-semiring value contributed by one full outer assignment,
-    recomputed from the defining aggregate on the conditioned theory."""
+    recomputed from the defining aggregate with the assignment fixed by unit
+    clauses: every other outer assignment then contributes t(0), the outer
+    zero."""
     cnf = inst.cnf
-    sout = SEMIRINGS[cnf.outer_sr]
-    sub = NestedInstance(condition(cnf, PartialAssignment(lits)))
-    term = brute_force_nested(sub)
-    for l in sorted(lits, key=abs):
-        term = sout.mul(term, cnf.outer_weight(l))
-    return term
+    units = [(l,) for l in sorted(lits, key=abs)]
+    return brute_force_nested(
+        NestedInstance(dataclasses.replace(cnf, clauses=cnf.clauses + units)))
 
 
 def check_result(inst, got, want) -> bool:
@@ -117,7 +115,7 @@ def test_1_golden_values_three_ways():
         inst = build_instance(parse_program(text), task)
         values = [brute_force_nested(inst)]
         for mode in MODES:
-            circ, _, _ = pipeline(inst, mode)
+            circ, _ = pipeline(inst, mode)
             values.append(evaluate_nested(circ, inst))
         for v in values:
             ok = ok and math.isclose(numeric(v, inst.cnf.outer_sr), expected, rel_tol=1e-9)
@@ -145,7 +143,7 @@ def random_suite():
             program = random_program(rng, fam, max_vars=14, max_clauses=40)
             inst = build_instance(program, task)
             mode = CompileMode.XD_FIRST if i % 2 else CompileMode.X_FIRST
-            circ, d, _ = pipeline(inst, mode, seed=i)
+            circ, d = pipeline(inst, mode, seed=i)
             got = evaluate_nested(circ, inst)
             want = brute_force_nested(inst)
             runs.append((fam, inst, mode, circ, d, got, want))
@@ -215,7 +213,7 @@ def test_4_circuit_properties(random_suite, separation_runs):
     ):
         inst = build_instance(parse_program(text), task)
         for mode in MODES:
-            circ, d, _ = pipeline(inst, mode)
+            circ, d = pipeline(inst, mode)
             check(circ, inst.cnf, d, mode)
 
     for fam, inst, mode, circ, d, got, want in random_suite:

@@ -22,9 +22,11 @@ from nestedamc.circuit import (
     smooth,
     verify_circuit,
 )
+from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import CapacityError, ConfigError, ParseError, PreconditionError
 from nestedamc.semirings import SemiringId, TransformId
+from nestedamc.treedecomp import VariableOrder
 
 LEX_CLAUSES = [(-1, 3), (1, -3), (-2, 4), (2, -4)]  # a<->c, b<->d
 
@@ -213,6 +215,127 @@ def test_smooth_fig_right_or_children_align():
             assert len({masks[c] for c in nd.children}) == 1
 
 
+def recursive_smooth(circuit, outer_vars=()):
+    """Reference: `smooth` with its padding written as the plain recursion it
+    replaced, which fails on deep mixed chains."""
+    out_mask = sum(1 << v for v in set(outer_vars))
+    nodes, index, masks = [], {}, []
+
+    def mk(node, mask):
+        if node not in index:
+            nodes.append(node)
+            masks.append(mask)
+            index[node] = len(nodes) - 1
+        return index[node]
+
+    gates = {}
+
+    def gate(v):
+        if v not in gates:
+            p, n = mk(Node("L", lit=v), 1 << v), mk(Node("L", lit=-v), 1 << v)
+            gates[v] = mk(Node("O", dvar=v, children=(p, n)), 1 << v)
+        return gates[v]
+
+    def attach(nid, missing):
+        extra = tuple(gate(v) for v in range(1, circuit.num_vars + 1) if missing >> v & 1)
+        nd = nodes[nid]
+        base = nd.children if nd.kind == "A" else (nid,)
+        return mk(Node("A", children=base + extra), masks[nid] | missing)
+
+    memo = {}
+
+    def mixed(c):
+        return masks[c] & out_mask and masks[c] & ~out_mask
+
+    def pad(nid, missing):
+        if not missing:
+            return nid
+        if (nid, missing) in memo:
+            return memo[nid, missing]
+        nd, m, inner = nodes[nid], masks[nid], missing & ~out_mask
+        res = None
+        if inner and mixed(nid):
+            if nd.kind == "O" and nd.children:
+                kids = tuple(pad(c, inner) for c in nd.children)
+                res = mk(Node("O", dvar=nd.dvar, children=kids), m | inner)
+            elif nd.kind == "A":
+                mixed_kids = [c for c in nd.children if mixed(c)]
+                if len(mixed_kids) == 1:
+                    kids = tuple(pad(c, inner) if c == mixed_kids[0] else c
+                                 for c in nd.children)
+                    res = mk(Node("A", children=kids), m | inner)
+            if res is not None and missing & out_mask:
+                res = attach(res, missing & out_mask)
+        if res is None:
+            res = attach(nid, missing)
+        memo[nid, missing] = res
+        return res
+
+    mapping = []
+    for nd in circuit.nodes:
+        kids = tuple(mapping[c] for c in nd.children)
+        union = 0
+        for c in kids:
+            union |= masks[c]
+        if nd.kind == "L":
+            mapping.append(mk(nd, 1 << abs(nd.lit)))
+        elif nd.kind == "A":
+            mapping.append(mk(Node("A", children=kids), union))
+        else:
+            kids = tuple(pad(c, union & ~masks[c]) for c in kids)
+            mapping.append(mk(Node("O", dvar=nd.dvar, children=kids), union))
+    root = mapping[circuit.root]
+    full = (1 << circuit.num_vars + 1) - 2
+    return nodes, pad(root, full & ~masks[root])
+
+
+@given(circuits(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_smooth_matches_recursive_padding(circ, data):
+    outer = data.draw(st.sets(st.integers(1, circ.num_vars)))
+    sm = smooth(circ, outer)
+    assert (sm.nodes, sm.root) == recursive_smooth(circ, outer)
+
+
+def test_smooth_matches_recursive_padding_on_compiled_circuits():
+    rng = random.Random(77)
+    for _ in range(60):
+        cnf = random_partitioned_cnf(rng, 12, 25)
+        seq = list(cnf.variables)
+        rng.shuffle(seq)
+        for mode in CompileMode:
+            circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
+            sm = smooth(circ, cnf.outer_vars)
+            assert (sm.nodes, sm.root) == recursive_smooth(circ, cnf.outer_vars)
+
+
+def outer_decision_chain(depth):
+    """Outer decisions on 1..depth stacked over the inner literal depth+1;
+    the inner variable depth+2 is missing at the root, so padding descends
+    through every decision."""
+    b = Builder()
+    top = b.lit(depth + 1)
+    for v in range(depth, 0, -1):
+        top = b.or_(v, b.and_(b.lit(v), top), b.and_(b.lit(-v), top))
+    return b.circuit(top, depth + 2)
+
+
+def test_smooth_deep_outer_decision_chain():
+    shallow = outer_decision_chain(40)
+    sm = smooth(shallow, range(1, 41))
+    assert (sm.nodes, sm.root) == recursive_smooth(shallow, range(1, 41))
+    depth = 2000
+    sm = smooth(outer_decision_chain(depth), range(1, depth + 1))
+    masks = sm.masks()
+    full = (1 << depth + 3) - 2
+    assert masks[sm.root] == full
+    assert all(masks[c] == masks[i] for i, nd in enumerate(sm.nodes)
+               if nd.kind == "O" for c in nd.children)
+    # the missing inner gate went below the outer decisions, not above them
+    assert sm.nodes[sm.root].kind == "O" and sm.nodes[sm.root].dvar == 1
+    assert count_models(sm) == 2 ** (depth + 1)
+
+
 # --------------------------------------------------------------- evaluation
 
 
@@ -253,7 +376,7 @@ def test_evaluation_invariant_under_child_shuffle():
             cs = list(nd.children)
             rng.shuffle(cs)
             shuffled.append(Node(nd.kind, nd.lit, nd.dvar, tuple(cs)))
-        circ = Circuit(shuffled, base.root, base.num_vars, base.variables)
+        circ = Circuit(shuffled, base.root, base.num_vars)
         assert evaluate_nested(circ, inst) == pytest.approx(0.4, rel=1e-9)
 
 

@@ -162,6 +162,18 @@ def test_eval_var_count_mismatch_is_input_error(files, capsys, tmp_path):
     assert "error" in err
 
 
+def test_verify_rejects_variables_beyond_the_cnf(capsys, tmp_path):
+    cnf = tmp_path / "two.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    nnf = tmp_path / "three.nnf"
+    nnf.write_text("nnf 3 2 3\nL 1\nL 3\nA 2 0 1\n")
+    for extra in ((), ("--smooth",)):
+        code, out, err = run(capsys, "verify", str(nnf), str(cnf), "--format", "kv", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_defined_subcommand(files, capsys):
     code, out, _ = run(capsys, "defined", files["aex.cnf"])
     assert code == 0

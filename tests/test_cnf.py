@@ -1,14 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gen import random_cnf
 from nestedamc.cnf import (
     LabeledCnf,
-    PartialAssignment,
-    condition,
     emit_cnf,
     enumerate_models,
     parse_cnf,
@@ -129,35 +125,18 @@ def test_roundtrip_identity():
     assert emit_cnf(again) == emit_cnf(cnf)
 
 
-def test_partial_assignment_consistency():
-    with pytest.raises(PreconditionError):
-        PartialAssignment([1, -1])
-    assert PartialAssignment([1, -2]).variables() == frozenset([1, 2])
-
-
-def test_condition_biconditional():
-    cnf = LabeledCnf(2, [(-1, 2), (1, -2)])  # a <-> c
-    out = condition(cnf, PartialAssignment([1]))
-    assert out.clauses == [(2,)]
-    assert out.variables == frozenset([2])
-
-
-def test_condition_empty_assignment_is_identity():
-    cnf = lex_cnf()
-    out = condition(cnf, PartialAssignment([]))
-    assert out == cnf
-
-
-def test_condition_can_produce_empty_clause():
-    cnf = LabeledCnf(2, [(1, 2), (-1,)])
-    out = condition(cnf, PartialAssignment([1]))
-    assert () in out.clauses
-
-
-def test_condition_unknown_variable_rejected():
-    cnf = LabeledCnf(2, [(1, 2)])
-    with pytest.raises(PreconditionError):
-        condition(cnf, PartialAssignment([5]))
+def test_variables_are_one_to_num_vars():
+    cnf = LabeledCnf(3, [(1, -2)], outer_vars={3})
+    assert cnf.variables == frozenset([1, 2, 3])
+    assert cnf.inner_vars == frozenset([1, 2])
+    for bad in (
+        dict(clauses=[(4,)]),
+        dict(outer_vars={4}),
+        dict(inner_label={-4: 0.5}),
+        dict(inner_label={3: 0.5}),
+    ):
+        with pytest.raises(PreconditionError):
+            LabeledCnf(**{"num_vars": 3, "clauses": [], "outer_vars": {3}, **bad})
 
 
 def test_primal_two_disjoint_edges():
@@ -206,22 +185,3 @@ def test_enumerate_contradiction():
 def test_enumerate_capacity_guard():
     with pytest.raises(CapacityError):
         list(enumerate_models(LabeledCnf(31, []), max_vars=30))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_condition_commutes_with_enumeration(seed):
-    rng = random.Random(seed)
-    cnf = random_cnf(rng, max_vars=12, max_clauses=20, min_vars=2)
-    k = rng.randint(1, cnf.num_vars)
-    chosen = rng.sample(range(1, cnf.num_vars + 1), k)
-    lits = frozenset(v if rng.random() < 0.5 else -v for v in chosen)
-    y = PartialAssignment(lits)
-
-    conditioned = frozenset(enumerate_models(condition(cnf, y)))
-    projected = frozenset(
-        frozenset(l for l in m if abs(l) not in y.variables())
-        for m in enumerate_models(cnf)
-        if lits <= m
-    )
-    assert conditioned == projected

@@ -194,7 +194,7 @@ def test_compiled_structure_golden():
         compile_cnf(equivalence_cnf(8), CompileConfig(
             order_of(*range(1, 17)), CompileMode.X_FIRST, cache_budget=20_000))
     digest.update(repr(dataclasses.astuple(e.value.stats)).encode())
-    assert digest.hexdigest()[:16] == "236f467ce2ca5f22"
+    assert digest.hexdigest()[:16] == "3e5b5b515a6e0198"
 
 
 def test_buffered_inner_units_propagate_below_the_split():

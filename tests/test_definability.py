@@ -13,8 +13,9 @@ def lex_completion():
 
 
 def test_lex_defined_atoms():
-    assert PadoaSession(lex_completion()).is_defined({1, 2}, 3)
-    report = defined_vars(lex_completion(), {1, 2})
+    cnf = lex_completion()
+    assert PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 3)
+    report = defined_vars(cnf, {1, 2})
     assert report.defined == frozenset([3, 4])
     assert report.query_count == 2
 
@@ -28,12 +29,13 @@ def test_equivalence_theory_block_defined():
 def test_parity_counterexample_not_defined():
     # {z or y or ~x, z or ~y or x}: once z holds, x is unconstrained
     cnf = LabeledCnf(3, [(1, 2, -3), (1, -2, 3)])
-    assert not PadoaSession(cnf).is_defined({1, 2}, 3)
+    assert not PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 3)
 
 
 def test_base_membership_rejected():
+    cnf = lex_completion()
     with pytest.raises(PreconditionError):
-        PadoaSession(lex_completion()).is_defined({1, 2}, 1)
+        PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 1)
     # a base naming a variable outside the theory, even with no candidate left
     with pytest.raises(PreconditionError):
         defined_vars(lex_completion(), {1, 2, 3, 4, 5})
@@ -48,9 +50,9 @@ def test_full_base_defines_nothing_new():
 
 def test_entailed_variable_is_defined_by_anything():
     cnf = LabeledCnf(3, [(2,), (1, 3)])  # entails 2
-    assert PadoaSession(cnf).is_defined(frozenset(), 2)
-    assert PadoaSession(cnf).is_defined({1}, 2)
-    assert PadoaSession(cnf).is_defined({3}, 2)
+    assert PadoaSession(cnf.clauses, cnf.variables).is_defined(frozenset(), 2)
+    assert PadoaSession(cnf.clauses, cnf.variables).is_defined({1}, 2)
+    assert PadoaSession(cnf.clauses, cnf.variables).is_defined({3}, 2)
 
 
 def test_unsatisfiable_theory_defines_everything():
@@ -86,7 +88,7 @@ def test_monotone_in_base():
 def reference_verdicts(cnf, base):
     """One query per candidate over one whole-theory session: the path that
     components, model pairs and the satisfiability rule must agree with."""
-    session = PadoaSession(cnf)
+    session = PadoaSession(cnf.clauses, cnf.variables)
     return {y: session.is_defined(base, y) for y in sorted(cnf.variables - base)}
 
 
@@ -123,7 +125,7 @@ def test_verdicts_match_whole_theory_queries_on_disjoint_unions():
         ([(1, 2), (3,), (-3,)], 3, {3}, {1, 2}),
         # an unsatisfiable component that has candidates
         ([(1, 2), (3, 4), (3, -4), (-3, 4), (-3, -4)], 4, {1}, {2, 3, 4}),
-        # an empty clause, as conditioning leaves it, belongs to no component
+        # an empty clause belongs to no component
         ([(1, 2), ()], 2, {1}, {2}),
         # an isolated variable (3 is in no clause) is not defined
         ([(1, 2)], 3, {1}, set()),

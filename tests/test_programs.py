@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
-from gen import independent_facts, random_partitioned_cnf, random_program
-from nestedamc.circuit import brute_force_nested, evaluate_nested, smooth
+from gen import independent_facts, positive_chain, random_partitioned_cnf, random_program
+from nestedamc.circuit import NestedInstance, brute_force_nested, evaluate_nested, smooth
 from nestedamc.cnf import enumerate_models
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
@@ -39,10 +40,14 @@ def test_parse_negative_cycle_is_tight():
 
 
 def test_parse_positive_cycle_rejected():
-    with pytest.raises(ParseError):
-        parse_program("p :- p.")
-    with pytest.raises(ParseError):
-        parse_program("p :- q. q :- p.")
+    for text, cycle in (
+        ("p :- p.", "p -> p"),
+        ("p :- q. q :- p.", "p -> q -> p"),
+        ("s :- a. a :- b. b :- c. c :- a.", "a -> b -> c -> a"),
+        ("a :- b, c. c :- d. d :- e. e :- c. b :- d.", "d -> e -> c -> d"),
+    ):
+        with pytest.raises(ParseError, match=f"positive cycle {cycle}$"):
+            parse_program(text)
 
 
 def test_parse_role_clash_rejected():
@@ -221,10 +226,8 @@ def test_auxiliaries_are_defined_and_unlabelled():
 
 def test_map_witness_is_a_sound_assignment():
     # the witness must be a full assignment to the query atoms whose
-    # contribution, recomputed on the conditioned theory, is the optimum
-    from nestedamc.cnf import PartialAssignment, condition
-    from nestedamc.circuit import NestedInstance
-
+    # contribution is the optimum: fixed by unit clauses, it is the only
+    # outer assignment left that contributes a nonzero term
     rng = random.Random(47)
     for _ in range(30):
         inst = build_instance(random_program(rng, "map"), TaskKind.MAP)
@@ -234,10 +237,9 @@ def test_map_witness_is_a_sound_assignment():
             assert witness == frozenset()
             continue
         assert {abs(l) for l in witness} == set(inst.cnf.outer_vars)
-        sub = NestedInstance(condition(inst.cnf, PartialAssignment(witness)))
-        recomputed = brute_force_nested(sub)[0]
-        for l in witness:
-            recomputed *= inst.cnf.outer_weight(l)[0]
+        units = [(l,) for l in sorted(witness, key=abs)]
+        fixed = dataclasses.replace(inst.cnf, clauses=inst.cnf.clauses + units)
+        recomputed = brute_force_nested(NestedInstance(fixed))[0]
         assert recomputed == pytest.approx(num, rel=1e-9)
 
 
@@ -289,3 +291,11 @@ def test_solve_1100_independent_facts(mode):
     # and 1100 elimination steps per min-fill restart
     value, _ = solve(independent_facts(1100), TaskKind.SUCC, mode=mode)
     assert value == pytest.approx(0.5, rel=1e-9)
+
+
+def test_solve_3000_rule_positive_chain():
+    # the tightness check walks a positive dependency path of 3000 edges
+    p = positive_chain(3000)
+    assert len(p.rules) == 3000
+    value, _ = solve(p, TaskKind.SUCC)
+    assert value == pytest.approx(0.3, rel=1e-9)

@@ -46,7 +46,7 @@ def test_contradiction_unsat():
 def test_padoa_encoding_of_defined_variable_is_unsat():
     # a<->c, b<->d: c is defined by {a,b}, so the copies-differ query fails
     cnf = LabeledCnf(4, [(-1, 3), (1, -3), (-2, 4), (2, -4)])
-    session = PadoaSession(cnf)
+    session = PadoaSession(cnf.clauses, cnf.variables)
     assumptions = [session._selector[1], session._selector[2], 3, -session._prime[3]]
     assert session.solver.solve(assumptions) is None
     # without fixing the base the copies may differ
@@ -188,10 +188,10 @@ def test_branching_matches_activity_scan(monkeypatch):
     # one Padoa query stream, the workload the heap was built for
     r = random.Random(1)
     cnf = LabeledCnf(40, random_3cnf(r, 40, 120), outer_vars=r.sample(range(1, 41), 20))
-    session = PadoaSession(cnf)
+    session = PadoaSession(cnf.clauses, cnf.variables)
     attached = len(session.solver.clauses)
     monkeypatch.setattr(definability, "SatSolver", ScanSolver)
-    reference = PadoaSession(cnf)
+    reference = PadoaSession(cnf.clauses, cnf.variables)
     for y in sorted(cnf.variables - cnf.outer_vars):
         assert session.is_defined(cnf.outer_vars, y) == reference.is_defined(
             cnf.outer_vars, y
