@@ -19,17 +19,7 @@ from typing import Iterable, Optional
 from .cnf import LabeledCnf, enumerate_models
 from .errors import CapacityError, ConfigError, ParseError, PreconditionError, decode_ascii
 from .sat import SatSolver
-from .semirings import SEMIRINGS, TRANSFORMS, SemiringId
-
-_VALUE_FAMILY = {
-    SemiringId.PROBABILITY: "real",
-    SemiringId.MAX_TIMES: "real",
-    SemiringId.MAX_PLUS: "real",
-    SemiringId.EU: "real-pair",
-    SemiringId.NAT_PAIR: "int-pair",
-    SemiringId.MAP_ARGMAX: "argmax",
-    SemiringId.MEU_ARGMAX: "argmax",
-}
+from .semirings import SEMIRINGS, TRANSFORMS, check_pairing
 
 
 @dataclass(frozen=True)
@@ -313,21 +303,7 @@ class NestedInstance:
     cnf: LabeledCnf
 
     def __post_init__(self):
-        cnf = self.cnf
-        spec = TRANSFORMS[cnf.transform]
-        if spec.inner is not None and spec.inner != cnf.inner_sr:
-            raise ConfigError(
-                f"{cnf.transform.value} expects inner semiring {spec.inner.value}"
-            )
-        if spec.outer is not None and spec.outer != cnf.outer_sr:
-            raise ConfigError(
-                f"{cnf.transform.value} expects outer semiring {spec.outer.value}"
-            )
-        if spec.inner is None and _VALUE_FAMILY[cnf.inner_sr] != _VALUE_FAMILY[cnf.outer_sr]:
-            raise ConfigError(
-                "identity transform between incompatible value domains"
-                f" ({cnf.inner_sr.value} -> {cnf.outer_sr.value})"
-            )
+        check_pairing(self.cnf.inner_sr, self.cnf.outer_sr, self.cnf.transform)
 
 
 class EvaluationRefused(PreconditionError):

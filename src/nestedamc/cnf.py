@@ -13,7 +13,8 @@ The textual format is standard DIMACS plus comment directives:
 
 Unknown `c` lines are ignored. Label arity follows the semiring: one field for
 probability/maxtimes/maxplus and the argmax semirings (whose witness set is
-implicitly the labelled literal), two for eu/natpair.
+implicitly the labelled literal), two for eu/natpair. A label outside its
+semiring's domain (`Semiring.contains`) is a ParseError on its line.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ class LabeledCnf:
     per-literal labels over the two semirings.
 
     The variables are exactly 1..num_vars. Unlabelled literals implicitly
-    carry the multiplicative identity of their side.
+    carry the multiplicative identity of their side. Clauses are kept without
+    repeated literals, in their given literal order, and tautologies are
+    dropped.
     """
 
     num_vars: int
@@ -48,12 +51,20 @@ class LabeledCnf:
     names: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.clauses = [tuple(cl) for cl in self.clauses]
-        self.outer_vars = frozenset(self.outer_vars)
+        clauses = []
         for cl in self.clauses:
+            cl = tuple(cl)
             for l in cl:
                 if l == 0 or abs(l) > self.num_vars:
                     raise PreconditionError(f"literal {l} out of range")
+            width = len(set(map(abs, cl)))
+            if width < len(cl):
+                cl = tuple(dict.fromkeys(cl))
+                if width < len(cl):
+                    continue  # a variable in both signs: a tautology
+            clauses.append(cl)
+        self.clauses = clauses
+        self.outer_vars = frozenset(self.outer_vars)
         if not self.outer_vars <= self.variables:
             raise PreconditionError("outer variables must lie in 1..num_vars")
         inner = self.inner_vars
@@ -80,11 +91,6 @@ class LabeledCnf:
 
     def name_of(self, var: int) -> str:
         return self.names.get(var, str(var))
-
-
-def _is_tautology(cl: tuple[int, ...]) -> bool:
-    s = set(cl)
-    return any(-l in s for l in s)
 
 
 def _token(kind, tok: str, lineno: int):
@@ -178,8 +184,7 @@ def parse_cnf(text) -> LabeledCnf:
             for l in cl:
                 if l == 0 or abs(l) > num_vars:
                     raise ParseError(f"literal {l} out of range", lineno)
-            if not _is_tautology(cl):
-                clauses.append(cl)
+            clauses.append(cl)
 
     if num_vars is None:
         raise ParseError("missing problem line")
@@ -203,6 +208,11 @@ def parse_cnf(text) -> LabeledCnf:
             value = sr.parse_label(lit, fields)
         except ValueError:
             raise ParseError(f"bad weight fields {' '.join(fields)}", lineno)
+        if not sr.contains(value):
+            raise ParseError(
+                f"{side_sr.value} label {' '.join(fields)} outside the semiring's domain",
+                lineno,
+            )
         if kind == "wi":
             if abs(lit) in outer:
                 raise ParseError(f"inner weight on outer literal {lit}", lineno)

@@ -287,8 +287,7 @@ class _Compilation:
         return self._decision(v, pos, neg)
 
     def run(self) -> Circuit:
-        clauses = [tuple(sorted(cl)) for cl in self.cnf.clauses
-                   if not any(-l in cl for l in cl)]
+        clauses = [tuple(sorted(cl)) for cl in self.cnf.clauses]
         limit = sys.getrecursionlimit()
         needed = 4 * (self.cnf.num_vars + len(clauses)) + 1000
         if needed > limit:

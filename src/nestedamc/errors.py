@@ -5,10 +5,6 @@ class NestedAmcError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidValueError(NestedAmcError):
-    """A value does not belong to the domain of the semiring it is used with."""
-
-
 class PreconditionError(NestedAmcError):
     """An operation was called outside its stated contract."""
 

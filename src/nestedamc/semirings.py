@@ -9,17 +9,12 @@ witness assignment alongside the optimum.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InvalidValueError, PreconditionError
+from .errors import ConfigError
 
 NEG_INF = float("-inf")
-
-# tolerance for comparisons of real-valued results
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 
 class SemiringId(enum.Enum):
@@ -46,13 +41,10 @@ def min_litset(s1: frozenset, s2: frozenset) -> frozenset:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool))
-
-
-def _real_eq(a: float, b: float) -> bool:
-    if a == NEG_INF or b == NEG_INF:
-        return a == b
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+    """An int or a float other than NaN."""
+    if isinstance(v, float):
+        return v == v
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class Semiring:
@@ -60,13 +52,17 @@ class Semiring:
 
     `label_arity` is the number of numeric fields a literal label occupies in
     the textual CNF format. The argmax semirings use arity 1: the witness set
-    of a parsed label is implicitly the labelled literal itself.
+    of a parsed label is implicitly the labelled literal itself. `family`
+    names the shape of the values; the identity transform joins only
+    semirings of one family. `contains` is the label domain `parse_cnf`
+    enforces.
     """
 
     id: SemiringId
     zero = None
     one = None
     label_arity = 1
+    family = "real"
 
     def add(self, a, b):
         raise NotImplementedError
@@ -75,14 +71,6 @@ class Semiring:
         raise NotImplementedError
 
     def contains(self, v) -> bool:
-        raise NotImplementedError
-
-    def check(self, v):
-        if not self.contains(v):
-            raise InvalidValueError(f"{v!r} is not a {self.id.value} value")
-        return v
-
-    def eq(self, a, b) -> bool:
         raise NotImplementedError
 
     def parse_label(self, lit: int, fields: list[str]):
@@ -105,9 +93,6 @@ class _Probability(Semiring):
 
     def contains(self, v):
         return _is_real(v) and v != NEG_INF and v >= 0
-
-    def eq(self, a, b):
-        return _real_eq(a, b)
 
     def parse_label(self, lit, fields):
         return float(fields[0])
@@ -144,9 +129,6 @@ class _MaxPlus(Semiring):
     def contains(self, v):
         return _is_real(v)
 
-    def eq(self, a, b):
-        return _real_eq(a, b)
-
     def parse_label(self, lit, fields):
         return float(fields[0])
 
@@ -159,6 +141,7 @@ class _ExpectedUtility(Semiring):
     zero = (0.0, 0.0)
     one = (1.0, 0.0)
     label_arity = 2
+    family = "real-pair"
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -177,9 +160,6 @@ class _ExpectedUtility(Semiring):
             and v[1] != NEG_INF
         )
 
-    def eq(self, a, b):
-        return _real_eq(a[0], b[0]) and _real_eq(a[1], b[1])
-
     def parse_label(self, lit, fields):
         return (float(fields[0]), float(fields[1]))
 
@@ -192,6 +172,7 @@ class _NatPair(Semiring):
     zero = (0, 0)
     one = (1, 1)
     label_arity = 2
+    family = "int-pair"
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -211,9 +192,6 @@ class _NatPair(Semiring):
             and v[1] >= 0
         )
 
-    def eq(self, a, b):
-        return a == b
-
     def parse_label(self, lit, fields):
         return (int(fields[0]), int(fields[1]))
 
@@ -230,6 +208,8 @@ class _Argmax(Semiring):
     the additive identity's number is canonicalised to an empty witness so the
     additive identity annihilates exactly.
     """
+
+    family = "argmax"
 
     def _num_mul(self, a, b):
         raise NotImplementedError
@@ -258,9 +238,6 @@ class _Argmax(Semiring):
             and isinstance(v[1], frozenset)
             and all(isinstance(l, int) and l != 0 for l in v[1])
         )
-
-    def eq(self, a, b):
-        return _real_eq(a[0], b[0]) and a[1] == b[1]
 
     def parse_label(self, lit, fields):
         return self._canon(float(fields[0]), frozenset([lit]))
@@ -335,29 +312,18 @@ def _t_ratio(v):
     return n1 / n2
 
 
-def _dom_eu_project(v):
-    return v[0] == 1.0 or v == (0.0, 0.0)
-
-
-def _dom_ratio(v):
-    return 0 <= v[0] <= v[1]
-
-
 @dataclass(frozen=True)
 class TransformSpec:
     """A weight transformation with its declared inner and outer semirings.
 
     The identity transform is polymorphic: its semirings are fixed only by the
-    instance using it, so both are None here. `hom_domain` restricts the set
-    of values on which the transform is a product homomorphism; None means the
-    whole inner domain.
+    instance using it, so both are None here.
     """
 
     id: TransformId
     inner: Optional[SemiringId]
     outer: Optional[SemiringId]
     fn: Callable
-    hom_domain: Optional[Callable] = None
 
 
 TRANSFORMS: dict[TransformId, TransformSpec] = {
@@ -375,69 +341,26 @@ TRANSFORMS: dict[TransformId, TransformSpec] = {
             SemiringId.EU,
             SemiringId.MEU_ARGMAX,
             _t_eu_project,
-            _dom_eu_project,
         ),
         TransformSpec(
             TransformId.RATIO,
             SemiringId.NAT_PAIR,
             SemiringId.PROBABILITY,
             _t_ratio,
-            _dom_ratio,
         ),
     )
 }
 
-def transform_semirings(
-    t: TransformId, inner: Optional[SemiringId] = None, outer: Optional[SemiringId] = None
-) -> tuple[Semiring, Semiring]:
-    """Resolve the (inner, outer) semirings of a transform.
 
-    Explicit arguments are required for the polymorphic identity transform and
-    must match the declaration for the others.
-    """
+def check_pairing(inner: SemiringId, outer: SemiringId, t: TransformId) -> None:
+    """Raise ConfigError unless transform `t` maps `inner` values to `outer`."""
     spec = TRANSFORMS[t]
-    inner = spec.inner or inner or SemiringId.PROBABILITY
-    outer = spec.outer or outer or inner
-    if spec.inner is not None and inner != spec.inner:
-        raise InvalidValueError(f"{t.value} expects inner semiring {spec.inner.value}")
-    if spec.outer is not None and outer != spec.outer:
-        raise InvalidValueError(f"{t.value} expects outer semiring {spec.outer.value}")
-    return SEMIRINGS[inner], SEMIRINGS[outer]
-
-
-def check_homomorphism(
-    t: TransformId,
-    samples,
-    inner: Optional[SemiringId] = None,
-    outer: Optional[SemiringId] = None,
-    enforce_domain: bool = True,
-) -> bool:
-    """Check t(a*b) = t(a)*t(b) on sample pairs and t(one) = one.
-
-    `samples` is a list of (a, b) value pairs from the inner semiring. With
-    `enforce_domain` each sample must lie in the transform's declared
-    homomorphism domain (a precondition error otherwise); disabling the check
-    allows demonstrating failure outside that domain.
-    """
-    sin, sout = transform_semirings(t, inner, outer)
-    fn = TRANSFORMS[t].fn
-    dom = TRANSFORMS[t].hom_domain
-    if not sout.eq(fn(sin.one), sout.one):
-        return False
-    for a, b in samples:
-        sin.check(a)
-        sin.check(b)
-        if enforce_domain and dom is not None and not (dom(a) and dom(b)):
-            raise PreconditionError(
-                f"sample outside the declared homomorphism domain of {t.value}"
-            )
-        if not sout.eq(fn(sin.mul(a, b)), sout.mul(fn(a), fn(b))):
-            return False
-    return True
-
-
-def respects_zero(t: TransformId, inner: Optional[SemiringId] = None,
-                  outer: Optional[SemiringId] = None) -> bool:
-    """True iff the transform maps the inner additive identity to the outer one."""
-    sin, sout = transform_semirings(t, inner, outer)
-    return TRANSFORMS[t].fn(sin.zero) == sout.zero
+    if spec.inner is not None and spec.inner != inner:
+        raise ConfigError(f"{t.value} expects inner semiring {spec.inner.value}")
+    if spec.outer is not None and spec.outer != outer:
+        raise ConfigError(f"{t.value} expects outer semiring {spec.outer.value}")
+    if spec.inner is None and SEMIRINGS[inner].family != SEMIRINGS[outer].family:
+        raise ConfigError(
+            "identity transform between incompatible value domains"
+            f" ({inner.value} -> {outer.value})"
+        )

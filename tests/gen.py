@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 # equivalence_cnf is re-exported for the tests and the benchmark that import it from here
@@ -10,6 +11,17 @@ from nestedamc.programs import Program, parse_program
 from nestedamc.treedecomp import TreeDecomposition, _reach
 
 PROB_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
+
+
+def values_close(a, b) -> bool:
+    """Equality of semiring values with real parts to a relative 1e-9: pairs
+    and argmax values compare componentwise, ints and witness sets exactly,
+    and -inf equals only itself."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(values_close, a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+    return a == b
 
 
 def random_clauses(rng: random.Random, num_vars: int, num_clauses: int):

@@ -12,7 +12,14 @@ import random
 
 import pytest
 
-from gen import equivalence_cnf, random_partitioned_cnf, random_program, separates, validate_td
+from gen import (
+    equivalence_cnf,
+    random_partitioned_cnf,
+    random_program,
+    separates,
+    validate_td,
+    values_close,
+)
 from nestedamc.circuit import (
     NestedInstance,
     brute_force_nested,
@@ -26,14 +33,7 @@ from nestedamc.cnf import LabeledCnf, enumerate_models, primal_graph
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.programs import Diagnostics, TaskKind, build_instance, parse_program, plan_order
-from nestedamc.semirings import (
-    NEG_INF,
-    SEMIRINGS,
-    SemiringId,
-    TransformId,
-    check_homomorphism,
-    respects_zero,
-)
+from nestedamc.semirings import NEG_INF, SEMIRINGS, TRANSFORMS, SemiringId, TransformId
 from nestedamc.treedecomp import constrain_and_root
 
 LEX = "0.4::a. 0.6::b. c :- a. d :- b. query(c)."
@@ -316,23 +316,35 @@ def test_7_transform_homomorphisms():
         m2 = rng.randint(0, 1 << 60)
         m1 = rng.randint(0, m2) if m2 else 0
         ratio_samples.append(((n1, n2), (m1, m2)))
-    ok = ok and check_homomorphism(TransformId.RATIO, ratio_samples)
+    nat, prob = SEMIRINGS[SemiringId.NAT_PAIR], SEMIRINGS[SemiringId.PROBABILITY]
+    ratio = TRANSFORMS[TransformId.RATIO].fn
+    ok = ok and values_close(ratio(nat.one), prob.one) and all(
+        nat.contains(a) and nat.contains(b)
+        and values_close(ratio(nat.mul(a, b)), prob.mul(ratio(a), ratio(b)))
+        for a, b in ratio_samples
+    )
 
     eu_samples = []
     for _ in range(1000):
         a = (0.0, 0.0) if rng.random() < 0.25 else (1.0, rng.uniform(-40, 40))
         b = (0.0, 0.0) if rng.random() < 0.25 else (1.0, rng.uniform(-40, 40))
         eu_samples.append((a, b))
-    ok = ok and check_homomorphism(TransformId.EU_PROJECT, eu_samples)
-    ok = ok and not check_homomorphism(
-        TransformId.EU_PROJECT, [((0.5, 1.0), (0.5, 1.0))], enforce_domain=False
+    eu, meu = SEMIRINGS[SemiringId.EU], SEMIRINGS[SemiringId.MEU_ARGMAX]
+    project = TRANSFORMS[TransformId.EU_PROJECT].fn
+    ok = ok and values_close(project(eu.one), meu.one) and all(
+        eu.contains(a) and eu.contains(b)
+        and values_close(project(eu.mul(a, b)), meu.mul(project(a), project(b)))
+        for a, b in eu_samples
     )
+    # outside p = 1 the projection is not multiplicative
+    a = (0.5, 1.0)
+    ok = ok and not values_close(project(eu.mul(a, a)), meu.mul(project(a), project(a)))
 
-    for t in TransformId:
-        if t is TransformId.IDENTITY:
-            ok = ok and respects_zero(t, SemiringId.PROBABILITY, SemiringId.MAX_TIMES)
-        else:
-            ok = ok and respects_zero(t)
+    for spec in TRANSFORMS.values():
+        # the polymorphic identity is checked from probability to maxtimes
+        inner = SEMIRINGS[spec.inner or SemiringId.PROBABILITY]
+        outer = SEMIRINGS[spec.outer or SemiringId.MAX_TIMES]
+        ok = ok and spec.fn(inner.zero) == outer.zero
     assert report("transform homomorphism suites", ok)
 
 

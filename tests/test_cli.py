@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import nestedamc
+from nestedamc.circuit import NestedInstance
 from nestedamc.cli import main
+from nestedamc.cnf import parse_cnf
+from nestedamc.errors import ConfigError
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -377,6 +382,44 @@ def test_non_ascii_input_is_input_error(capsys, tmp_path):
     assert out == ""
 
 
+PAIRING_ERRORS = [
+    ("natpair mapargmax prob2map", "prob2map expects inner semiring probability"),
+    ("eu probability euproject", "euproject expects outer semiring meuargmax"),
+    ("natpair maxtimes ratio", "ratio expects outer semiring probability"),
+    ("probability eu identity",
+     "identity transform between incompatible value domains (probability -> eu)"),
+    ("probability mapargmax identity",
+     "identity transform between incompatible value domains (probability -> mapargmax)"),
+]
+
+
+@pytest.mark.parametrize("header, message", PAIRING_ERRORS)
+def test_transform_that_does_not_fit_the_semirings_is_input_error(
+    capsys, tmp_path, header, message
+):
+    path = tmp_path / "t.cnf"
+    path.write_text(f"p cnf 1 1\nc s {header}\n1 0\n")
+    with pytest.raises(ConfigError) as e:
+        NestedInstance(parse_cnf(path.read_text()))
+    assert str(e.value) == message
+    code, _, err = run(capsys, "oracle", str(path))
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+def test_mapargmax_label_outside_its_domain_is_input_error(capsys, tmp_path):
+    # accepted, these labels would make oracle and eval print different values
+    path = tmp_path / "neg.cnf"
+    path.write_text(
+        "p cnf 2 1\nc s probability mapargmax prob2map\nc o 1 0\n"
+        "c wo 1 -0.3 0\nc wo -1 nan 0\n1 2 0\n"
+    )
+    for argv in (["oracle", str(path)], ["compile", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: mapargmax label -0.3 outside the semiring's domain\n"
+
+
 def test_cli_imports_only_the_standard_library():
     # -S keeps site-packages off the path, so a third-party import fails outright
     src = str(Path(nestedamc.__file__).resolve().parents[1])
@@ -386,3 +429,32 @@ def test_cli_imports_only_the_standard_library():
     ).stdout.split()
     top = {m.split(".")[0] for m in loaded}
     assert top - set(sys.stdlib_module_names) == {"__main__", "nestedamc"}
+
+
+def test_every_public_definition_is_used_or_documented():
+    # a public top-level function or class of the package must be referenced
+    # by code in src/, scripts/ or perfbench/ (a name, an attribute or a
+    # string naming it) or be named in README.md; otherwise only tests reach it
+    root = Path(nestedamc.__file__).resolve().parents[2]
+    package = Path(nestedamc.__file__).resolve().parent
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    readme = (root / "README.md").read_text()
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and not re.search(rf"\b{node.name}\b", readme)
+    ]
+    assert unused == []

@@ -90,6 +90,33 @@ def test_parse_drops_tautologies():
     assert cnf.clauses == [(1, 2)]
 
 
+def test_clauses_keep_literal_order_without_repeats():
+    cnf = LabeledCnf(3, [(2, 1, 2), (3, -1, 3, 1), (-3, -3)])
+    assert cnf.clauses == [(2, 1), (-3,)]
+
+
+# one label outside its semiring's domain per semiring: header lines, label line
+OUT_OF_DOMAIN = {
+    "probability": (["c s probability probability identity"], "c wi 1 -0.5 0"),
+    "maxtimes": (["c s probability maxtimes identity", "c o 1 0"], "c wo 1 -2.0 0"),
+    "natpair": (["c s natpair probability ratio", "c o 1 0"], "c wi 2 -3 -1 0"),
+    "mapargmax": (["c s probability mapargmax prob2map", "c o 1 0"], "c wo 1 -0.3 0"),
+    "maxplus": (["c s maxplus maxplus identity"], "c wi -2 nan 0"),
+    "eu": (["c s eu meuargmax euproject", "c o 1 0"], "c wi 2 0.5 nan 0"),
+    "meuargmax": (["c s eu meuargmax euproject", "c o 1 0"], "c wo -1 nan 0"),
+}
+
+
+@pytest.mark.parametrize("sr", sorted(OUT_OF_DOMAIN))
+def test_label_outside_its_domain_is_a_parse_error(sr):
+    header, label = OUT_OF_DOMAIN[sr]
+    lines = ["p cnf 2 1", *header, label, "1 2 0"]
+    with pytest.raises(ParseError) as e:
+        parse_cnf("\n".join(lines) + "\n")
+    assert e.value.line == lines.index(label) + 1
+    assert f"{sr} label" in str(e.value)
+
+
 def test_unknown_comment_lines_ignored():
     cnf = parse_cnf("p cnf 1 0\nc anything goes here\nc x y 0\n")
     assert cnf.num_vars == 1

@@ -11,7 +11,7 @@ from nestedamc.circuit import (
     smooth,
     verify_circuit,
 )
-from nestedamc.cnf import LabeledCnf, enumerate_models
+from nestedamc.cnf import LabeledCnf, enumerate_models, parse_cnf
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import CapacityError, PreconditionError
@@ -48,6 +48,17 @@ def test_budget_exhaustion_carries_stats():
     with pytest.raises(CapacityError) as e:
         compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST, cache_budget=10_000))
     assert e.value.stats is not None and e.value.stats.nodes > 0
+
+
+def test_repeated_literal_clause_is_a_unit():
+    # `1 1 0` is the unit clause `1 0`: one literal node from one propagation
+    def compiled(text):
+        circ = compile_cnf(parse_cnf(text), CompileConfig(order_of(1)))
+        return circ.nodes, circ.root, circ.stats
+
+    nodes, root, stats = compiled("p cnf 1 1\n1 1 0\n")
+    assert (nodes, root, stats) == compiled("p cnf 1 1\n1 0\n")
+    assert len(nodes) == 1 and stats.decisions == 0 and stats.propagations == 1
 
 
 def test_lex_unit_propagation_shares_component():
