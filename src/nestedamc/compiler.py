@@ -3,10 +3,9 @@ decomposable circuits that follow a given variable order up to unit
 propagation.
 
 Or-nodes are decision nodes exclusively, so determinism is structural.
-Residual components are detected after every propagation round and compiled
-independently under an and-node; identical residual components are shared
-through a cache keyed by their canonical clause list (original variable ids,
-so equal keys mean logically identical components).
+After every decision and its unit propagation the residual formula is split
+into connected components, compiled independently under an and-node;
+a component met again is shared through a cache.
 
 Three modes:
 
@@ -20,21 +19,32 @@ Three modes:
              boundary, and component splits keep at most one outer-containing
              block so the circuit satisfies the strict outer-first shape.
 
-Residual formulas are lists of clauses, and three rules keep the work per
-decision small without changing which nodes are built or in which order:
+No node copies or rescans the residual formula; the layout follows sharpSAT
+(Thurley, SAT 2006):
 
-  Sorted clauses. Every clause is a sorted tuple from the root on, and
-      conditioning only removes literals, so a canonical key is the sorted
-      set of the clauses themselves.
-  Earliest unit. Propagation always takes the eligible unit clause that
-      comes first in the residual list. Conditioning keeps the list order,
-      so that is the unit with the smallest position in the block, and a
-      heap of positions over occurrence lists finds it without rescanning.
-  Settled blocks. A block handed down by a split after exhaustive
-      propagation holds no eligible unit and is connected (an X_FIRST blob
-      splits back into itself), so it goes straight to the decision. The
-      exception is an X_FIRST pure-inner block holding inner units that were
-      buffered while outer variables remained: it still propagates.
+  Trail. Clauses get ids once, in sorted order of their sorted literal
+      tuples, and occurrence lists are built once. One assignment with a
+      trail, plus a count of true and of non-false literals per clause, sets
+      a literal by walking only its two occurrence lists and undoes it on
+      backtrack. X_FIRST also counts each clause's unassigned outer
+      literals, which tells when a block has no outer variable left.
+  Unit order. Propagation takes the eligible unit clause that comes first
+      in sorted order of the clauses as they read when the propagation
+      began, so and-nodes list implied literals in a fixed order.
+  Components. One traversal of the parent component's unassigned
+      variables, in increasing order, over the occurrence lists of the
+      unsatisfied clauses finds the child components, ordered by their
+      smallest variable.
+  Cache. A component is keyed by its sorted clause ids and its sorted
+      variables. Together they fix its residual: an unsatisfied clause keeps
+      exactly its literals over the component's variables. Other clause ids
+      can leave the same residual, (-3 1 2) and (-3 2) both reading (-3 2)
+      once 1 is false, so a key that misses is looked up again by a print of
+      its residual (each clause's print, an xor of literal hashes kept up to
+      date on the trail) and the residuals are compared before an entry is
+      shared. Only components are cached: the decision points, plus X_FIRST
+      pure-inner blocks that hold buffered inner units and so propagate
+      before they decide.
 """
 
 from __future__ import annotations
@@ -46,12 +56,20 @@ from heapq import heappop, heappush
 from itertools import chain
 
 from .circuit import Circuit, Node
-from .cnf import LabeledCnf, clause_components
+from .cnf import LabeledCnf
 from .errors import CapacityError, ConfigError, PreconditionError
 from .treedecomp import VariableOrder
 
 DEFAULT_BUDGET = 256 << 20  # bytes
+# Bytes charged against the budget, fitted to tracemalloc peaks of compiles
+# in every mode: the occurrence lists and per-clause arrays per literal, a
+# node and a cache entry with their dict slots, and a child or key element.
+_LITERAL_BYTES = 150
+_NODE_BYTES = 200
+_ENTRY_BYTES = 200
+_ELEMENT_BYTES = 8
 _TRUE = -1  # the result of an empty residual; its node is built only as a root
+_UNSET = sys.maxsize  # trail position of an unassigned variable
 
 
 class CompileMode(enum.Enum):
@@ -88,15 +106,11 @@ class CompileStats:
         }
 
 
-def _condition(clauses, lit):
-    """The clauses under `lit`, in their order; None when one becomes empty."""
-    neg = -lit
-    out = [tuple(l for l in cl if l != neg) if neg in cl else cl
-           for cl in clauses if lit not in cl]
-    return None if () in out else out
-
-
 class _Compilation:
+    """One compile. A component is a tuple (clause ids, variables, buffered
+    unit clause ids, outer literal occurrences), the first two sorted; the
+    last two are only kept in X_FIRST mode."""
+
     def __init__(self, cnf: LabeledCnf, cfg: CompileConfig):
         if frozenset(cfg.order.sequence) != cnf.variables:
             raise PreconditionError("variable order is not a permutation of the theory's variables")
@@ -104,20 +118,47 @@ class _Compilation:
             raise ConfigError(f"cache budget must be positive, got {cfg.cache_budget} bytes")
         self.cnf = cnf
         self.cfg = cfg
+        n = cnf.num_vars
         self.x_first = cfg.mode is CompileMode.X_FIRST
-        # both literals of every outer variable
-        self.outer_lits = frozenset(cnf.outer_vars) | {-v for v in cnf.outer_vars}
-        # decision rank by literal: order position, outer variables first in X_FIRST
+        # decision rank by variable: order position, outer variables first in X_FIRST
         seq = cfg.order.sequence
+        self.is_outer = [False] * (n + 1)
         if self.x_first:
             seq = [v for v in seq if v in cnf.outer_vars] + [
                 v for v in seq if v not in cnf.outer_vars]
+            for v in cnf.outer_vars:
+                self.is_outer[v] = True
         self.by_rank = tuple(seq)
-        self.rank = {l: i for i, v in enumerate(seq) for l in (v, -v)}
+        self.rank = [0] * (n + 1)
+        for i, v in enumerate(seq):
+            self.rank[v] = i
+        self.clauses = sorted({tuple(sorted(cl)) for cl in cnf.clauses})
+        self.cvars = [tuple(map(abs, cl)) for cl in self.clauses]
+        # lists indexed by a literal in -n..n: a negative one counts from the end
+        self.occ = occ = [[] for _ in range(2 * n + 1)]
+        self.lit_hash = [hash((l, 1)) for l in chain(range(n + 1), range(-n, 0))]
+        # a clause's print xors the hashes of its non-false literals
+        self.chash = [0] * len(self.clauses)
+        for c, cl in enumerate(self.clauses):
+            for l in cl:
+                occ[l].append(c)
+                self.chash[c] ^= self.lit_hash[l]
+        self.vocc = [occ[v] + occ[-v] for v in range(n + 1)]
+        self.nsat = [0] * len(self.clauses)  # true literals per clause
+        self.nlive = list(map(len, self.clauses))  # non-false literals per clause
+        # unassigned outer literals per clause; all zero outside X_FIRST
+        self.nout = [sum(map(self.is_outer.__getitem__, cv)) for cv in self.cvars]
+        self.free = [True] * (n + 1)
+        self.pos = [_UNSET] * (n + 1)
+        self.trail: list[int] = []
+        self.stamp = 0  # one per component traversal, marking what it visited
+        self.vmark = [0] * (n + 1)
+        self.cmark = [0] * len(self.clauses)
         self.nodes: list[Node] = []
         self.index: dict[Node, int] = {}
         self.lit_ids: dict[int, int] = {}
         self.cache: dict[tuple, int] = {}
+        self.by_print: dict[int, tuple] = {}
         self.stats = CompileStats()
 
     # -------------------------------------------------------- node building
@@ -136,7 +177,7 @@ class _Compilation:
         self.index[node] = idx
         self.stats.nodes += 1
         self.stats.edges += len(node.children)
-        self._budget(48 + 8 * len(node.children))
+        self._budget(_NODE_BYTES + _ELEMENT_BYTES * len(node.children))
         return idx
 
     def _lit(self, lit: int) -> int:
@@ -159,141 +200,265 @@ class _Compilation:
         lo = self._lit(-var) if neg == _TRUE else self._and((self._lit(-var), neg))
         return self._mk(Node("O", dvar=var, children=(hi, lo)))
 
+    # ------------------------------------------------------------ the trail
+
+    def _assign(self, lit):
+        """Make `lit` true. Returns (conflict, ids of the clauses it left
+        unit, outer literal occurrences it removed from unsatisfied clauses)."""
+        v = lit if lit > 0 else -lit
+        self.free[v] = False
+        self.pos[v] = len(self.trail)
+        self.trail.append(lit)
+        nsat, nlive = self.nsat, self.nlive
+        drop = 0
+        if self.x_first:
+            nout = self.nout
+            for c in self.occ[lit]:
+                if not nsat[c]:
+                    drop += nout[c]
+                nsat[c] += 1
+            if self.is_outer[v]:
+                for c in self.vocc[v]:
+                    nout[c] -= 1
+                    if not nsat[c]:
+                        drop += 1
+        else:
+            for c in self.occ[lit]:
+                nsat[c] += 1
+        units = []
+        conflict = False
+        chash = self.chash
+        h = self.lit_hash[-lit]
+        for c in self.occ[-lit]:
+            chash[c] ^= h
+            k = nlive[c] - 1
+            nlive[c] = k
+            if not nsat[c]:
+                if k == 1:
+                    units.append(c)
+                elif not k:
+                    conflict = True
+        return conflict, units, drop
+
+    def _undo(self, mark: int):
+        trail, occ, vocc = self.trail, self.occ, self.vocc
+        nsat, nlive, nout, is_outer = self.nsat, self.nlive, self.nout, self.is_outer
+        chash, lit_hash = self.chash, self.lit_hash
+        while len(trail) > mark:
+            lit = trail.pop()
+            v = lit if lit > 0 else -lit
+            self.free[v] = True
+            self.pos[v] = _UNSET
+            for c in occ[lit]:
+                nsat[c] -= 1
+            h = lit_hash[-lit]
+            for c in occ[-lit]:
+                nlive[c] += 1
+                chash[c] ^= h
+            if is_outer[v]:
+                for c in vocc[v]:
+                    nout[c] += 1
+
     # ------------------------------------------------------------- semantics
 
-    def _propagate(self, clauses):
-        """Exhaustive unit propagation; in X_FIRST mode inner units are left
-        in place while the clause set still contains outer variables.
-        Returns (implied literals, residual clauses, conflict flag)."""
-        if min(map(len, clauses)) > 1:
-            return (), clauses, False
-        x_first = self.x_first
-        outer_lits = self.outer_lits
-        cur = list(clauses)  # None marks a satisfied clause
-        occ: dict[int, list[int]] = {}
-        # positions of unit clauses; outside X_FIRST every unit is "inner"
-        outer_heap: list[int] = []
-        inner_heap: list[int] = []
-        n_outer = 0  # outer literal occurrences left in the block
-        for i, cl in enumerate(cur):
-            for l in cl:
-                got = occ.get(l)
-                if got is None:
-                    occ[l] = [i]
-                else:
-                    got.append(i)
-            if len(cl) == 1:
-                if x_first and cl[0] in outer_lits:
-                    outer_heap.append(i)
-                else:
-                    inner_heap.append(i)
-            if x_first and not outer_lits.isdisjoint(cl):
-                n_outer += sum(l in outer_lits for l in cl)
+    def _propagate(self, cands, n_outer, buffered=()):
+        """Exhaustive unit propagation from the unit clauses `cands` and the
+        inner unit clauses `buffered`; in X_FIRST mode inner units wait while
+        `n_outer`, the outer literal occurrences left in the block, is
+        positive. Returns (implied literals, conflict flag); the literals stay
+        on the trail."""
+        if not cands and not buffered:
+            return [], False
+        snap = len(self.trail)
+        clauses, pos, free, nsat = self.clauses, self.pos, self.free, self.nsat
+        is_outer = self.is_outer
+        outer_heap: list = []
+        inner_heap: list = []
+        waiting: list = []  # inner units not yet in the heap
+
+        def entry(c):
+            # ordered by the clause as it read at `snap`
+            reads = tuple([l for l in clauses[c] if pos[l if l > 0 else -l] >= snap])
+            for unit in reads:
+                if free[unit if unit > 0 else -unit]:
+                    return reads, c, unit
+
+        def push(c):
+            e = entry(c)
+            if is_outer[abs(e[2])]:
+                heappush(outer_heap, e)
+            elif n_outer:
+                waiting.append(c)
+            else:
+                heappush(inner_heap, e)
+
+        for c in cands:
+            push(c)
         implied: list[int] = []
         while True:
-            heap = outer_heap if n_outer else inner_heap
-            while heap and cur[heap[0]] is None:
+            if n_outer:
+                heap = outer_heap
+            else:
+                heap = inner_heap
+                for c in waiting:
+                    if not nsat[c]:
+                        heappush(heap, entry(c))
+                waiting.clear()
+                for c in buffered:
+                    # a buffered clause reads as its unit at `snap`
+                    if not nsat[c]:
+                        for unit in clauses[c]:
+                            if free[unit if unit > 0 else -unit]:
+                                heappush(heap, ((unit,), c, unit))
+                buffered = ()
+            while heap and nsat[heap[0][1]]:
                 heappop(heap)
             if not heap:
-                return implied, [cl for cl in cur if cl is not None], False
-            unit = cur[heappop(heap)][0]
+                self.stats.propagations += len(implied)
+                return implied, False
+            unit = heappop(heap)[2]
             implied.append(unit)
-            self.stats.propagations += 1
-            for j in occ.get(unit, ()):
-                cl = cur[j]
-                if cl is not None:
-                    cur[j] = None
-                    if n_outer:
-                        n_outer -= sum(l in outer_lits for l in cl)
-            neg = -unit
-            outer_neg = x_first and neg in outer_lits
-            for j in occ.get(neg, ()):
-                cl = cur[j]
-                if cl is None:
-                    continue
-                short = tuple(l for l in cl if l != neg)
-                if not short:
-                    return implied, None, True
-                cur[j] = short
-                if outer_neg:
-                    n_outer -= len(cl) - len(short)
-                if len(short) == 1:
-                    if x_first and short[0] in outer_lits:
-                        heappush(outer_heap, j)
-                    else:
-                        heappush(inner_heap, j)
+            conflict, units, drop = self._assign(unit)
+            if conflict:
+                self.stats.propagations += len(implied)
+                return implied, True
+            n_outer -= drop
+            for c in units:
+                push(c)
 
-    def _split(self, clauses):
-        """The blocks of a propagated residual, each paired with whether it
-        is settled (see the module docstring)."""
-        comps = clause_components(clauses)
+    def _split(self, variables):
+        """The components of the unsatisfied clauses over the unassigned
+        `variables`, each paired with whether it is settled: it holds no
+        eligible unit and is connected, or is an X_FIRST blob, so it goes
+        straight to a decision."""
+        self.stamp += 1
+        stamp = self.stamp
+        vmark, cmark, free, nsat = self.vmark, self.cmark, self.free, self.nsat
+        vocc, cvars = self.vocc, self.cvars
+        comps = []
+        for v in variables:
+            if not free[v] or vmark[v] == stamp:
+                continue
+            vmark[v] = stamp
+            found = [v]
+            cids = []
+            for u in found:
+                for c in vocc[u]:
+                    if nsat[c] or cmark[c] == stamp:
+                        continue
+                    cmark[c] = stamp
+                    cids.append(c)
+                    for w in cvars[c]:
+                        if free[w] and vmark[w] != stamp:
+                            vmark[w] = stamp
+                            found.append(w)
+            if cids:
+                comps.append((cids, found))
         if not self.x_first:
-            return [(comp, True) for comp in comps]
+            return [((tuple(sorted(cids)), tuple(sorted(found)), (), 0), True)
+                    for cids, found in comps]
         # keep the strict outer-first shape: pure-outer components may split
         # off, everything else stays one block while a mixed component exists
-        outer_lits = self.outer_lits
-        pure_outer, rest, flags = [], [], []
-        mixed = False
-        for comp in comps:
-            lits = set().union(*comp)
-            if outer_lits.isdisjoint(lits):
+        is_outer = self.is_outer
+        outer_vars = [sum(map(is_outer.__getitem__, found)) for _, found in comps]
+        if not any(0 < k < len(found) for k, (_, found) in zip(outer_vars, comps)):
+            out = []
+            for (cids, found), k in zip(comps, outer_vars):
+                comp = self._xcomp(cids, found)
                 # a pure-inner block may hold inner units buffered above it
-                rest.append(comp)
-                flags.append(min(map(len, comp)) > 1)
-            else:
-                if not outer_lits.issuperset(lits):
-                    mixed = True
-                    rest.append(comp)
-                else:
-                    pure_outer.append(comp)
-                flags.append(True)
-        if not mixed:
-            return list(zip(comps, flags))
-        # the blob is canonicalised by the cache, so its clause order is free
-        blob = [cl for comp in rest for cl in comp]
-        return [(comp, True) for comp in pure_outer] + [(blob, True)]
+                out.append((comp, k or not comp[2]))
+            return out
+        out = [(self._xcomp(cids, found), True)
+               for (cids, found), k in zip(comps, outer_vars) if k == len(found)]
+        rest = [comp for comp, k in zip(comps, outer_vars) if k < len(comp[1])]
+        blob = self._xcomp([c for cids, _ in rest for c in cids],
+                           [v for _, found in rest for v in found])
+        return out + [(blob, True)]
 
-    def _compile(self, clauses, settled=False) -> int:
-        if clauses is None:
+    def _xcomp(self, cids, found):
+        """An X_FIRST component with its buffered units and outer count."""
+        nlive = self.nlive
+        return (tuple(sorted(cids)), tuple(sorted(found)),
+                [c for c in cids if nlive[c] == 1], sum(map(self.nout.__getitem__, cids)))
+
+    def _expand(self, variables, cands, n_outer, buffered=()) -> int:
+        """Propagate, then compile the components over `variables`; the
+        caller undoes the trail."""
+        lits, conflict = self._propagate(cands, n_outer, buffered)
+        if conflict:
             return self._false()
-        if not clauses:
+        blocks = self._split(variables)
+        if not lits and not blocks:
             return _TRUE
-        key = tuple(sorted(set(clauses)))
+        # blocks are non-empty, so no child is _TRUE
+        children = [self._lit(l) for l in lits]
+        for block, settled in blocks:
+            children.append(self._component(block, settled))
+        return self._and(children)
+
+    def _component(self, comp, settled) -> int:
+        key = comp[:2]
         got = self.cache.get(key)
+        if got is None:
+            # the same residual may come from other clause ids
+            fingerprint = hash(frozenset(map(self.chash.__getitem__, key[0])))
+            other = self.by_print.get(fingerprint)
+            if other is not None and self._residual(other) == self._residual(key):
+                got = self.cache[key] = self.cache[other]
+                self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (len(key[0]) + len(key[1])))
         if got is not None:
             self.stats.cache_hits += 1
             return got
-        result = self._compile_fresh(key, settled)
+        if settled:
+            result = self._decide(comp)
+        else:
+            # an X_FIRST pure-inner block with buffered units: these
+            # propagate, so the block never comes back whole as one child
+            mark = len(self.trail)
+            result = self._expand(comp[1], (), comp[3], comp[2])
+            self._undo(mark)
         self.cache[key] = result
+        self.by_print.setdefault(fingerprint, key)
         self.stats.cache_entries += 1
-        self._budget(56 + 16 * sum(map(len, key)))
+        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (len(key[0]) + len(key[1])))
         return result
 
-    def _compile_fresh(self, clauses, settled) -> int:
-        if not settled:
-            lits, clauses, conflict = self._propagate(clauses)
-            if conflict:
-                return self._false()
-            blocks = self._split(clauses)
-            if lits or len(blocks) > 1:
-                # blocks are non-empty, so no child is _TRUE
-                children = [self._lit(l) for l in lits]
-                children += [self._compile(b, s) for b, s in blocks]
-                return self._and(children)
-        v = self.by_rank[min(map(self.rank.__getitem__, chain.from_iterable(clauses)))]
+    def _residual(self, key):
+        """The residual clauses of the component with this cache key."""
+        variables = set(key[1])
+        return {tuple([l for l in self.clauses[c] if abs(l) in variables]) for c in key[0]}
+
+    def _decide(self, comp) -> int:
+        v = self.by_rank[min(map(self.rank.__getitem__, comp[1]))]
         self.stats.decisions += 1
-        pos = self._compile(_condition(clauses, v))
-        neg = self._compile(_condition(clauses, -v))
+        pos = self._branch(comp, v)
+        neg = self._branch(comp, -v)
         return self._decision(v, pos, neg)
 
+    def _branch(self, comp, lit) -> int:
+        mark = len(self.trail)
+        conflict, units, drop = self._assign(lit)
+        if conflict:
+            result = self._false()
+        else:
+            result = self._expand(comp[1], units, comp[3] - drop, comp[2])
+        self._undo(mark)
+        return result
+
     def run(self) -> Circuit:
-        clauses = [tuple(sorted(cl)) for cl in self.cnf.clauses]
+        clauses = self.clauses
         limit = sys.getrecursionlimit()
-        needed = 4 * (self.cnf.num_vars + len(clauses)) + 1000
+        # four frames per nested decision: component, decide, branch, expand
+        needed = 4 * self.cnf.num_vars + 1000
         if needed > limit:
             sys.setrecursionlimit(needed)
         try:
-            root = self._compile(None if () in clauses else clauses)
+            self._budget(_LITERAL_BYTES * sum(map(len, clauses)))
+            if clauses and not clauses[0]:
+                root = self._false()
+            else:
+                units = [c for c, cl in enumerate(clauses) if len(cl) == 1]
+                root = self._expand(range(1, self.cnf.num_vars + 1), units, sum(self.nout))
         finally:
             sys.setrecursionlimit(limit)
         if root == _TRUE:

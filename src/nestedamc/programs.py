@@ -17,6 +17,7 @@ be acyclic, while cycles through negation are allowed.
 from __future__ import annotations
 
 import enum
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -126,7 +127,10 @@ def parse_program(text: str) -> Program:
         m = re.match(rf"^utility\((.+),\s*({_NUM})\s*\)$", stmt)
         if m:
             atom, sign = _parse_literal(m.group(1), line)
-            p.utilities[(atom, sign)] = float(m.group(2))
+            utility = float(m.group(2))
+            if not math.isfinite(utility):
+                raise ParseError(f"utility {m.group(2)} is not a finite number", line)
+            p.utilities[(atom, sign)] = utility
             note(atom)
             continue
         m = re.match(rf"^query\(\s*({_ATOM})\s*\)$", stmt)

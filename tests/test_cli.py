@@ -276,7 +276,7 @@ compile edges 14
 compile decisions 2
 compile propagations 4
 compile cache_hits 0
-compile cache_entries 7
+compile cache_entries 2
 result value 0.4
 """,
     ("map", "lex_map.pl"): """\
@@ -289,7 +289,7 @@ compile edges 14
 compile decisions 2
 compile propagations 4
 compile cache_hits 0
-compile cache_entries 7
+compile cache_entries 2
 result value 0.6
 result witness ~c
 """,
@@ -303,7 +303,7 @@ compile edges 14
 compile decisions 2
 compile propagations 4
 compile cache_hits 0
-compile cache_entries 7
+compile cache_entries 2
 result value 48.0
 result witness a
 """,
@@ -317,7 +317,7 @@ compile edges 21
 compile decisions 3
 compile propagations 6
 compile cache_hits 0
-compile cache_entries 10
+compile cache_entries 3
 result value 0.5
 """,
 }
@@ -418,6 +418,16 @@ def test_mapargmax_label_outside_its_domain_is_input_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "error: line 4: mapargmax label -0.3 outside the semiring's domain\n"
+
+
+def test_non_finite_utility_is_input_error(capsys, tmp_path):
+    # accepted, 1e400 overflowed to inf: solve printed nan and oracle -inf
+    path = tmp_path / "inf.pl"
+    path.write_text("0.0::b.\n?::a.\nd :- b.\nutility(d, 1e400).\n")
+    for cmd in ("solve", "oracle"):
+        code, out, err = run(capsys, cmd, "--task", "meu", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: utility 1e400 is not a finite number\n"
 
 
 def test_cli_imports_only_the_standard_library():
