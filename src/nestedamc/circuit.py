@@ -2,6 +2,28 @@
 evaluator, the brute-force oracle it is checked against, and a property
 verifier.
 
+Layout. A circuit is one flat node store, filled in topological order
+(children before parents) by the compiler, by `smooth` and by `parse_nnf`:
+
+    kinds    one kind code per node: LIT, AND or OR
+    vals     the literal of a literal node, the decision variable of an
+             or-node (0 if none), 0 for an and-node
+    offsets  CSR child offsets: node i's children are
+             kids[offsets[i]:offsets[i + 1]]
+    kids     the children of every node, one flat array
+    masks    each node's variables as a bitmask, bit v for variable v
+
+A node's mask is computed once, when the node is added, as the OR of its
+children's masks, and stays on the circuit for smoothing, verification and
+evaluation. Nodes with equal masks share one mask object: a circuit has far
+fewer distinct variable sets than nodes. True is the empty and-node, false
+the empty or-node.
+
+`smooth` returns its input itself when the input is already smooth: every
+or-node's children have the or-node's mask, the root's mask covers every
+variable, and no two nodes are equal (same kind, value and children).
+Otherwise it rebuilds the circuit, hash-consing the nodes it makes.
+
 Exchange grammar (one node per line, ids implicit by line order, children
 must precede parents):
 
@@ -13,6 +35,7 @@ must precede parents):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -21,58 +44,59 @@ from .errors import CapacityError, ConfigError, ParseError, PreconditionError, d
 from .sat import SatSolver
 from .semirings import SEMIRINGS, TRANSFORMS, check_pairing
 
-
-@dataclass(frozen=True)
-class Node:
-    kind: str  # "L", "A", "O"
-    lit: int = 0
-    dvar: int = 0
-    children: tuple[int, ...] = ()
+LIT, AND, OR = 0, 1, 2  # node kind codes; "LAO"[kind] is the exchange-format letter
 
 
 class Circuit:
     """A rooted DAG of literal/and/or nodes in topological order, understood
-    over the variables 1..num_vars; smoothing pads up to them. True is the
-    empty and-node, false the empty or-node.
-    """
+    over the variables 1..num_vars; smoothing pads up to them. Starts empty:
+    `add` appends nodes, then `root` is set."""
 
-    def __init__(self, nodes: list[Node], root: int, num_vars: int, stats=None):
-        self.nodes = nodes
-        self.root = root
+    __slots__ = ("kinds", "vals", "offsets", "kids", "masks", "_shared", "root",
+                 "num_vars", "stats")
+
+    def __init__(self, num_vars: int, stats=None):
+        self.kinds = bytearray()
+        self.vals = array("i")
+        self.offsets = array("i", [0])
+        self.kids = array("i")
+        self.masks: list[int] = []
+        self._shared: dict[int, int] = {}  # one object per distinct mask
+        self.root = -1
         self.num_vars = num_vars
         self.stats = stats
-        self._masks: Optional[list[int]] = None
 
-    @property
-    def variables(self) -> frozenset[int]:
-        return frozenset(range(1, self.num_vars + 1))
+    def add(self, kind: int, val: int = 0, children=()) -> int:
+        """Append a node over earlier nodes and return its id."""
+        self.vals.append(val)
+        masks = self.masks
+        if kind == LIT:
+            m = 1 << abs(val)
+        else:
+            m = 0
+            for c in children:
+                m |= masks[c]
+        self.kinds.append(kind)
+        self.kids.extend(children)
+        self.offsets.append(len(self.kids))
+        masks.append(self._shared.setdefault(m, m))
+        return len(masks) - 1
+
+    def children(self, i: int) -> array:
+        return self.kids[self.offsets[i]:self.offsets[i + 1]]
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.kinds)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(n.children) for n in self.nodes)
+        return len(self.kids)
 
-    def masks(self) -> list[int]:
-        """Per-node variable sets as bitmasks, children first."""
-        if self._masks is None:
-            out = []
-            for nd in self.nodes:
-                if nd.kind == "L":
-                    m = 1 << abs(nd.lit)
-                else:
-                    m = 0
-                    for c in nd.children:
-                        m |= out[c]
-                out.append(m)
-            self._masks = out
-        return self._masks
-
-    def node_vars(self, i: int) -> frozenset[int]:
-        m = self.masks()[i]
-        return frozenset(v for v in range(1, self.num_vars + 1) if m >> v & 1)
+    @property
+    def full_mask(self) -> int:
+        """The mask of every variable 1..num_vars."""
+        return (1 << self.num_vars + 1) - 2
 
 
 def _mask_of(vars_iter: Iterable[int]) -> int:
@@ -83,11 +107,12 @@ def _mask_of(vars_iter: Iterable[int]) -> int:
 
 
 def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
-    """Parse the exchange format; the root is the last node."""
+    """Parse the exchange format; the root is the last node. The circuit is
+    over `num_vars` variables, by default the header's count; a literal
+    beyond them is an error."""
     if isinstance(text, bytes):
         text = decode_ascii(text)
-    nodes: list[Node] = []
-    declared_vars = 0
+    circ = Circuit(0)
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -102,115 +127,128 @@ def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
                 _, _, declared_vars = map(int, parts[1:])
             except ValueError:
                 raise ParseError("malformed header", lineno)
+            if num_vars is None:
+                num_vars = declared_vars
             header_seen = True
             continue
         if not header_seen:
             raise ParseError("node line before header", lineno)
         kind = parts[0]
+        me = circ.node_count
         try:
             if kind == "L":
                 lit = int(parts[1])
                 if lit == 0:
                     raise ParseError("0 is not a literal", lineno)
-                nodes.append(Node("L", lit=lit))
+                if abs(lit) > num_vars:
+                    raise ParseError(f"literal {lit} is beyond the {num_vars} variables", lineno)
+                node = (LIT, lit, ())
             elif kind == "A":
-                k = int(parts[1])
-                children = tuple(int(x) for x in parts[2:])
-                if len(children) != k:
+                node = (AND, 0, tuple(int(x) for x in parts[2:]))
+                if len(node[2]) != int(parts[1]):
                     raise ParseError("child count mismatch", lineno)
-                nodes.append(Node("A", children=children))
             elif kind == "O":
-                j = int(parts[1])
-                k = int(parts[2])
-                children = tuple(int(x) for x in parts[3:])
-                if len(children) != k:
+                node = (OR, int(parts[1]), tuple(int(x) for x in parts[3:]))
+                if len(node[2]) != int(parts[2]):
                     raise ParseError("child count mismatch", lineno)
-                nodes.append(Node("O", dvar=j, children=children))
             else:
                 raise ParseError(f"unknown node kind {kind}", lineno)
-        except (ValueError, IndexError):
+            for c in node[2]:
+                if not 0 <= c < me:
+                    raise ParseError(f"child {c} is not an earlier node", lineno)
+            circ.add(*node)
+        except (ValueError, IndexError, OverflowError):
             raise ParseError("malformed node line", lineno)
-        me = len(nodes) - 1
-        for c in nodes[-1].children:
-            if not 0 <= c < me:
-                raise ParseError(f"child {c} is not an earlier node", lineno)
-    if not nodes:
+    if not circ.node_count:
         raise ParseError("empty circuit")
-    nv = num_vars if num_vars is not None else declared_vars
-    nv = max(nv, max((abs(n.lit) for n in nodes if n.kind == "L"), default=0))
-    return Circuit(nodes, len(nodes) - 1, nv)
+    circ.num_vars = num_vars
+    circ.root = circ.node_count - 1
+    return circ
 
 
 def emit_nnf(circuit: Circuit) -> str:
+    kinds, vals, offsets, kids = circuit.kinds, circuit.vals, circuit.offsets, circuit.kids
+    n = circuit.node_count
     # the reader takes the last node as the root, so reorder when needed
-    order = list(range(len(circuit.nodes)))
-    if circuit.root != order[-1]:
+    order = list(range(n))
+    remap = order[:]
+    if circuit.root != n - 1:
         order.remove(circuit.root)
         order.append(circuit.root)
-    remap = {old: new for new, old in enumerate(order)}
-    lines = [f"nnf {circuit.node_count} {circuit.edge_count} {circuit.num_vars}"]
+        for new, old in enumerate(order):
+            remap[old] = new
+    lines = [f"nnf {n} {circuit.edge_count} {circuit.num_vars}"]
     for old in order:
-        nd = circuit.nodes[old]
-        if nd.kind == "L":
-            lines.append(f"L {nd.lit}")
-        elif nd.kind == "A":
-            lines.append(
-                f"A {len(nd.children)}" + "".join(f" {remap[c]}" for c in nd.children)
-            )
-        else:
-            lines.append(
-                f"O {nd.dvar} {len(nd.children)}"
-                + "".join(f" {remap[c]}" for c in nd.children)
-            )
+        kind = kinds[old]
+        if kind == LIT:
+            lines.append(f"L {vals[old]}")
+            continue
+        ch = kids[offsets[old]:offsets[old + 1]]
+        head = f"A {len(ch)}" if kind == AND else f"O {vals[old]} {len(ch)}"
+        lines.append(head + "".join(f" {remap[c]}" for c in ch))
     return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------- smoothing
 
 
+def _is_smooth(circuit: Circuit) -> bool:
+    """Every or-node's children have its mask, the root's mask covers every
+    variable, and no two nodes are equal."""
+    kinds, vals, offsets, kids, masks = (
+        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
+    if circuit.full_mask & ~masks[circuit.root]:
+        return False
+    seen = set()
+    for i in range(len(kinds)):
+        ch = kids[offsets[i]:offsets[i + 1]]
+        if kinds[i] == OR:
+            m = masks[i]
+            for c in ch:
+                if masks[c] != m:
+                    return False
+        seen.add((kinds[i], vals[i], *ch))
+    return len(seen) == len(kinds)
+
+
 def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
     """Make every or-node's children mention the same variables and the root
     mention the whole universe, by padding with (v or not v) gates. The model
-    set is unchanged; an already-smooth circuit comes back structurally
-    identical.
+    set is unchanged; an already-smooth circuit comes back as it is.
 
     When `outer_vars` is given, gates for missing inner variables are pushed
     below the outer-variable structure (into the unique mixed child of an
     and-node, or into every child of an or-node), so a circuit that decides
     the outer variables first keeps that shape.
     """
+    if _is_smooth(circuit):
+        return circuit
     out_mask = _mask_of(outer_vars or ())
-    nodes: list[Node] = []
-    index: dict[Node, int] = {}
-    new_masks: list[int] = []
+    out = Circuit(circuit.num_vars)
+    new_masks = out.masks
+    index: dict[tuple, int] = {}
 
-    def mk(node: Node, mask: int) -> int:
-        got = index.get(node)
-        if got is not None:
-            return got
-        nodes.append(node)
-        new_masks.append(mask)
-        index[node] = len(nodes) - 1
-        return index[node]
+    def mk(kind: int, val: int, children=()) -> int:
+        key = (kind, val, *children)
+        got = index.get(key)
+        if got is None:
+            got = index[key] = out.add(kind, val, children)
+        return got
 
     gate_cache: dict[int, int] = {}
 
     def gate(v: int) -> int:
         got = gate_cache.get(v)
         if got is None:
-            p = mk(Node("L", lit=v), 1 << v)
-            n = mk(Node("L", lit=-v), 1 << v)
-            got = mk(Node("O", dvar=v, children=(p, n)), 1 << v)
-            gate_cache[v] = got
+            got = gate_cache[v] = mk(OR, v, (mk(LIT, v), mk(LIT, -v)))
         return got
 
     def attach(nid: int, missing_mask: int) -> int:
         gates = tuple(
             gate(v) for v in range(1, circuit.num_vars + 1) if missing_mask >> v & 1
         )
-        nd = nodes[nid]
-        base = nd.children if nd.kind == "A" else (nid,)
-        return mk(Node("A", children=base + gates), new_masks[nid] | missing_mask)
+        base = tuple(out.children(nid)) if out.kinds[nid] == AND else (nid,)
+        return mk(AND, 0, base + gates)
 
     pad_memo: dict[tuple[int, int], int] = {}
 
@@ -221,23 +259,19 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
         m = new_masks[nid]
         if not (missing & ~out_mask and m & out_mask and m & ~out_mask):
             return None
-        nd = nodes[nid]
-        if nd.kind == "O":
-            return nd.children or None
-        mixed = [c for c in nd.children
-                 if new_masks[c] & out_mask and new_masks[c] & ~out_mask]
+        ch = out.children(nid)
+        if out.kinds[nid] == OR:
+            return ch or None
+        mixed = [c for c in ch if new_masks[c] & out_mask and new_masks[c] & ~out_mask]
         return mixed if len(mixed) == 1 else None
 
     def padded(nid: int, missing: int, targets, done) -> int:
         if targets is None:
             return attach(nid, missing)
-        nd = nodes[nid]
-        m = new_masks[nid] | missing & ~out_mask
-        if nd.kind == "O":
-            res = mk(Node("O", dvar=nd.dvar, children=tuple(done)), m)
+        if out.kinds[nid] == OR:
+            res = mk(OR, out.vals[nid], done)
         else:
-            kids = tuple(done[0] if c == targets[0] else c for c in nd.children)
-            res = mk(Node("A", children=kids), m)
+            res = mk(AND, 0, [done[0] if c == targets[0] else c for c in out.children(nid)])
         if missing & out_mask:
             res = attach(res, missing & out_mask)
         return res
@@ -269,27 +303,21 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
                 return res
             stack[-1][3].append(res)
 
+    kinds, vals, offsets, kids = circuit.kinds, circuit.vals, circuit.offsets, circuit.kids
     mapping: list[int] = []
-    for nd in circuit.nodes:
-        if nd.kind == "L":
-            mapping.append(mk(nd, 1 << abs(nd.lit)))
-        elif nd.kind == "A":
-            children = tuple(mapping[c] for c in nd.children)
-            m = 0
-            for c in children:
-                m |= new_masks[c]
-            mapping.append(mk(Node("A", children=children), m))
-        else:
-            children = tuple(mapping[c] for c in nd.children)
+    for i in range(len(kinds)):
+        children = [mapping[c] for c in kids[offsets[i]:offsets[i + 1]]]
+        kind = kinds[i]
+        if kind == OR:
             union = 0
             for c in children:
                 union |= new_masks[c]
-            children = tuple(pad(c, union & ~new_masks[c]) for c in children)
-            mapping.append(mk(Node("O", dvar=nd.dvar, children=children), union))
+            children = [pad(c, union & ~new_masks[c]) for c in children]
+        mapping.append(mk(kind, vals[i], children))
 
     root = mapping[circuit.root]
-    root = pad(root, _mask_of(circuit.variables) & ~new_masks[root])
-    return Circuit(nodes, root, circuit.num_vars)
+    out.root = pad(root, out.full_mask & ~new_masks[root])
+    return out
 
 
 # -------------------------------------------------------------- evaluation
@@ -345,50 +373,51 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance, collect=None):
     sin = SEMIRINGS[cnf.inner_sr]
     sout = SEMIRINGS[cnf.outer_sr]
     t = TRANSFORMS[cnf.transform].fn
-    masks = circuit.masks()
+    kinds, vals, offsets, kids, masks = (
+        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
     outer_mask = _mask_of(cnf.outer_vars)
+    outer = [m & outer_mask != 0 for m in masks]  # mentions an outer variable
 
-    values: list[object] = [None] * len(circuit.nodes)
-    for i, nd in enumerate(circuit.nodes):
-        is_outer = bool(masks[i] & outer_mask)
-        if nd.kind == "L":
-            if is_outer:
-                values[i] = cnf.outer_weight(nd.lit)
-            else:
-                values[i] = cnf.inner_weight(nd.lit)
-        elif nd.kind == "A":
+    values: list[object] = [None] * len(kinds)
+    nodes = zip(kinds, vals, outer, offsets, offsets[1:])
+    for i, (kind, val, is_outer, lo, hi) in enumerate(nodes):
+        if kind == LIT:
+            values[i] = cnf.outer_weight(val) if is_outer else cnf.inner_weight(val)
+            continue
+        ch = kids[lo:hi]
+        if kind == AND:
             if not is_outer:
                 acc = sin.one
-                for c in nd.children:
+                for c in ch:
                     acc = sin.mul(acc, values[c])
             else:
                 acc = sout.one
-                for c in nd.children:
-                    if masks[c] & outer_mask:
+                for c in ch:
+                    if outer[c]:
                         acc = sout.mul(acc, values[c])
                     else:
                         if collect is not None:
                             collect.append(values[c])
                         acc = sout.mul(acc, t(values[c]))
             values[i] = acc
-        else:  # O
-            if not nd.children:
+        else:  # OR
+            if not ch:
                 values[i] = sin.zero  # false node, inner-tagged (no variables)
                 continue
             side = sin if not is_outer else sout
-            for c in nd.children:
-                if bool(masks[c] & outer_mask) != is_outer:
+            for c in ch:
+                if outer[c] != is_outer:
                     raise PreconditionError(
                         f"or-node {i} mixes inner and outer children; "
                         "evaluation requires a smooth circuit"
                     )
-            acc = values[nd.children[0]]
-            for c in nd.children[1:]:
+            acc = values[ch[0]]
+            for c in ch[1:]:
                 acc = side.add(acc, values[c])
             values[i] = acc
 
     result = values[circuit.root]
-    if not masks[circuit.root] & outer_mask:
+    if not outer[circuit.root]:
         if collect is not None:
             collect.append(result)
         result = t(result)
@@ -463,25 +492,31 @@ def brute_force_nested(instance: NestedInstance, max_vars: int = 24):
 def count_models(circuit: Circuit, over: Optional[frozenset[int]] = None) -> int:
     """Model count of a deterministic decomposable circuit over a variable
     set, unconstrained variables counting both ways."""
-    over = circuit.variables if over is None else frozenset(over)
-    masks = circuit.masks()
+    over_mask = circuit.full_mask if over is None else _mask_of(over)
+    kinds, offsets, kids, masks = circuit.kinds, circuit.offsets, circuit.kids, circuit.masks
     counts: list[int] = []
-    for i, nd in enumerate(circuit.nodes):
-        if nd.kind == "L":
+    for i in range(len(kinds)):
+        kind = kinds[i]
+        ch = kids[offsets[i]:offsets[i + 1]]
+        if kind == LIT:
             counts.append(1)
-        elif nd.kind == "A":
+        elif kind == AND:
             c = 1
-            for ch in nd.children:
-                c *= counts[ch]
+            for j in ch:
+                c *= counts[j]
             counts.append(c)
         else:
             total = 0
-            for ch in nd.children:
-                gap = bin(masks[i] & ~masks[ch]).count("1")
-                total += counts[ch] << gap
+            for j in ch:
+                gap = bin(masks[i] & ~masks[j]).count("1")
+                total += counts[j] << gap
             counts.append(total)
-    gap = len(over - circuit.node_vars(circuit.root))
+    gap = bin(over_mask & ~masks[circuit.root]).count("1")
     return counts[circuit.root] << gap
+
+
+def _vars_of(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def circuit_models(
@@ -489,10 +524,11 @@ def circuit_models(
 ) -> frozenset[frozenset[int]]:
     """Enumerate the models of a deterministic decomposable circuit as total
     assignments over `over` (default: the circuit's variable universe)."""
-    over = circuit.variables if over is None else frozenset(over)
+    over_mask = circuit.full_mask if over is None else _mask_of(over)
     if count_models(circuit, over) > guard:
         raise CapacityError("model set too large to enumerate")
-    masks = circuit.masks()
+    kinds, vals, offsets, kids, masks = (
+        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
 
     def expand(models, missing_vars):
         for v in missing_vars:
@@ -500,41 +536,38 @@ def circuit_models(
         return models
 
     sets: list[set[frozenset[int]]] = []
-    for i, nd in enumerate(circuit.nodes):
-        if nd.kind == "L":
-            sets.append({frozenset([nd.lit])})
-        elif nd.kind == "A":
+    for i in range(len(kinds)):
+        kind = kinds[i]
+        ch = kids[offsets[i]:offsets[i + 1]]
+        if kind == LIT:
+            sets.append({frozenset([vals[i]])})
+        elif kind == AND:
             acc = {frozenset()}
-            for ch in nd.children:
-                acc = {a | b for a in acc for b in sets[ch]}
+            for j in ch:
+                acc = {a | b for a in acc for b in sets[j]}
             sets.append(acc)
         else:
             acc = set()
-            for ch in nd.children:
-                missing = [
-                    v for v in range(1, circuit.num_vars + 1)
-                    if (masks[i] & ~masks[ch]) >> v & 1
-                ]
-                acc |= expand(sets[ch], missing)
+            for j in ch:
+                acc |= expand(sets[j], _vars_of(masks[i] & ~masks[j]))
             sets.append(acc)
     root_models = sets[circuit.root]
-    missing = sorted(over - circuit.node_vars(circuit.root))
-    return frozenset(expand(root_models, missing))
+    return frozenset(expand(root_models, _vars_of(over_mask & ~masks[circuit.root])))
 
 
 def count_boundary_nodes(circuit: Circuit, outer_vars) -> int:
     """Distinct maximal pure-inner nodes: nodes over inner variables only
     whose parent (or root position) sits in an outer context."""
-    masks = circuit.masks()
+    offsets, kids, masks = circuit.offsets, circuit.kids, circuit.masks
     outer_mask = _mask_of(outer_vars)
-    has_outer_parent = [False] * len(circuit.nodes)
-    for i, nd in enumerate(circuit.nodes):
-        if masks[i] & outer_mask:
-            for c in nd.children:
+    has_outer_parent = [False] * len(masks)
+    for i, m in enumerate(masks):
+        if m & outer_mask:
+            for c in kids[offsets[i]:offsets[i + 1]]:
                 has_outer_parent[c] = True
     count = 0
-    for i in range(len(circuit.nodes)):
-        if masks[i] and not masks[i] & outer_mask:
+    for i, m in enumerate(masks):
+        if m and not m & outer_mask:
             if has_outer_parent[i] or i == circuit.root:
                 count += 1
     return count
@@ -562,14 +595,13 @@ class PropertyReport:
 
 
 def _decision_literal(circuit: Circuit, child: int, dvar: int) -> Optional[int]:
-    nd = circuit.nodes[child]
-    if nd.kind == "L" and abs(nd.lit) == dvar:
-        return nd.lit
-    if nd.kind == "A":
-        for c in nd.children:
-            sub = circuit.nodes[c]
-            if sub.kind == "L" and abs(sub.lit) == dvar:
-                return sub.lit
+    kinds, vals = circuit.kinds, circuit.vals
+    if kinds[child] == LIT and abs(vals[child]) == dvar:
+        return vals[child]
+    if kinds[child] == AND:
+        for c in circuit.children(child):
+            if kinds[c] == LIT and abs(vals[c]) == dvar:
+                return vals[c]
     return None
 
 
@@ -593,11 +625,11 @@ def _sat_pairwise_deterministic(circuit: Circuit, or_nodes) -> bool:
         stack = [(top, False)]
         while stack:
             i, expanded = stack.pop()
-            nd = circuit.nodes[i]
+            kind = circuit.kinds[i]
             if expanded:
                 v = node_var[i]
-                lits = [node_var[c] for c in nd.children]
-                if nd.kind == "A":
+                lits = [node_var[c] for c in circuit.children(i)]
+                if kind == AND:
                     for l in lits:
                         solver.add_clause([-v, l])
                     solver.add_clause([v] + [-l for l in lits])
@@ -607,18 +639,18 @@ def _sat_pairwise_deterministic(circuit: Circuit, or_nodes) -> bool:
                         solver.add_clause([v, -l])
             elif i in node_var:
                 continue
-            elif nd.kind == "L":
-                node_var[i] = nd.lit
+            elif kind == LIT:
+                node_var[i] = circuit.vals[i]
             else:
                 next_var += 1
                 solver.ensure_vars(next_var)
                 node_var[i] = next_var
                 stack.append((i, True))
-                stack.extend((c, False) for c in reversed(nd.children))
+                stack.extend((c, False) for c in reversed(circuit.children(i)))
         return node_var[top]
 
     for i in or_nodes:
-        children = circuit.nodes[i].children
+        children = circuit.children(i)
         for a in range(len(children)):
             for b in range(a + 1, len(children)):
                 va = encode(children[a])
@@ -626,6 +658,11 @@ def _sat_pairwise_deterministic(circuit: Circuit, or_nodes) -> bool:
                 if solver.solve([va, vb]) is not None:
                     return False
     return True
+
+
+# a node's class for the outer-first checks: no outer variable, only outer
+# variables, only variables of outer ∪ D (the empty mask is all three)
+_INNER, _OUTER, _XD = 1, 2, 4
 
 
 def verify_circuit(
@@ -642,116 +679,86 @@ def verify_circuit(
     than failed. Model equivalence against the CNF is checked by enumeration
     when the variable count permits.
     """
-    masks = circuit.masks()
-    nodes = circuit.nodes
+    kinds, vals, offsets, kids, masks = (
+        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
+    n = len(kinds)
     outer_mask = _mask_of(cnf.outer_vars)
     xd_mask = outer_mask | _mask_of(d)
+    # one class per distinct mask, of which a circuit has few
+    by_mask = {m: (not m & outer_mask) | (m | outer_mask == outer_mask) << 1
+               | (m | xd_mask == xd_mask) << 2 for m in set(masks)}
+    cls = bytes(map(by_mask.__getitem__, masks))
 
-    decomposable = True
-    for nd in nodes:
-        if nd.kind == "A":
-            acc = 0
-            for c in nd.children:
-                if acc & masks[c]:
-                    decomposable = False
-                    break
-                acc |= masks[c]
-
-    deterministic = True
+    live_mask = _mask_of(cnf.variables)
+    smooth_ok = masks[circuit.root] & live_mask == live_mask
     sat_fallback = []
-    for i, nd in enumerate(nodes):
-        if nd.kind != "O" or len(nd.children) <= 1:
+    # or-parents branching on a variable; dvar 0 means the branch variable is
+    # unknown, which the flagging below treats conservatively
+    branched_on: dict[int, set[int]] = {}
+    for i in range(n):
+        if kinds[i] != OR:
             continue
-        fixed = [
-            _decision_literal(circuit, c, nd.dvar) if nd.dvar else None
-            for c in nd.children
-        ]
+        ch = kids[offsets[i]:offsets[i + 1]]
+        m = masks[i]
+        for c in ch:
+            if masks[c] != m:
+                smooth_ok = False
+        if len(ch) <= 1:
+            continue
+        dvar = vals[i]
+        fixed = [_decision_literal(circuit, c, dvar) if dvar else None for c in ch]
         if None in fixed or len(set(fixed)) != len(fixed):
             sat_fallback.append(i)
+        for c in ch:
+            branched_on.setdefault(c, set()).add(dvar)
+    deterministic = True
     if sat_fallback:
-        if circuit.node_count <= _SAT_CHECK_NODE_LIMIT:
+        if n <= _SAT_CHECK_NODE_LIMIT:
             deterministic = _sat_pairwise_deterministic(circuit, sat_fallback)
         else:
             deterministic = False
 
-    live_mask = _mask_of(cnf.variables)
-    smooth_ok = masks[circuit.root] & live_mask == live_mask
-    for i, nd in enumerate(nodes):
-        if nd.kind == "O" and nd.children:
-            if any(masks[c] != masks[i] for c in nd.children):
-                smooth_ok = False
-                break
-
-    def pure(c):
-        return masks[c] & outer_mask == 0 or masks[c] | outer_mask == outer_mask
-
-    outer_first = True
-    for nd in nodes:
-        if nd.kind != "A":
-            continue
-        mixed = [c for c in nd.children if not pure(c)]
-        if not mixed:
-            continue
-        if len(mixed) > 1:
-            outer_first = False
-            break
-        others = [c for c in nd.children if pure(c)]
-        if not all(masks[c] | outer_mask == outer_mask for c in others):
-            outer_first = False
-            break
-
-    def pure_mod(c):
-        return masks[c] & outer_mask == 0 or masks[c] | xd_mask == xd_mask
-
-    # or-parents branching on a variable; dvar 0 means the branch variable is
-    # unknown, which the flagging below treats conservatively
-    branched_on: dict[int, set[int]] = {}
-    for nd in nodes:
-        if nd.kind == "O" and len(nd.children) > 1:
-            for c in nd.children:
-                branched_on.setdefault(c, set()).add(nd.dvar)
-
-    strictly = True
+    # Outer-first: at most one mixed child per and-node, and beside a mixed
+    # child only children over outer variables. Modulo definability the same
+    # with outer ∪ D in place of outer; an and-node that fails only that is
+    # flagged rather than failed when its shape is justified beyond the
+    # static check: pure-inner children that are unit-propagated literals or
+    # whole split-off components crossing the transform, and multiple
+    # variable-disjoint mixed children from component splits. A pure-inner
+    # literal the enclosing or-node branches on is an early inner decision,
+    # which the static check rightly rejects.
+    decomposable = outer_first = strictly = mod_ok = True
     flagged = []
-    mod_ok = True
-    for i, nd in enumerate(nodes):
-        if nd.kind != "A":
+    for i in range(n):
+        if kinds[i] != AND:
             continue
-        mixed = [c for c in nd.children if not pure_mod(c)]
-        others = [c for c in nd.children if pure_mod(c)]
-        conforming = len(mixed) <= 1 and (
-            not mixed or all(masks[c] | xd_mask == xd_mask for c in others)
-        )
-        if conforming:
+        ch = kids[offsets[i]:offsets[i + 1]]
+        acc = mixed = inner = mixed_mod = inner_mod = 0
+        disjoint = True
+        for c in ch:
+            if acc & masks[c]:
+                disjoint = False
+            acc |= masks[c]
+            k = cls[c]
+            if not k & (_INNER | _OUTER):
+                mixed += 1
+            elif not k & _OUTER:
+                inner += 1
+            if not k & (_INNER | _XD):
+                mixed_mod += 1
+            elif not k & _XD:
+                inner_mod += 1
+        decomposable = decomposable and disjoint
+        if mixed > 1 or mixed and inner:
+            outer_first = False
+        if not (mixed_mod > 1 or mixed_mod and inner_mod):
             continue
         strictly = False
-        # Shapes justified beyond the static check, flagged rather than
-        # failed: pure-inner children that are unit-propagated literals or
-        # whole split-off components crossing the transform, and multiple
-        # variable-disjoint mixed children from component splits. A pure-inner
-        # literal the enclosing or-node branches on is an early inner
-        # decision, which the static check rightly rejects.
-        acc = 0
-        justified = True
-        for c in nd.children:
-            if acc & masks[c]:
-                justified = False
-                break
-            acc |= masks[c]
-        if justified:
-            for c in others:
-                if masks[c] | xd_mask == xd_mask:
-                    continue
-                if masks[c] & outer_mask:
-                    justified = False
-                    break
-                child = nodes[c]
-                if child.kind == "L":
-                    dvars = branched_on.get(i, set())
-                    if 0 in dvars or abs(child.lit) in dvars:
-                        justified = False
-                        break
-        if justified:
+        dvars = branched_on.get(i, ())
+        if disjoint and not any(
+            kinds[c] == LIT and (0 in dvars or abs(vals[c]) in dvars)
+            for c in ch if cls[c] & (_INNER | _XD) == _INNER
+        ):
             flagged.append(i)
         else:
             mod_ok = False

@@ -108,7 +108,7 @@ def _cmd_solve(args, out: _Output) -> int:
     _emit_value(out, value, diag.instance.cnf)
     if args.stats:
         with open(args.stats, "w") as fh:
-            for stage, metric, val in diag.metrics():
+            for stage, metric, val in diag.metrics() + diag.memory_metrics():
                 fh.write(f"{stage} {metric} {val}\n")
             for stage, secs in diag.times.items():
                 fh.write(f"time {stage} {secs:.6f}\n")
@@ -140,12 +140,7 @@ def _cmd_compile(args, out: _Output) -> int:
 def _load_circuit(args) -> tuple[LabeledCnf, Circuit]:
     """The CNF and a circuit over its variables, read from the paths given."""
     cnf = parse_cnf(_read(args.cnf))
-    circ = parse_nnf(_read(args.nnf), num_vars=cnf.num_vars)
-    if circ.num_vars > cnf.num_vars:
-        raise NestedAmcError(
-            f"circuit mentions variable {circ.num_vars} beyond the theory's {cnf.num_vars}"
-        )
-    return cnf, circ
+    return cnf, parse_nnf(_read(args.nnf), num_vars=cnf.num_vars)
 
 
 def _outer_defined(cnf: LabeledCnf) -> frozenset[int]:

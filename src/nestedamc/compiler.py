@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
 
-from .circuit import Circuit, Node
+from .circuit import AND, LIT, OR, Circuit
 from .cnf import LabeledCnf
 from .errors import CapacityError, ConfigError, PreconditionError
 from .treedecomp import VariableOrder
@@ -63,11 +63,13 @@ from .treedecomp import VariableOrder
 DEFAULT_BUDGET = 256 << 20  # bytes
 # Bytes charged against the budget, fitted to tracemalloc peaks of compiles
 # in every mode: the occurrence lists and per-clause arrays per literal, a
-# node and a cache entry with their dict slots, and a child or key element.
+# node (its hash-consing key, dict slot and id, plus its slots in the
+# circuit's arrays) and a cache entry with their dict slots, and a child or
+# key element.
 _LITERAL_BYTES = 150
-_NODE_BYTES = 200
+_NODE_BYTES = 180
 _ENTRY_BYTES = 200
-_ELEMENT_BYTES = 8
+_ELEMENT_BYTES = 10
 _TRUE = -1  # the result of an empty residual; its node is built only as a root
 _UNSET = sys.maxsize  # trail position of an unassigned variable
 
@@ -154,12 +156,12 @@ class _Compilation:
         self.stamp = 0  # one per component traversal, marking what it visited
         self.vmark = [0] * (n + 1)
         self.cmark = [0] * len(self.clauses)
-        self.nodes: list[Node] = []
-        self.index: dict[Node, int] = {}
+        self.stats = CompileStats()
+        self.circuit = Circuit(n, stats=self.stats)
+        self.index: dict[tuple, int] = {}  # (kind, value, *children) -> node id
         self.lit_ids: dict[int, int] = {}
         self.cache: dict[tuple, int] = {}
         self.by_print: dict[int, tuple] = {}
-        self.stats = CompileStats()
 
     # -------------------------------------------------------- node building
 
@@ -168,37 +170,37 @@ class _Compilation:
         if self.stats.bytes_estimate > self.cfg.cache_budget:
             raise CapacityError("compilation exceeded the cache budget", self.stats)
 
-    def _mk(self, node: Node) -> int:
-        got = self.index.get(node)
-        if got is not None:
-            return got
-        self.nodes.append(node)
-        idx = len(self.nodes) - 1
-        self.index[node] = idx
+    def _new(self, kind: int, val: int, children=()) -> int:
         self.stats.nodes += 1
-        self.stats.edges += len(node.children)
-        self._budget(_NODE_BYTES + _ELEMENT_BYTES * len(node.children))
-        return idx
+        self.stats.edges += len(children)
+        self._budget(_NODE_BYTES + _ELEMENT_BYTES * len(children))
+        return self.circuit.add(kind, val, children)
+
+    def _mk(self, kind: int, val: int, children=()) -> int:
+        key = (kind, val, *children)
+        got = self.index.get(key)
+        if got is None:
+            got = self.index[key] = self._new(kind, val, children)
+        return got
 
     def _lit(self, lit: int) -> int:
         got = self.lit_ids.get(lit)
         if got is None:
-            got = self.lit_ids[lit] = self._mk(Node("L", lit=lit))
+            got = self.lit_ids[lit] = self._new(LIT, lit)
         return got
 
     def _false(self) -> int:
-        return self._mk(Node("O"))
+        return self._mk(OR, 0)
 
     def _and(self, children) -> int:
-        children = tuple(children)
         if len(children) == 1:
             return children[0]
-        return self._mk(Node("A", children=children))
+        return self._mk(AND, 0, children)
 
     def _decision(self, var: int, pos: int, neg: int) -> int:
         hi = self._lit(var) if pos == _TRUE else self._and((self._lit(var), pos))
         lo = self._lit(-var) if neg == _TRUE else self._and((self._lit(-var), neg))
-        return self._mk(Node("O", dvar=var, children=(hi, lo)))
+        return self._mk(OR, var, (hi, lo))
 
     # ------------------------------------------------------------ the trail
 
@@ -462,8 +464,9 @@ class _Compilation:
         finally:
             sys.setrecursionlimit(limit)
         if root == _TRUE:
-            root = self._mk(Node("A"))
-        return Circuit(self.nodes, root, self.cnf.num_vars, stats=self.stats)
+            root = self._mk(AND, 0)
+        self.circuit.root = root
+        return self.circuit
 
 
 def compile_cnf(cnf: LabeledCnf, cfg: CompileConfig) -> Circuit:

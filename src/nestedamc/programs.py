@@ -405,6 +405,8 @@ class Diagnostics:
     circuit_nodes: int = 0
     circuit_edges: int = 0
     compile_stats: Optional[object] = None
+    smooth_nodes: int = 0
+    smooth_edges: int = 0
     times: dict[str, float] = field(default_factory=dict)
     instance: Optional[NestedInstance] = None  # what was solved; names its value
 
@@ -422,6 +424,16 @@ class Diagnostics:
                 if k not in ("nodes", "edges"):
                     out.append(("compile", k, v))
         return out
+
+    def memory_metrics(self):
+        """Where the memory went: the compiler's byte estimate and the
+        circuit's size after smoothing. `--stats` writes them beside
+        `metrics()`; the kv stream leaves them out."""
+        return [
+            ("compile", "bytes_estimate", self.compile_stats.bytes_estimate),
+            ("smooth", "nodes", self.smooth_nodes),
+            ("smooth", "edges", self.smooth_edges),
+        ]
 
 
 def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
@@ -479,6 +491,9 @@ def solve_instance(
 
     t0 = time.perf_counter()
     sm = smooth(circ, inst.cnf.outer_vars)
+    del circ  # only its counts are kept, so a padded circuit is not held twice
+    diag.smooth_nodes = sm.node_count
+    diag.smooth_edges = sm.edge_count
     d = diag.defined
     if mode is CompileMode.FREE and inst.cnf.outer_vars:
         report = defined_vars(inst.cnf, inst.cnf.outer_vars)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+from nestedamc.circuit import Circuit
 # equivalence_cnf is re-exported for the tests and the benchmark that import it from here
 from nestedamc.cnf import Graph, LabeledCnf, enumerate_models, equivalence_cnf  # noqa: F401
 from nestedamc.programs import Program, parse_program
@@ -22,6 +23,21 @@ def values_close(a, b) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
     return a == b
+
+
+def nodes_of(circ: Circuit) -> list[tuple]:
+    """The circuit's nodes as (kind, value, children) tuples, in id order."""
+    return [(circ.kinds[i], circ.vals[i], tuple(circ.children(i)))
+            for i in range(circ.node_count)]
+
+
+def circuit_of(nodes, root: int, num_vars: int) -> Circuit:
+    """A circuit made of (kind, value, children) tuples, in id order."""
+    circ = Circuit(num_vars)
+    for node in nodes:
+        circ.add(*node)
+    circ.root = root
+    return circ
 
 
 def random_clauses(rng: random.Random, num_vars: int, num_clauses: int):

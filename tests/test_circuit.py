@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_labels, random_partitioned_cnf
+from gen import circuit_of, equivalence_cnf, nodes_of, random_labels, random_partitioned_cnf
 from nestedamc.cnf import LabeledCnf, enumerate_models
 from nestedamc.circuit import (
-    Circuit,
+    AND,
+    LIT,
+    OR,
     EvaluationRefused,
     NestedInstance,
-    Node,
     brute_force_nested,
     circuit_models,
     count_boundary_nodes,
@@ -36,19 +37,25 @@ class Builder:
         self.nodes = []
 
     def lit(self, l):
-        self.nodes.append(Node("L", lit=l))
+        self.nodes.append((LIT, l, ()))
         return len(self.nodes) - 1
 
     def and_(self, *cs):
-        self.nodes.append(Node("A", children=tuple(cs)))
+        self.nodes.append((AND, 0, cs))
         return len(self.nodes) - 1
 
     def or_(self, v, *cs):
-        self.nodes.append(Node("O", dvar=v, children=tuple(cs)))
+        self.nodes.append((OR, v, cs))
         return len(self.nodes) - 1
 
     def circuit(self, root, num_vars):
-        return Circuit(self.nodes, root, num_vars)
+        return circuit_of(self.nodes, root, num_vars)
+
+
+def or_children_aligned(circ):
+    """Every or-node's children have the same variables."""
+    return all(len({circ.masks[c] for c in circ.children(i)}) <= 1
+               for i in range(circ.node_count) if circ.kinds[i] == OR)
 
 
 def fig_left():
@@ -106,7 +113,7 @@ def succ_instance():
 def test_parse_tautology_circuit():
     c = parse_nnf("nnf 3 2 2\nL 1\nL -1\nO 1 2 0 1\n")
     assert c.node_count == 3
-    assert c.nodes[2].dvar == 1
+    assert nodes_of(c)[2] == (OR, 1, (0, 1))
     assert count_models(c, over=frozenset([1])) == 2
 
 
@@ -114,6 +121,14 @@ def test_parse_rejects_forward_reference():
     with pytest.raises(ParseError) as e:
         parse_nnf("nnf 2 1 1\nA 1 1\nL 1\n")
     assert e.value.line == 2
+
+
+def test_parse_rejects_literal_beyond_the_variables():
+    with pytest.raises(ParseError) as e:
+        parse_nnf("nnf 2 1 1\nL 1\nL -2\n")
+    assert e.value.line == 3
+    with pytest.raises(ParseError):
+        parse_nnf("nnf 1 0 3\nL 3\n", num_vars=2)
 
 
 def test_parse_non_ascii_bytes():
@@ -138,33 +153,31 @@ def test_roundtrip_preserves_models():
 
 def test_true_false_spellings():
     c = parse_nnf("nnf 2 0 1\nA 0\nO 0 0\n")
-    assert c.nodes[0].kind == "A" and not c.nodes[0].children
+    assert nodes_of(c)[0] == (AND, 0, ())
     assert count_models(c, over=frozenset()) == 0  # root is the false node
 
 
 @st.composite
 def circuits(draw):
     num_vars = draw(st.integers(1, 5))
-    nodes = [Node("L", lit=draw(st.sampled_from([v, -v])))
-             for v in range(1, num_vars + 1)]
+    nodes = [(LIT, draw(st.sampled_from([v, -v])), ()) for v in range(1, num_vars + 1)]
     for _ in range(draw(st.integers(0, 8))):
         k = draw(st.integers(0, min(3, len(nodes))))
         children = tuple(sorted(draw(
             st.sets(st.integers(0, len(nodes) - 1), min_size=k, max_size=k)
         )))
         if draw(st.booleans()):
-            nodes.append(Node("A", children=children))
+            nodes.append((AND, 0, children))
         else:
-            dvar = draw(st.integers(0, num_vars))
-            nodes.append(Node("O", dvar=dvar, children=children))
-    return Circuit(nodes, len(nodes) - 1, num_vars)
+            nodes.append((OR, draw(st.integers(0, num_vars)), children))
+    return circuit_of(nodes, len(nodes) - 1, num_vars)
 
 
 @given(circuits())
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_is_identity_on_random_circuits(circ):
     again = parse_nnf(emit_nnf(circ))
-    assert [n for n in again.nodes] == [n for n in circ.nodes]
+    assert nodes_of(again) == nodes_of(circ)
     assert again.root == circ.root
     assert again.num_vars == circ.num_vars
 
@@ -174,12 +187,12 @@ def test_emit_reorders_when_root_is_not_last():
     # duplicate nodes onto an earlier id; emission must keep the root last
     dup = parse_nnf("nnf 3 0 1\nL 1\nL -1\nL 1\n")
     sm = smooth(dup)
-    assert sm.root != len(sm.nodes) - 1  # the duplicate collapsed
+    assert sm.root != sm.node_count - 1  # the duplicate collapsed
     again = parse_nnf(emit_nnf(sm))
     assert circuit_models(again, over=frozenset([1])) == circuit_models(
         sm, over=frozenset([1])
     )
-    assert again.nodes[again.root] == sm.nodes[sm.root]
+    assert nodes_of(again)[again.root] == nodes_of(sm)[sm.root]
 
 
 # ---------------------------------------------------------------- smoothing
@@ -192,10 +205,7 @@ def test_smooth_pads_missing_variable():
     root = b.or_(1, b.and_(x, d), nx_)  # ~x branch forgets variable 2
     circ = b.circuit(root, 2)
     sm = smooth(circ)
-    masks = sm.masks()
-    for nd in sm.nodes:
-        if nd.kind == "O" and nd.children:
-            assert len({masks[c] for c in nd.children}) == 1
+    assert or_children_aligned(sm)
     assert circuit_models(sm, over=frozenset([1, 2])) == circuit_models(
         circ, over=frozenset([1, 2])
     )
@@ -203,21 +213,30 @@ def test_smooth_pads_missing_variable():
 
 def test_smooth_idempotent_on_smooth_circuit():
     circ = smooth(fig_right())
-    again = smooth(circ)
-    assert again.node_count == circ.node_count
+    assert smooth(circ) is circ
+
+
+def test_smooth_returns_an_already_smooth_circuit_itself():
+    # strict outer-first circuits of the biconditionals need no padding
+    cnf = equivalence_cnf(4)
+    order = VariableOrder(tuple(range(1, 9)))
+    circ = compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST))
+    assert smooth(circ, cnf.outer_vars) is circ
+    # a duplicate node makes it rebuild, and the duplicate collapses
+    dup = parse_nnf("nnf 3 0 1\nL 1\nL -1\nL 1\n")
+    assert or_children_aligned(dup) and dup.masks[dup.root] == dup.full_mask
+    assert smooth(dup).node_count == 2
 
 
 def test_smooth_fig_right_or_children_align():
     sm = smooth(fig_right())
-    masks = sm.masks()
-    for nd in sm.nodes:
-        if nd.kind == "O" and nd.children:
-            assert len({masks[c] for c in nd.children}) == 1
+    assert or_children_aligned(sm)
 
 
 def recursive_smooth(circuit, outer_vars=()):
     """Reference: `smooth` with its padding written as the plain recursion it
-    replaced, which fails on deep mixed chains."""
+    replaced, which fails on deep mixed chains, over (kind, value, children)
+    tuples. Returns (nodes, root)."""
     out_mask = sum(1 << v for v in set(outer_vars))
     nodes, index, masks = [], {}, []
 
@@ -232,15 +251,15 @@ def recursive_smooth(circuit, outer_vars=()):
 
     def gate(v):
         if v not in gates:
-            p, n = mk(Node("L", lit=v), 1 << v), mk(Node("L", lit=-v), 1 << v)
-            gates[v] = mk(Node("O", dvar=v, children=(p, n)), 1 << v)
+            p, n = mk((LIT, v, ()), 1 << v), mk((LIT, -v, ()), 1 << v)
+            gates[v] = mk((OR, v, (p, n)), 1 << v)
         return gates[v]
 
     def attach(nid, missing):
         extra = tuple(gate(v) for v in range(1, circuit.num_vars + 1) if missing >> v & 1)
-        nd = nodes[nid]
-        base = nd.children if nd.kind == "A" else (nid,)
-        return mk(Node("A", children=base + extra), masks[nid] | missing)
+        kind, _, kids = nodes[nid]
+        base = kids if kind == AND else (nid,)
+        return mk((AND, 0, base + extra), masks[nid] | missing)
 
     memo = {}
 
@@ -252,18 +271,16 @@ def recursive_smooth(circuit, outer_vars=()):
             return nid
         if (nid, missing) in memo:
             return memo[nid, missing]
-        nd, m, inner = nodes[nid], masks[nid], missing & ~out_mask
+        (kind, val, kids), m, inner = nodes[nid], masks[nid], missing & ~out_mask
         res = None
         if inner and mixed(nid):
-            if nd.kind == "O" and nd.children:
-                kids = tuple(pad(c, inner) for c in nd.children)
-                res = mk(Node("O", dvar=nd.dvar, children=kids), m | inner)
-            elif nd.kind == "A":
-                mixed_kids = [c for c in nd.children if mixed(c)]
+            if kind == OR and kids:
+                res = mk((OR, val, tuple(pad(c, inner) for c in kids)), m | inner)
+            elif kind == AND:
+                mixed_kids = [c for c in kids if mixed(c)]
                 if len(mixed_kids) == 1:
-                    kids = tuple(pad(c, inner) if c == mixed_kids[0] else c
-                                 for c in nd.children)
-                    res = mk(Node("A", children=kids), m | inner)
+                    kids = tuple(pad(c, inner) if c == mixed_kids[0] else c for c in kids)
+                    res = mk((AND, 0, kids), m | inner)
             if res is not None and missing & out_mask:
                 res = attach(res, missing & out_mask)
         if res is None:
@@ -272,18 +289,18 @@ def recursive_smooth(circuit, outer_vars=()):
         return res
 
     mapping = []
-    for nd in circuit.nodes:
-        kids = tuple(mapping[c] for c in nd.children)
+    for kind, val, kids in nodes_of(circuit):
+        kids = tuple(mapping[c] for c in kids)
         union = 0
         for c in kids:
             union |= masks[c]
-        if nd.kind == "L":
-            mapping.append(mk(nd, 1 << abs(nd.lit)))
-        elif nd.kind == "A":
-            mapping.append(mk(Node("A", children=kids), union))
+        if kind == LIT:
+            mapping.append(mk((LIT, val, ()), 1 << abs(val)))
+        elif kind == AND:
+            mapping.append(mk((AND, 0, kids), union))
         else:
             kids = tuple(pad(c, union & ~masks[c]) for c in kids)
-            mapping.append(mk(Node("O", dvar=nd.dvar, children=kids), union))
+            mapping.append(mk((OR, val, kids), union))
     root = mapping[circuit.root]
     full = (1 << circuit.num_vars + 1) - 2
     return nodes, pad(root, full & ~masks[root])
@@ -294,7 +311,7 @@ def recursive_smooth(circuit, outer_vars=()):
 def test_smooth_matches_recursive_padding(circ, data):
     outer = data.draw(st.sets(st.integers(1, circ.num_vars)))
     sm = smooth(circ, outer)
-    assert (sm.nodes, sm.root) == recursive_smooth(circ, outer)
+    assert (nodes_of(sm), sm.root) == recursive_smooth(circ, outer)
 
 
 def test_smooth_matches_recursive_padding_on_compiled_circuits():
@@ -306,7 +323,7 @@ def test_smooth_matches_recursive_padding_on_compiled_circuits():
         for mode in CompileMode:
             circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
             sm = smooth(circ, cnf.outer_vars)
-            assert (sm.nodes, sm.root) == recursive_smooth(circ, cnf.outer_vars)
+            assert (nodes_of(sm), sm.root) == recursive_smooth(circ, cnf.outer_vars)
 
 
 def outer_decision_chain(depth):
@@ -323,16 +340,14 @@ def outer_decision_chain(depth):
 def test_smooth_deep_outer_decision_chain():
     shallow = outer_decision_chain(40)
     sm = smooth(shallow, range(1, 41))
-    assert (sm.nodes, sm.root) == recursive_smooth(shallow, range(1, 41))
+    assert (nodes_of(sm), sm.root) == recursive_smooth(shallow, range(1, 41))
     depth = 2000
     sm = smooth(outer_decision_chain(depth), range(1, depth + 1))
-    masks = sm.masks()
     full = (1 << depth + 3) - 2
-    assert masks[sm.root] == full
-    assert all(masks[c] == masks[i] for i, nd in enumerate(sm.nodes)
-               if nd.kind == "O" for c in nd.children)
+    assert sm.masks[sm.root] == full
+    assert or_children_aligned(sm)
     # the missing inner gate went below the outer decisions, not above them
-    assert sm.nodes[sm.root].kind == "O" and sm.nodes[sm.root].dvar == 1
+    assert (sm.kinds[sm.root], sm.vals[sm.root]) == (OR, 1)
     assert count_models(sm) == 2 ** (depth + 1)
 
 
@@ -372,11 +387,11 @@ def test_evaluation_invariant_under_child_shuffle():
     base = smooth(fig_left())
     for _ in range(10):
         shuffled = []
-        for nd in base.nodes:
-            cs = list(nd.children)
-            rng.shuffle(cs)
-            shuffled.append(Node(nd.kind, nd.lit, nd.dvar, tuple(cs)))
-        circ = Circuit(shuffled, base.root, base.num_vars)
+        for kind, val, kids in nodes_of(base):
+            kids = list(kids)
+            rng.shuffle(kids)
+            shuffled.append((kind, val, tuple(kids)))
+        circ = circuit_of(shuffled, base.root, base.num_vars)
         assert evaluate_nested(circ, inst) == pytest.approx(0.4, rel=1e-9)
 
 

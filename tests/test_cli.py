@@ -253,15 +253,24 @@ def test_separation_table_monotone(capsys):
     assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
-def test_stats_file_written(files, capsys, tmp_path):
+def test_stats_file_written(capsys, tmp_path):
     stats = tmp_path / "stats.kv"
-    code, _, _ = run(
-        capsys, "solve", "--task", "succ", files["lex.pl"], "--stats", str(stats)
+    code, out, _ = run(
+        capsys, "solve", "--task", "succ", str(PROGRAMS / "lex.pl"),
+        "--mode", "xd", "--format", "kv", "--stats", str(stats),
     )
     assert code == 0
-    text = stats.read_text()
-    assert "compile nodes" in text
-    assert "time compile" in text
+    # the memory lines go to the stats file only: stdout is the kv golden
+    assert out == GOLDEN_SOLVE["succ", "lex.pl"]
+    lines = stats.read_text().splitlines()
+    metrics = out.splitlines()[:-1]  # all but the result line
+    assert lines[:len(metrics)] == metrics
+    assert lines[len(metrics):len(metrics) + 3] == [
+        "compile bytes_estimate 4520", "smooth nodes 15", "smooth edges 14",
+    ]
+    assert [l.split()[:2] for l in lines[len(metrics) + 3:]] == [
+        ["time", stage] for stage in ("build", "order", "compile", "evaluate")
+    ]
 
 
 # `solve --format kv` stdout of the committed examples (mode xd), byte for byte

@@ -1,16 +1,21 @@
 import dataclasses
+import gc
 import hashlib
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from gen import equivalence_cnf, implication_chain, random_cnf, random_partitioned_cnf
+from gen import equivalence_cnf, implication_chain, nodes_of, random_cnf, random_partitioned_cnf
 from nestedamc.circuit import (
+    LIT,
+    OR,
     circuit_models,
     count_boundary_nodes,
     count_models,
+    emit_nnf,
     smooth,
     verify_circuit,
 )
@@ -18,7 +23,7 @@ from nestedamc.cnf import LabeledCnf, enumerate_models, parse_cnf
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import CapacityError, PreconditionError
-from nestedamc.programs import plan_order
+from nestedamc.programs import TaskKind, build_instance, parse_program, plan_order
 from nestedamc.treedecomp import VariableOrder, constrain_and_root
 
 LEX_CLAUSES = [(-1, 3), (1, -3), (-2, 4), (2, -4)]
@@ -36,7 +41,7 @@ def test_contradiction_single_false_node():
     cnf = LabeledCnf(1, [(1,), (-1,)])
     circ = compile_cnf(cnf, CompileConfig(order_of(1)))
     assert circ.node_count == 1
-    assert circ.nodes[circ.root] == circ.nodes[0]
+    assert nodes_of(circ)[circ.root] == (OR, 0, ())
     assert models_of(circ, cnf) == frozenset()
 
 
@@ -58,11 +63,15 @@ def test_repeated_literal_clause_is_a_unit():
     # `1 1 0` is the unit clause `1 0`: one literal node from one propagation
     def compiled(text):
         circ = compile_cnf(parse_cnf(text), CompileConfig(order_of(1)))
-        return circ.nodes, circ.root, circ.stats
+        return nodes_of(circ), circ.root, circ.stats
 
     nodes, root, stats = compiled("p cnf 1 1\n1 1 0\n")
     assert (nodes, root, stats) == compiled("p cnf 1 1\n1 0\n")
     assert len(nodes) == 1 and stats.decisions == 0 and stats.propagations == 1
+
+
+def decisions_on(circ, v):
+    return [i for i in range(circ.node_count) if (circ.kinds[i], circ.vals[i]) == (OR, v)]
 
 
 def test_lex_unit_propagation_shares_component():
@@ -71,12 +80,10 @@ def test_lex_unit_propagation_shares_component():
     cnf = LabeledCnf(4, LEX_CLAUSES, outer_vars=frozenset([3]))
     circ = compile_cnf(cnf, CompileConfig(order_of(3, 1, 2, 4), CompileMode.XD_FIRST))
     assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))
-    bd_decisions = [i for i, nd in enumerate(circ.nodes) if nd.kind == "O" and nd.dvar == 2]
-    assert len(bd_decisions) == 1  # one shared or-node over b
-    c_decisions = [nd for nd in circ.nodes if nd.kind == "O" and nd.dvar == 3]
-    assert len(c_decisions) == 1
+    assert len(decisions_on(circ, 2)) == 1  # one shared or-node over b
+    assert len(decisions_on(circ, 3)) == 1
     # deciding c propagated a: no separate decision node on a exists
-    assert not any(nd.kind == "O" and nd.dvar == 1 for nd in circ.nodes)
+    assert not decisions_on(circ, 1)
 
 
 def test_lex_outer_first_keeps_branches_apart():
@@ -87,9 +94,9 @@ def test_lex_outer_first_keeps_branches_apart():
     assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))
     rep = verify_circuit(smooth(circ, cnf.outer_vars), cnf, frozenset())
     assert rep.outer_first
-    assert sum(nd.kind == "O" and nd.dvar == 1 for nd in circ.nodes) == 1
-    assert sum(nd.kind == "O" and nd.dvar == 2 for nd in circ.nodes) == 2
-    assert not any(nd.kind == "O" and nd.dvar in (3, 4) for nd in circ.nodes)
+    assert len(decisions_on(circ, 1)) == 1
+    assert len(decisions_on(circ, 2)) == 2
+    assert not decisions_on(circ, 3) and not decisions_on(circ, 4)
 
 
 def test_model_equivalence_random_suite():
@@ -114,10 +121,10 @@ def test_every_or_node_is_a_decision():
     for _ in range(50):
         cnf = random_cnf(rng, max_vars=10, max_clauses=25)
         circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(sorted(cnf.variables)))))
-        for nd in circ.nodes:
-            if nd.kind == "O" and nd.children:
-                assert nd.dvar != 0
-                assert len(nd.children) == 2
+        for kind, val, kids in nodes_of(circ):
+            if kind == OR and kids:
+                assert val != 0
+                assert len(kids) == 2
 
 
 def test_exponential_separation_lower_and_upper():
@@ -188,8 +195,11 @@ def test_stats_populated():
 
 
 def _structure(circ):
-    return (circ.root, [(nd.kind, nd.lit, nd.dvar, nd.children) for nd in circ.nodes],
-            dataclasses.astuple(circ.stats))
+    # nodes as (kind letter, literal, decision variable, children): the
+    # layout this digest has hashed from the start, whatever the storage
+    nodes = [("LAO"[kind], val if kind == LIT else 0, val if kind == OR else 0, kids)
+             for kind, val, kids in nodes_of(circ)]
+    return (circ.root, nodes, dataclasses.astuple(circ.stats))
 
 
 def test_compiled_structure_golden():
@@ -209,7 +219,7 @@ def test_compiled_structure_golden():
         compile_cnf(equivalence_cnf(8), CompileConfig(
             order_of(*range(1, 17)), CompileMode.X_FIRST, cache_budget=20_000))
     digest.update(repr(dataclasses.astuple(e.value.stats)).encode())
-    assert digest.hexdigest()[:16] == "e91b52d7fbc307f7"
+    assert digest.hexdigest()[:16] == "1090d612c7c6f742"
 
 
 def test_buffered_inner_units_propagate_below_the_split():
@@ -240,6 +250,42 @@ def test_compiled_sizes_golden():
             sizes = (s.nodes, s.edges, s.decisions, count_models(circ, cnf.variables))
             digest.update(repr(sizes).encode())
     assert digest.hexdigest()[:16] == "35b13b1509abb8ed"
+
+
+def _benchmark_compiles():
+    """(theory, circuit) for the first seed-1 instance of each benchmark
+    workload, one per family (chain, forest, bicond), planned and compiled in
+    the workload's mode."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import workloads
+
+    for w in workloads.WORKLOADS.values():
+        inst = workloads.generate(w, 1)[0]
+        cnf = inst.cnf or build_instance(parse_program(inst.text), TaskKind(inst.task)).cnf
+        mode = CompileMode(w.mode)
+        yield cnf, compile_cnf(cnf, CompileConfig(plan_order(cnf, mode), mode))
+
+
+def test_emitted_circuits_golden():
+    # the exchange-format text of compiled and smoothed circuits: the 60
+    # instances of test_compiled_structure_golden in every mode, plus one
+    # benchmark instance per family. The digest does not depend on how a
+    # circuit is stored, so a change of representation must leave it as it is.
+    rng = random.Random(2718)
+    compiled = []
+    for _ in range(60):
+        cnf = random_partitioned_cnf(rng, 12, 25)
+        seq = list(cnf.variables)
+        rng.shuffle(seq)
+        for mode in CompileMode:
+            compiled.append((cnf, compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))))
+    digest = hashlib.sha256()
+    for cnf, circ in [*compiled, *_benchmark_compiles()]:
+        digest.update(emit_nnf(circ).encode())
+        digest.update(emit_nnf(smooth(circ, cnf.outer_vars)).encode())
+    assert digest.hexdigest()[:16] == "9d44ed7996e9e401"
 
 
 def test_cache_key_tells_variables_apart():
@@ -291,3 +337,22 @@ def test_budget_estimate_tracks_traced_memory():
         finally:
             tracemalloc.stop()
         assert peak / 2 <= circ.stats.bytes_estimate <= 2 * peak, (cfg.mode, peak)
+
+
+def test_compiled_circuit_holds_few_bytes_per_node():
+    # the flat node store: a kind byte, a value, an offset and the children
+    # in arrays, and a mask shared by the nodes over the same variables
+    cnf = equivalence_cnf(10)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        circ = compile_cnf(cnf, CompileConfig(order_of(*range(1, 21)), CompileMode.X_FIRST))
+        # a full collection also empties the interpreter's free lists, so
+        # what is left is what the circuit holds
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert circ.node_count == 4133
+    assert held / circ.node_count < 80
