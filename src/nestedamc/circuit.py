@@ -20,9 +20,8 @@ fewer distinct variable sets than nodes. True is the empty and-node, false
 the empty or-node.
 
 `smooth` returns its input itself when the input is already smooth: every
-or-node's children have the or-node's mask, the root's mask covers every
-variable, and no two nodes are equal (same kind, value and children).
-Otherwise it rebuilds the circuit, hash-consing the nodes it makes.
+or-node's children have the or-node's mask and the root's mask covers every
+variable. Otherwise it rebuilds the circuit, hash-consing the nodes it makes.
 
 Exchange grammar (one node per line, ids implicit by line order, children
 must precede parents):
@@ -193,28 +192,25 @@ def emit_nnf(circuit: Circuit) -> str:
 
 
 def _is_smooth(circuit: Circuit) -> bool:
-    """Every or-node's children have its mask, the root's mask covers every
-    variable, and no two nodes are equal."""
-    kinds, vals, offsets, kids, masks = (
-        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
+    """Every or-node's children have its mask and the root's mask covers
+    every variable."""
+    kinds, offsets, kids, masks = circuit.kinds, circuit.offsets, circuit.kids, circuit.masks
     if circuit.full_mask & ~masks[circuit.root]:
         return False
-    seen = set()
     for i in range(len(kinds)):
-        ch = kids[offsets[i]:offsets[i + 1]]
         if kinds[i] == OR:
             m = masks[i]
-            for c in ch:
+            for c in kids[offsets[i]:offsets[i + 1]]:
                 if masks[c] != m:
                     return False
-        seen.add((kinds[i], vals[i], *ch))
-    return len(seen) == len(kinds)
+    return True
 
 
 def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
     """Make every or-node's children mention the same variables and the root
     mention the whole universe, by padding with (v or not v) gates. The model
-    set is unchanged; an already-smooth circuit comes back as it is.
+    set is unchanged. An already-smooth circuit comes back itself, duplicate
+    nodes and all; any other is rebuilt with its nodes hash-consed.
 
     When `outer_vars` is given, gates for missing inner variables are pushed
     below the outer-variable structure (into the unique mixed child of an

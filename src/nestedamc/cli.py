@@ -230,8 +230,17 @@ def _cmd_separation(args, out: _Output) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code, not argparse's 2, which
+    the CLI keeps for capacity errors; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nestedamc",
         description="Nested algebraic model counting over compiled circuits",
     )

@@ -183,16 +183,17 @@ def test_roundtrip_is_identity_on_random_circuits(circ):
 
 
 def test_emit_reorders_when_root_is_not_last():
-    # hash-consing during smoothing can map the root of a circuit with
-    # duplicate nodes onto an earlier id; emission must keep the root last
-    dup = parse_nnf("nnf 3 0 1\nL 1\nL -1\nL 1\n")
-    sm = smooth(dup)
-    assert sm.root != sm.node_count - 1  # the duplicate collapsed
-    again = parse_nnf(emit_nnf(sm))
-    assert circuit_models(again, over=frozenset([1])) == circuit_models(
-        sm, over=frozenset([1])
+    # the reader takes the last node as the root, so emission moves an
+    # earlier root last and renumbers the nodes after it
+    nodes = [(LIT, 1, ()), (LIT, 2, ()), (AND, 0, (0, 1)), (LIT, -1, ()), (AND, 0, (3, 1))]
+    circ = circuit_of(nodes, 2, 2)
+    again = parse_nnf(emit_nnf(circ))
+    assert again.root == again.node_count - 1
+    assert nodes_of(again)[again.root] == nodes_of(circ)[circ.root]
+    assert nodes_of(again)[3] == (AND, 0, (2, 1))
+    assert circuit_models(again, over=frozenset([1, 2])) == circuit_models(
+        circ, over=frozenset([1, 2])
     )
-    assert nodes_of(again)[again.root] == nodes_of(sm)[sm.root]
 
 
 # ---------------------------------------------------------------- smoothing
@@ -222,10 +223,11 @@ def test_smooth_returns_an_already_smooth_circuit_itself():
     order = VariableOrder(tuple(range(1, 9)))
     circ = compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST))
     assert smooth(circ, cnf.outer_vars) is circ
-    # a duplicate node makes it rebuild, and the duplicate collapses
+    # smoothing only pads: a smooth circuit with a duplicate node comes
+    # back as it is, duplicate and all
     dup = parse_nnf("nnf 3 0 1\nL 1\nL -1\nL 1\n")
     assert or_children_aligned(dup) and dup.masks[dup.root] == dup.full_mask
-    assert smooth(dup).node_count == 2
+    assert smooth(dup) is dup
 
 
 def test_smooth_fig_right_or_children_align():
@@ -236,7 +238,7 @@ def test_smooth_fig_right_or_children_align():
 def recursive_smooth(circuit, outer_vars=()):
     """Reference: `smooth` with its padding written as the plain recursion it
     replaced, which fails on deep mixed chains, over (kind, value, children)
-    tuples. Returns (nodes, root)."""
+    tuples. Returns (nodes, root), hash-consed."""
     out_mask = sum(1 << v for v in set(outer_vars))
     nodes, index, masks = [], {}, []
 
@@ -306,12 +308,30 @@ def recursive_smooth(circuit, outer_vars=()):
     return nodes, pad(root, full & ~masks[root])
 
 
+def hash_consed(circuit):
+    """The circuit's (nodes, root) with equal nodes merged, in node order."""
+    nodes, index, mapping = [], {}, []
+    for kind, val, kids in nodes_of(circuit):
+        node = (kind, val, tuple(mapping[c] for c in kids))
+        if node not in index:
+            index[node] = len(nodes)
+            nodes.append(node)
+        mapping.append(index[node])
+    return nodes, mapping[circuit.root]
+
+
 @given(circuits(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_smooth_matches_recursive_padding(circ, data):
     outer = data.draw(st.sets(st.integers(1, circ.num_vars)))
     sm = smooth(circ, outer)
-    assert (nodes_of(sm), sm.root) == recursive_smooth(circ, outer)
+    nodes, root = recursive_smooth(circ, outer)
+    if sm is circ:
+        # an aligned input comes back as it is, duplicate nodes and all: the
+        # reference, which pads nothing then, only hash-conses it
+        assert (nodes, root) == hash_consed(circ)
+    else:
+        assert (nodes_of(sm), sm.root) == (nodes, root)
 
 
 def test_smooth_matches_recursive_padding_on_compiled_circuits():

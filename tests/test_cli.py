@@ -203,6 +203,27 @@ def test_capacity_exit_code(files, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "t.nnf", "t.cnf", "--seed", "1"), "error: unrecognized arguments: --seed 1"),
+    (("solve", "prog.pl"), "error: the following arguments are required: --task"),
+])
+def test_usage_error_is_input_error(capsys, argv, message):
+    # exit code 2 is the capacity error's
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert e.value.code == 1
+    assert err.startswith("usage: nestedamc")
+    assert err.rstrip().endswith(message)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["solve", "--help"])
+    assert e.value.code == 0
+    assert "--task" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mb", ["0", "-1"])
 def test_non_positive_cache_budget_is_input_error(files, capsys, mb):
     code, out, err = run(capsys, "solve", "--task", "succ", files["lex.pl"], f"--cache-mb={mb}")

@@ -268,6 +268,17 @@ def _benchmark_compiles():
         yield cnf, compile_cnf(cnf, CompileConfig(plan_order(cnf, mode), mode))
 
 
+def test_benchmark_compiles_golden():
+    # the counters and the exchange-format text of the benchmark's compiles,
+    # one instance per family: a change to the compiler's cache or search
+    # must leave what the benchmark compiles, and how, as it is
+    digest = hashlib.sha256()
+    for _, circ in _benchmark_compiles():
+        digest.update(repr(dataclasses.astuple(circ.stats)).encode())
+        digest.update(emit_nnf(circ).encode())
+    assert digest.hexdigest()[:16] == "276c34c9e26efd9e"
+
+
 def test_emitted_circuits_golden():
     # the exchange-format text of compiled and smoothed circuits: the 60
     # instances of test_compiled_structure_golden in every mode, plus one
@@ -307,6 +318,22 @@ def test_equal_residuals_share_an_entry_across_clause_ids():
         circ = compile_cnf(cnf, CompileConfig(order_of(1, 2, 3), mode))
         assert models_of(circ, cnf) == frozenset(enumerate_models(cnf)), mode
         assert (circ.stats.decisions, circ.stats.cache_hits) == (2, 1), mode
+
+
+def test_equal_residuals_across_clause_ids_keep_decisions_linear():
+    # outer x1..xn over the inner a, b with clauses (xi a b): after deciding
+    # x1..xk, every nonempty set of false x's leaves the residual
+    # (a b) (xk+1 a b) ... under other clause ids. Looked up by clause ids
+    # alone, each of those 2^k components would be decided on its own and
+    # the default budget would run out near n=20
+    for n in (4, 20):
+        a, b = n + 1, n + 2
+        cnf = LabeledCnf(n + 2, [(x, a, b) for x in range(1, n + 1)],
+                         outer_vars=frozenset(range(1, n + 1)))
+        for mode in CompileMode:
+            circ = compile_cnf(cnf, CompileConfig(order_of(*range(1, n + 3)), mode))
+            assert circ.stats.decisions == 2 * n, (n, mode)
+            assert count_models(circ, cnf.variables) == 3 * 2 ** n + 1, (n, mode)
 
 
 def test_compile_restores_the_recursion_limit():
