@@ -107,8 +107,8 @@ def _mask_of(vars_iter: Iterable[int]) -> int:
 
 def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
     """Parse the exchange format; the root is the last node. The circuit is
-    over `num_vars` variables, by default the header's count; a literal
-    beyond them is an error."""
+    over `num_vars` variables, by default the header's count; a literal or
+    decision variable beyond them is an error."""
     if isinstance(text, bytes):
         text = decode_ascii(text)
     circ = Circuit(0)
@@ -123,11 +123,13 @@ def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
             if len(parts) != 4:
                 raise ParseError("malformed header", lineno)
             try:
-                _, _, declared_vars = map(int, parts[1:])
+                counts = tuple(map(int, parts[1:]))
             except ValueError:
                 raise ParseError("malformed header", lineno)
+            if min(counts) < 0:
+                raise ParseError("negative counts in header", lineno)
             if num_vars is None:
-                num_vars = declared_vars
+                num_vars = counts[2]
             header_seen = True
             continue
         if not header_seen:
@@ -150,6 +152,9 @@ def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
                 node = (OR, int(parts[1]), tuple(int(x) for x in parts[3:]))
                 if len(node[2]) != int(parts[2]):
                     raise ParseError("child count mismatch", lineno)
+                if not 0 <= node[1] <= num_vars:
+                    raise ParseError(
+                        f"decision variable {node[1]} is beyond the {num_vars} variables", lineno)
             else:
                 raise ParseError(f"unknown node kind {kind}", lineno)
             for c in node[2]:
@@ -351,7 +356,8 @@ def evaluate_verified(circuit: Circuit, instance: NestedInstance, d=frozenset(),
             "circuit failed verification: "
             f"decomposable={report.decomposable} deterministic={report.deterministic} "
             f"smooth={report.smooth} outer_first={report.outer_first} "
-            f"outer_first_mod_defs={report.outer_first_mod_defs}",
+            f"outer_first_mod_defs={report.outer_first_mod_defs} "
+            f"model_equivalent={report.model_equivalent}",
             report,
         )
     return evaluate_nested(circuit, instance)
@@ -584,7 +590,8 @@ class PropertyReport:
     model_equivalent: Optional[bool]
 
     def ok_for(self, outer_first_required: bool) -> bool:
-        base = self.decomposable and self.deterministic and self.smooth
+        base = (self.decomposable and self.deterministic and self.smooth
+                and self.model_equivalent is not False)
         if outer_first_required:
             return base and self.outer_first
         return base and self.outer_first_mod_defs

@@ -35,16 +35,16 @@ No node copies or rescans the residual formula; the layout follows sharpSAT
       variables, in increasing order, over the occurrence lists of the
       unsatisfied clauses finds the child components, ordered by their
       smallest variable.
-  Cache. A component is keyed by its sorted clause ids and its sorted
-      variables. Together they fix its residual: an unsatisfied clause keeps
-      exactly its literals over the component's variables. Other clause ids
-      can leave the same residual, (-3 1 2) and (-3 2) both reading (-3 2)
-      once 1 is false, so a key that misses is looked up again by a print of
-      its residual (each clause's print, an xor of literal hashes kept up to
-      date on the trail) and the residuals are compared before an entry is
-      shared. Only components are cached: the decision points, plus X_FIRST
-      pure-inner blocks that hold buffered inner units and so propagate
-      before they decide.
+  Cache. A component is keyed by its residual: the sorted ids of its
+      distinct residual clauses, each an unsatisfied clause's unassigned
+      literals. A clause that lost no literal is its own id; a shortened one
+      is interned, so (-3 1 2) with 1 false gets the id of (-3 2) whatever
+      clause it came from. The key is exact: the residual fixes the
+      component's variables, its buffered units and whether outer literals
+      remain, which is all its compile reads, so equal keys compile to the
+      same node. Only components are cached: the decision points, plus
+      X_FIRST pure-inner blocks that hold buffered inner units and so
+      propagate before they decide.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import enum
 import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
 
 from .circuit import AND, LIT, OR, Circuit
 from .cnf import LabeledCnf
@@ -62,14 +61,15 @@ from .treedecomp import VariableOrder
 
 DEFAULT_BUDGET = 256 << 20  # bytes
 # Bytes charged against the budget, fitted to tracemalloc peaks of compiles
-# in every mode: the occurrence lists and per-clause arrays per literal, a
-# node (its hash-consing key, dict slot and id, plus its slots in the
-# circuit's arrays) and a cache entry with their dict slots, and a child or
-# key element.
-_LITERAL_BYTES = 150
-_NODE_BYTES = 180
-_ENTRY_BYTES = 200
-_ELEMENT_BYTES = 10
+# in every mode: the occurrence lists, per-clause arrays and residual table
+# per literal, a node (its hash-consing key, dict slot and id, plus its slots
+# in the circuit's arrays), a cache entry or interned residual clause with
+# their dict slots, and a child, key element, component variable or literal
+# of a residual.
+_LITERAL_BYTES = 220
+_NODE_BYTES = 160
+_ENTRY_BYTES = 60
+_ELEMENT_BYTES = 8
 _TRUE = -1  # the result of an empty residual; its node is built only as a root
 _UNSET = sys.maxsize  # trail position of an unassigned variable
 
@@ -109,9 +109,9 @@ class CompileStats:
 
 
 class _Compilation:
-    """One compile. A component is a tuple (clause ids, variables, buffered
-    unit clause ids, outer literal occurrences), the first two sorted; the
-    last two are only kept in X_FIRST mode."""
+    """One compile. A component is a tuple (cache key, sorted variables,
+    buffered unit clause ids, outer literal occurrences); the last two are
+    only kept in X_FIRST mode."""
 
     def __init__(self, cnf: LabeledCnf, cfg: CompileConfig):
         if frozenset(cfg.order.sequence) != cnf.variables:
@@ -138,13 +138,9 @@ class _Compilation:
         self.cvars = [tuple(map(abs, cl)) for cl in self.clauses]
         # lists indexed by a literal in -n..n: a negative one counts from the end
         self.occ = occ = [[] for _ in range(2 * n + 1)]
-        self.lit_hash = [hash((l, 1)) for l in chain(range(n + 1), range(-n, 0))]
-        # a clause's print xors the hashes of its non-false literals
-        self.chash = [0] * len(self.clauses)
         for c, cl in enumerate(self.clauses):
             for l in cl:
                 occ[l].append(c)
-                self.chash[c] ^= self.lit_hash[l]
         self.vocc = [occ[v] + occ[-v] for v in range(n + 1)]
         self.nsat = [0] * len(self.clauses)  # true literals per clause
         self.nlive = list(map(len, self.clauses))  # non-false literals per clause
@@ -161,7 +157,8 @@ class _Compilation:
         self.index: dict[tuple, int] = {}  # (kind, value, *children) -> node id
         self.lit_ids: dict[int, int] = {}
         self.cache: dict[tuple, int] = {}
-        self.by_print: dict[int, tuple] = {}
+        # residual clause -> id; a clause that lost no literal is its own id
+        self.residual_ids = {cl: c for c, cl in enumerate(self.clauses)}
 
     # -------------------------------------------------------- node building
 
@@ -229,10 +226,7 @@ class _Compilation:
                 nsat[c] += 1
         units = []
         conflict = False
-        chash = self.chash
-        h = self.lit_hash[-lit]
         for c in self.occ[-lit]:
-            chash[c] ^= h
             k = nlive[c] - 1
             nlive[c] = k
             if not nsat[c]:
@@ -245,7 +239,6 @@ class _Compilation:
     def _undo(self, mark: int):
         trail, occ, vocc = self.trail, self.occ, self.vocc
         nsat, nlive, nout, is_outer = self.nsat, self.nlive, self.nout, self.is_outer
-        chash, lit_hash = self.chash, self.lit_hash
         while len(trail) > mark:
             lit = trail.pop()
             v = lit if lit > 0 else -lit
@@ -253,10 +246,8 @@ class _Compilation:
             self.pos[v] = _UNSET
             for c in occ[lit]:
                 nsat[c] -= 1
-            h = lit_hash[-lit]
             for c in occ[-lit]:
                 nlive[c] += 1
-                chash[c] ^= h
             if is_outer[v]:
                 for c in vocc[v]:
                     nout[c] += 1
@@ -357,7 +348,7 @@ class _Compilation:
             if cids:
                 comps.append((cids, found))
         if not self.x_first:
-            return [((tuple(sorted(cids)), tuple(sorted(found)), (), 0), True)
+            return [((self._key(cids), tuple(sorted(found)), (), 0), True)
                     for cids, found in comps]
         # keep the strict outer-first shape: pure-outer components may split
         # off, everything else stays one block while a mixed component exists
@@ -380,8 +371,26 @@ class _Compilation:
     def _xcomp(self, cids, found):
         """An X_FIRST component with its buffered units and outer count."""
         nlive = self.nlive
-        return (tuple(sorted(cids)), tuple(sorted(found)),
+        return (self._key(cids), tuple(sorted(found)),
                 [c for c in cids if nlive[c] == 1], sum(map(self.nout.__getitem__, cids)))
+
+    def _key(self, cids):
+        """The cache key of the component of the unsatisfied clauses `cids`:
+        the sorted ids of their distinct residuals."""
+        clauses, nlive, free, ids = self.clauses, self.nlive, self.free, self.residual_ids
+        key = set()
+        for c in cids:
+            cl = clauses[c]
+            if nlive[c] == len(cl):
+                key.add(c)
+                continue
+            residual = tuple([l for l in cl if free[l if l > 0 else -l]])
+            i = ids.get(residual)
+            if i is None:
+                i = ids[residual] = len(ids)
+                self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * len(residual))
+            key.add(i)
+        return tuple(sorted(key))
 
     def _expand(self, variables, cands, n_outer, buffered=()) -> int:
         """Propagate, then compile the components over `variables`; the
@@ -399,15 +408,8 @@ class _Compilation:
         return self._and(children)
 
     def _component(self, comp, settled) -> int:
-        key = comp[:2]
+        key = comp[0]
         got = self.cache.get(key)
-        if got is None:
-            # the same residual may come from other clause ids
-            fingerprint = hash(frozenset(map(self.chash.__getitem__, key[0])))
-            other = self.by_print.get(fingerprint)
-            if other is not None and self._residual(other) == self._residual(key):
-                got = self.cache[key] = self.cache[other]
-                self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (len(key[0]) + len(key[1])))
         if got is not None:
             self.stats.cache_hits += 1
             return got
@@ -420,15 +422,10 @@ class _Compilation:
             result = self._expand(comp[1], (), comp[3], comp[2])
             self._undo(mark)
         self.cache[key] = result
-        self.by_print.setdefault(fingerprint, key)
         self.stats.cache_entries += 1
-        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (len(key[0]) + len(key[1])))
+        # the variables are held along the recursion while the component compiles
+        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (len(key) + len(comp[1])))
         return result
-
-    def _residual(self, key):
-        """The residual clauses of the component with this cache key."""
-        variables = set(key[1])
-        return {tuple([l for l in self.clauses[c] if abs(l) in variables]) for c in key[0]}
 
     def _decide(self, comp) -> int:
         v = self.by_rank[min(map(self.rank.__getitem__, comp[1]))]

@@ -131,6 +131,23 @@ def test_parse_rejects_literal_beyond_the_variables():
         parse_nnf("nnf 1 0 3\nL 3\n", num_vars=2)
 
 
+def test_parse_rejects_negative_header_counts():
+    for header in ("nnf 1 0 -1", "nnf -1 0 1", "nnf 1 -1 1"):
+        for body in ("A 0", "O 0 0"):
+            with pytest.raises(ParseError) as e:
+                parse_nnf(f"{header}\n{body}\n")
+            assert e.value.line == 1
+
+
+def test_parse_rejects_decision_variable_beyond_the_variables():
+    with pytest.raises(ParseError) as e:
+        parse_nnf("nnf 2 1 1\nL 1\nO 2 1 0\n")
+    assert e.value.line == 3
+    with pytest.raises(ParseError):
+        parse_nnf("nnf 2 1 1\nL 1\nO -1 1 0\n")
+    assert nodes_of(parse_nnf("nnf 2 1 1\nL 1\nO 1 1 0\n"))[1] == (OR, 1, (0,))
+
+
 def test_parse_non_ascii_bytes():
     with pytest.raises(ParseError) as e:
         parse_nnf(b"nnf 1 0 1\nc \xe9\nL 1\n")

@@ -167,6 +167,23 @@ def test_eval_var_count_mismatch_is_input_error(files, capsys, tmp_path):
     assert "error" in err
 
 
+def test_eval_refuses_a_circuit_with_other_models(capsys, tmp_path):
+    # the true circuit over two variables has four models, (1 2) three:
+    # verification passes every structural check and fails equivalence
+    cnf = tmp_path / "t.cnf"
+    cnf.write_text("p cnf 2 1\nc o 1 0\n1 2 0\n")
+    nnf = tmp_path / "c.nnf"
+    nnf.write_text("nnf 1 0 2\nA 0\n")
+    code, out, err = run(capsys, "eval", str(nnf), str(cnf))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: circuit failed verification")
+    assert "model_equivalent=False" in err
+    code, out, _ = run(capsys, "eval", "--no-verify", str(nnf), str(cnf))
+    assert code == 0
+    assert "value: 4.0" in out
+
+
 def test_verify_rejects_variables_beyond_the_cnf(capsys, tmp_path):
     cnf = tmp_path / "two.cnf"
     cnf.write_text("p cnf 2 1\n1 2 0\n")
@@ -287,7 +304,7 @@ def test_stats_file_written(capsys, tmp_path):
     metrics = out.splitlines()[:-1]  # all but the result line
     assert lines[:len(metrics)] == metrics
     assert lines[len(metrics):len(metrics) + 3] == [
-        "compile bytes_estimate 4520", "smooth nodes 15", "smooth edges 14",
+        "compile bytes_estimate 4456", "smooth nodes 15", "smooth edges 14",
     ]
     assert [l.split()[:2] for l in lines[len(metrics) + 3:]] == [
         ["time", stage] for stage in ("build", "order", "compile", "evaluate")
