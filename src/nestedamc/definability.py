@@ -20,6 +20,11 @@ same verdicts because the solver is complete:
       copies agree on the base. Every candidate z with z ≠ z' in that model
       has two models agreeing on the base and differing on z, so it is not
       defined and needs no query of its own.
+  Steering. Before each query, the saved phase of every primed candidate
+      copy not yet refuted is set opposite to its unprimed copy's phase. The
+      solver's free decisions then pull the two copies apart wherever the
+      theory and the base allow, so a satisfiable query tends to refute many
+      candidates at once instead of only the one it asked about.
   Satisfiability. An unsatisfiable theory defines every variable, and a
       component-local "not defined" only holds when every other component is
       satisfiable. A component is proven satisfiable once a query on it has
@@ -58,7 +63,8 @@ class PadoaSession:
     k + i and its selector 2k + i; `_prime` and `_selector` map the theory's
     variables to those solver variables. `refuted` collects every variable
     whose two copies differ in some model a query returned: none of them is
-    defined by the base of that query.
+    defined by the base of that query. The clauses must be free of repeated
+    literals and tautologies, as `LabeledCnf` keeps them.
     """
 
     def __init__(self, clauses, variables):
@@ -67,16 +73,18 @@ class PadoaSession:
         self._index = {v: i for i, v in enumerate(self.variables, 1)}
         self._prime = {v: i + k for v, i in self._index.items()}
         self._selector = {v: i + 2 * k for v, i in self._index.items()}
-        self.solver = SatSolver(3 * k)
         index = self._index
+        encoding = []
         for cl in clauses:
             lits = [index[l] if l > 0 else -index[-l] for l in cl]
-            self.solver.add_clause(lits)
-            self.solver.add_clause([l + k if l > 0 else l - k for l in lits])
+            encoding.append(lits)
+            encoding.append([l + k if l > 0 else l - k for l in lits])
         for i in range(1, k + 1):
             s, p = i + 2 * k, i + k
-            self.solver.add_clause([-s, -i, p])
-            self.solver.add_clause([-s, i, -p])
+            encoding.append([-s, -i, p])
+            encoding.append([-s, i, -p])
+        self.solver = SatSolver(3 * k)
+        self.solver.add_clauses(encoding)
         self.query_count = 0
         self.refuted: set[int] = set()
 
@@ -88,11 +96,15 @@ class PadoaSession:
             raise PreconditionError("query mentions variables not in the theory")
         assumptions = [self._selector[v] for v in sorted(base)]
         assumptions += [self._index[y], -self._prime[y]]
+        k = len(self.variables)
+        phase, refuted = self.solver.phase, self.refuted
+        for v, i in self._index.items():
+            if v not in base and v not in refuted:
+                phase[i + k] = not phase[i]
         self.query_count += 1
         model = self.solver.solve(assumptions)
         if model is None:
             return True
-        k = len(self.variables)
         self.refuted.update(
             v
             for v, a, b in zip(self.variables, model, model[k:])
@@ -131,8 +143,7 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
             unproven += group
     if unproven and not all(verdicts.values()):
         checker = SatSolver(cnf.num_vars)
-        for cl in unproven:
-            checker.add_clause(cl)
+        checker.add_clauses(unproven)
         queries += 1
         if checker.solve() is None:
             verdicts = dict.fromkeys(verdicts, True)

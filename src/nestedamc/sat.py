@@ -35,22 +35,24 @@ _HEAP_SLACK = 4
 
 class SatSolver:
     def __init__(self, num_vars: int = 0):
-        self.num_vars = 0
+        n = num_vars
+        self.num_vars = n
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign: list[int] = [0]  # 1-based
-        self.level: list[int] = [0]
-        self.reason: list[int] = [-1]  # clause index or -1
-        self.phase: list[bool] = [False]
-        self.activity: list[float] = [0.0]
+        self.watches: dict[int, list[int]] = {
+            l: [] for v in range(1, n + 1) for l in (v, -v)
+        }
+        self.assign: list[int] = [_UNASSIGNED] * (n + 1)  # 1-based
+        self.level: list[int] = [0] * (n + 1)
+        self.reason: list[int] = [-1] * (n + 1)  # clause index or -1
+        self.phase: list[bool] = [False] * (n + 1)
+        self.activity: list[float] = [0.0] * (n + 1)
         self.var_inc = 1.0
-        self.order_heap: list[tuple[float, int]] = []  # lazy (-activity, var)
+        # lazy (-activity, var); sorted, so already a heap
+        self.order_heap: list[tuple[float, int]] = [(-0.0, v) for v in range(1, n + 1)]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.unsat = False
-        if num_vars:
-            self.ensure_vars(num_vars)
 
     # ------------------------------------------------------------------ setup
 
@@ -92,6 +94,34 @@ class SatSolver:
                 self.unsat = True
             return
         self._attach(lits)
+
+    def add_clauses(self, clauses) -> None:
+        """Load clauses at level 0 in one pass: attach every clause of two or
+        more literals, enqueue the units, then propagate once. An empty clause
+        or a conflicting unit sets `unsat`.
+
+        Unlike `add_clause`, no clause is checked: each must be free of
+        repeated literals and tautologies, as `LabeledCnf` keeps its clauses,
+        and mention only variables up to `num_vars`.
+        """
+        if self.trail_lim:
+            raise PreconditionError("clauses can only be added at level 0")
+        units = []
+        for cl in clauses:
+            if len(cl) > 1:
+                self._attach(list(cl))
+            elif cl:
+                units.append(cl[0])
+            else:
+                self.unsat = True
+        for lit in units:
+            if not self._enqueue(lit, -1):
+                self.unsat = True
+        # a new clause may watch a literal that an earlier level-0 unit made
+        # false, so propagate the whole level-0 trail again
+        self.qhead = 0
+        if self._propagate() is not None:
+            self.unsat = True
 
     def _attach(self, lits: list[int]) -> int:
         idx = len(self.clauses)

@@ -65,6 +65,14 @@ def random_partitioned_cnf(rng: random.Random, max_vars: int = 14,
     return LabeledCnf(cnf.num_vars, cnf.clauses, outer_vars=outer)
 
 
+def planning_instances():
+    """The 60 (cnf, planning seed) pairs that the planning golden pins."""
+    rng = random.Random(3141)
+    for _ in range(60):
+        cnf = random_partitioned_cnf(rng, 12, 25)
+        yield cnf, rng.randrange(1 << 16)
+
+
 def brute_defined(cnf: LabeledCnf, base, y: int) -> bool:
     """Definedness by enumeration: group the models by their base projection
     and demand y constant within every group."""

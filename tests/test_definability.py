@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from gen import brute_defined, equivalence_cnf, random_cnf
+from gen import (
+    brute_defined,
+    equivalence_cnf,
+    implication_chain,
+    planning_instances,
+    random_cnf,
+)
 from nestedamc.cnf import LabeledCnf, enumerate_models
 from nestedamc.definability import PadoaSession, defined_vars
 from nestedamc.errors import PreconditionError
+from nestedamc.sat import SatSolver
 
 
 def lex_completion():
@@ -86,10 +93,24 @@ def test_monotone_in_base():
 
 
 def reference_verdicts(cnf, base):
-    """One query per candidate over one whole-theory session: the path that
-    components, model pairs and the satisfiability rule must agree with."""
-    session = PadoaSession(cnf.clauses, cnf.variables)
-    return {y: session.is_defined(base, y) for y in sorted(cnf.variables - base)}
+    """One plain Padoa query per candidate, each on a fresh solver built
+    clause by clause with `add_clause`: the path that components, model
+    pairs, steering, the bulk load and the satisfiability rule must agree
+    with. Variable v is solver variable v, its primed copy n + v and the
+    selector forcing the two equal 2n + v."""
+    n = cnf.num_vars
+    verdicts = {}
+    for y in sorted(cnf.variables - base):
+        solver = SatSolver(3 * n)
+        for cl in cnf.clauses:
+            solver.add_clause(cl)
+            solver.add_clause([l + n if l > 0 else l - n for l in cl])
+        for v in range(1, n + 1):
+            solver.add_clause([-(2 * n + v), -v, n + v])
+            solver.add_clause([-(2 * n + v), v, -(n + v)])
+        assumptions = [2 * n + v for v in sorted(base)] + [y, -(n + y)]
+        verdicts[y] = solver.solve(assumptions) is None
+    return verdicts
 
 
 def disjoint_union(pieces):
@@ -156,3 +177,23 @@ def test_one_model_refutes_several_candidates():
     report = defined_vars(cnf, frozenset())
     assert report.defined == frozenset()
     assert report.query_count == 1
+
+
+def test_verdicts_match_whole_theory_queries_on_planning_instances():
+    for cnf, _ in planning_instances():
+        report = defined_vars(cnf, cnf.outer_vars)
+        assert report.verdicts == reference_verdicts(cnf, cnf.outer_vars)
+
+
+def test_implication_chain_needs_a_constant_number_of_queries():
+    # x_i -> x_(i+1) with each x_i or-ed with its own y_i: no y_i is defined
+    # by the x's, and without steering every y_i took its own query (400
+    # queries in about 4 s at n=400); with it the first model refutes all
+    cnf = implication_chain(400)
+    report = defined_vars(cnf, cnf.outer_vars)
+    assert report.query_count <= 2
+    assert report.defined == frozenset()
+    small = implication_chain(40)
+    assert defined_vars(small, small.outer_vars).verdicts == reference_verdicts(
+        small, small.outer_vars
+    )

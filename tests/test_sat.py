@@ -138,6 +138,44 @@ def test_incremental_reuse_across_assumption_queries():
             assert all(a in model for a in assumptions)
 
 
+def test_bulk_load_matches_clause_by_clause():
+    rng = random.Random(19)
+    unsat = conflicting = empty = 0
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        clauses = LabeledCnf(n, random_clauses(rng, n, rng.randint(0, 3 * n))).clauses
+        units = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
+        ]
+        clauses += [(l,) for l in units]
+        if units and rng.random() < 0.2:
+            clauses.append((-units[0],))
+        if rng.random() < 0.1:
+            clauses.append(())
+        rng.shuffle(clauses)
+        bulk, plain = SatSolver(n), solver_for(clauses, n)
+        cut = rng.randint(0, len(clauses))  # a second load meets level-0 units
+        bulk.add_clauses(clauses[:cut])
+        bulk.add_clauses(clauses[cut:])
+        assert bulk.unsat == plain.unsat
+        if not plain.unsat:
+            assert sorted(bulk.trail) == sorted(plain.trail)
+        for _ in range(5):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
+            ]
+            model = bulk.solve(assumptions)
+            assert (model is None) == (plain.solve(assumptions) is None)
+            if model is not None:
+                assert satisfies(model, clauses) and set(assumptions) <= set(model)
+        unsat += plain.unsat
+        conflicting += bool(units) and (-units[0],) in clauses
+        empty += () in clauses
+    assert unsat > 50 and conflicting > 20 and empty > 20
+
+
 class ScanSolver(SatSolver):
     """Branching by a full scan over the variables: the reference that the
     lazy order heap must match choice for choice."""
