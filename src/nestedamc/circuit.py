@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .cnf import LabeledCnf, enumerate_models
@@ -363,13 +364,12 @@ def evaluate_verified(circuit: Circuit, instance: NestedInstance, d=frozenset(),
     return evaluate_nested(circuit, instance)
 
 
-def evaluate_nested(circuit: Circuit, instance: NestedInstance, collect=None):
+def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     """Single bottom-up pass over a smooth deterministic decomposable circuit.
 
     Nodes whose variables are all inner evaluate in the inner semiring;
     whenever an inner value meets an outer context at an and-node (or at the
-    root), it crosses through the transformation function. `collect`, if
-    given, receives every inner value that crosses.
+    root), it crosses through the transformation function.
     """
     cnf = instance.cnf
     sin = SEMIRINGS[cnf.inner_sr]
@@ -398,8 +398,6 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance, collect=None):
                     if outer[c]:
                         acc = sout.mul(acc, values[c])
                     else:
-                        if collect is not None:
-                            collect.append(values[c])
                         acc = sout.mul(acc, t(values[c]))
             values[i] = acc
         else:  # OR
@@ -420,8 +418,6 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance, collect=None):
 
     result = values[circuit.root]
     if not outer[circuit.root]:
-        if collect is not None:
-            collect.append(result)
         result = t(result)
     return result
 
@@ -615,51 +611,37 @@ _SAT_CHECK_NODE_LIMIT = 2000
 
 def _sat_pairwise_deterministic(circuit: Circuit, or_nodes) -> bool:
     """Fallback determinism check: each pair of or-children must be jointly
-    unsatisfiable. Standard node-variable encoding of both subcircuits."""
-    node_var = {}
-    solver = SatSolver(circuit.num_vars)
-    next_var = circuit.num_vars
-
-    def encode(top: int) -> int:
-        # explicit stack, so circuit depth is not bounded by Python's
-        # recursion limit; a node gets its variable on the way down and its
-        # clauses once every child has one
-        nonlocal next_var
-        stack = [(top, False)]
-        while stack:
-            i, expanded = stack.pop()
-            kind = circuit.kinds[i]
-            if expanded:
-                v = node_var[i]
-                lits = [node_var[c] for c in circuit.children(i)]
-                if kind == AND:
-                    for l in lits:
-                        solver.add_clause([-v, l])
-                    solver.add_clause([v] + [-l for l in lits])
-                else:
-                    solver.add_clause([-v] + lits)
-                    for l in lits:
-                        solver.add_clause([v, -l])
-            elif i in node_var:
-                continue
-            elif kind == LIT:
-                node_var[i] = circuit.vals[i]
-            else:
-                next_var += 1
-                solver.ensure_vars(next_var)
-                node_var[i] = next_var
-                stack.append((i, True))
-                stack.extend((c, False) for c in reversed(circuit.children(i)))
-        return node_var[top]
-
+    unsatisfiable. The whole circuit is encoded once, in id order, so every
+    child has its solver literal before its parent: a literal node is its
+    literal, any other node a fresh variable defined by the standard
+    node-variable clauses. One solver over that encoding answers every pair
+    under assumptions."""
+    node_lit = []
+    clauses = []
+    num_vars = circuit.num_vars
+    for i, kind in enumerate(circuit.kinds):
+        if kind == LIT:
+            node_lit.append(circuit.vals[i])
+            continue
+        num_vars += 1
+        node_lit.append(num_vars)
+        # an or-node is the negated and-node of its negated children
+        sign = 1 if kind == AND else -1
+        v = sign * num_vars
+        lits = dict.fromkeys(sign * node_lit[c] for c in circuit.children(i))
+        # the solver does not check clauses: repeats are dropped above, and a
+        # child beside its complement makes the conjunction false outright
+        if any(-l in lits for l in lits):
+            clauses.append([-v])
+            continue
+        clauses += [[-v, l] for l in lits]
+        clauses.append([v] + [-l for l in lits])
+    solver = SatSolver(num_vars, clauses)
     for i in or_nodes:
-        children = circuit.children(i)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                va = encode(children[a])
-                vb = encode(children[b])
-                if solver.solve([va, vb]) is not None:
-                    return False
+        lits = [node_lit[c] for c in circuit.children(i)]
+        for a, b in combinations(lits, 2):
+            if solver.solve([a, b]) is not None:
+                return False
     return True
 
 

@@ -63,8 +63,11 @@ class PadoaSession:
     k + i and its selector 2k + i; `_prime` and `_selector` map the theory's
     variables to those solver variables. `refuted` collects every variable
     whose two copies differ in some model a query returned: none of them is
-    defined by the base of that query. The clauses must be free of repeated
-    literals and tautologies, as `LabeledCnf` keeps them.
+    defined by the base of that query. The encoding of both copies and the
+    selectors is built once and handed to the `SatSolver` constructor; after
+    that the session only asks `solve` queries under assumptions. The clauses
+    must be free of repeated literals and tautologies, as `LabeledCnf` keeps
+    them, because the solver does not check them.
     """
 
     def __init__(self, clauses, variables):
@@ -83,8 +86,7 @@ class PadoaSession:
             s, p = i + 2 * k, i + k
             encoding.append([-s, -i, p])
             encoding.append([-s, i, -p])
-        self.solver = SatSolver(3 * k)
-        self.solver.add_clauses(encoding)
+        self.solver = SatSolver(3 * k, encoding)
         self.query_count = 0
         self.refuted: set[int] = set()
 
@@ -115,7 +117,9 @@ class PadoaSession:
 
 def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
     """All variables outside the base that the base defines, via one
-    incremental session per connected component and model-pair refutation."""
+    incremental session per connected component and model-pair refutation.
+    The satisfiability check, when needed, is one solver built from the
+    unproven clauses and asked once."""
     base = frozenset(base)
     if not base <= cnf.variables:
         raise PreconditionError("base mentions variables not in the theory")
@@ -142,10 +146,8 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
         if not session.refuted:
             unproven += group
     if unproven and not all(verdicts.values()):
-        checker = SatSolver(cnf.num_vars)
-        checker.add_clauses(unproven)
         queries += 1
-        if checker.solve() is None:
+        if SatSolver(cnf.num_vars, unproven).solve() is None:
             verdicts = dict.fromkeys(verdicts, True)
     return DefinabilityReport(
         base=base,

@@ -5,16 +5,23 @@ decay, geometric restarts and phase saving. Assumptions are enqueued as
 pseudo-decisions below the real decision levels, so repeated queries on one
 clause database reuse learned clauses.
 
+Life cycle: a solver is built from its whole clause list, which the
+constructor loads and propagates at level 0, and then only answers
+`solve(assumptions)` queries; no clause enters later except the ones it
+learns. Invariant: every return from `solve` leaves the solver at level 0
+with the level-0 trail fully propagated (or `unsat` set, after which every
+query fails), so a query starts searching at once.
+
 The branching variable is the most active unassigned one, lowest index on
 ties. It comes from a lazy heap of `(-activity, var)` entries instead of a
 scan over all variables. Invariant: every unassigned variable has an entry
-keyed by its current activity. A variable gets an entry when it is created
-and each time backtracking unassigns it; activity only changes by bumping an
-assigned variable, or by the rescale, after which the heap is rebuilt. So
-the first popped entry whose variable is unassigned and whose key is still
-current names exactly the variable the scan would pick; stale entries are
-dropped as they surface, and the heap is rebuilt from the unassigned
-variables when it outgrows `_HEAP_SLACK` entries per variable.
+keyed by its current activity. A variable gets an entry when the solver is
+built and each time backtracking unassigns it; activity only changes by
+bumping an assigned variable, or by the rescale, after which the heap is
+rebuilt. So the first popped entry whose variable is unassigned and whose
+key is still current names exactly the variable the scan would pick; stale
+entries are dropped as they surface, and the heap is rebuilt from the
+unassigned variables when it outgrows `_HEAP_SLACK` entries per variable.
 """
 
 from __future__ import annotations
@@ -34,7 +41,16 @@ _HEAP_SLACK = 4
 
 
 class SatSolver:
-    def __init__(self, num_vars: int = 0):
+    """A solver over variables 1..num_vars and a fixed clause list.
+
+    The constructor loads the clauses at level 0 in one pass: it attaches
+    every clause of two or more literals, enqueues the units, then propagates
+    once; an empty clause or a conflicting unit sets `unsat`. No clause is
+    checked: each must be free of repeated literals and tautologies and
+    mention only variables up to `num_vars`.
+    """
+
+    def __init__(self, num_vars: int, clauses):
         n = num_vars
         self.num_vars = n
         self.clauses: list[list[int]] = []
@@ -53,59 +69,6 @@ class SatSolver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.unsat = False
-
-    # ------------------------------------------------------------------ setup
-
-    def ensure_vars(self, n: int):
-        while self.num_vars < n:
-            self.num_vars += 1
-            self.assign.append(_UNASSIGNED)
-            self.level.append(0)
-            self.reason.append(-1)
-            self.phase.append(False)
-            self.activity.append(0.0)
-            self.watches[self.num_vars] = []
-            self.watches[-self.num_vars] = []
-            heappush(self.order_heap, (-0.0, self.num_vars))
-
-    def value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def add_clause(self, lits) -> None:
-        """Add a clause; must be called at decision level 0."""
-        if self.trail_lim:
-            raise PreconditionError("clauses can only be added at level 0")
-        lits = list(dict.fromkeys(lits))  # dedupe, keep order
-        for l in lits:
-            self.ensure_vars(abs(l))
-        if any(-l in lits for l in lits):
-            return  # tautology
-        lits = [l for l in lits if self.value(l) != _FALSE or self.level[abs(l)] > 0]
-        if any(self.value(l) == _TRUE and self.level[abs(l)] == 0 for l in lits):
-            return
-        if not lits:
-            self.unsat = True
-            return
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], -1):
-                self.unsat = True
-            elif self._propagate() is not None:
-                self.unsat = True
-            return
-        self._attach(lits)
-
-    def add_clauses(self, clauses) -> None:
-        """Load clauses at level 0 in one pass: attach every clause of two or
-        more literals, enqueue the units, then propagate once. An empty clause
-        or a conflicting unit sets `unsat`.
-
-        Unlike `add_clause`, no clause is checked: each must be free of
-        repeated literals and tautologies, as `LabeledCnf` keeps its clauses,
-        and mention only variables up to `num_vars`.
-        """
-        if self.trail_lim:
-            raise PreconditionError("clauses can only be added at level 0")
         units = []
         for cl in clauses:
             if len(cl) > 1:
@@ -117,11 +80,12 @@ class SatSolver:
         for lit in units:
             if not self._enqueue(lit, -1):
                 self.unsat = True
-        # a new clause may watch a literal that an earlier level-0 unit made
-        # false, so propagate the whole level-0 trail again
-        self.qhead = 0
         if self._propagate() is not None:
             self.unsat = True
+
+    def value(self, lit: int) -> int:
+        v = self.assign[abs(lit)]
+        return v if lit > 0 else -v
 
     def _attach(self, lits: list[int]) -> int:
         idx = len(self.clauses)
@@ -183,7 +147,7 @@ class SatSolver:
 
     # ---------------------------------------------------------------- search
 
-    def decide(self, lit: int):
+    def _decide(self, lit: int):
         """Push a decision level and enqueue the literal."""
         self.trail_lim.append(len(self.trail))
         if not self._enqueue(lit, -1):
@@ -278,14 +242,12 @@ class SatSolver:
 
         Returns a total assignment as a literal list in variable order
         (`model[v - 1]` is v or -v), or None when no model extends the
-        assumptions (complete procedure).
+        assumptions (complete procedure). Returns at level 0 with the level-0
+        trail fully propagated: a learnt unit is propagated before the next
+        decision, and every level above 0 is opened only after propagation.
         """
         assumptions = list(assumptions)
-        self._cancel_until(0)
         if self.unsat:
-            return None
-        if self._propagate() is not None:
-            self.unsat = True
             return None
         conflicts_left = _RESTART_BASE
         restart_limit = _RESTART_BASE
@@ -329,7 +291,7 @@ class SatSolver:
                 if val == _TRUE:
                     self.trail_lim.append(len(self.trail))  # keep level alignment
                 else:
-                    self.decide(a)
+                    self._decide(a)
                 continue
             v = self._pick_branch_var()
             if v == 0:
@@ -339,4 +301,4 @@ class SatSolver:
                 ]
                 self._cancel_until(0)
                 return model
-            self.decide(v if self.phase[v] else -v)
+            self._decide(v if self.phase[v] else -v)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import circuit_of, equivalence_cnf, nodes_of, random_labels, random_partitioned_cnf
+from nestedamc import circuit as circuit_module
 from nestedamc.cnf import LabeledCnf, enumerate_models
 from nestedamc.circuit import (
     AND,
@@ -26,6 +27,7 @@ from nestedamc.circuit import (
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import CapacityError, ConfigError, ParseError, PreconditionError
+from nestedamc.sat import SatSolver
 from nestedamc.semirings import SemiringId, TransformId
 from nestedamc.treedecomp import VariableOrder
 
@@ -529,6 +531,61 @@ def test_verifier_flags_nondecision_or():
     root2 = b2.or_(0, b2.lit(1), b2.lit(2))
     rep2 = verify_circuit(b2.circuit(root2, 2), LabeledCnf(2, [(1, 2)]))
     assert not rep2.deterministic
+
+
+class CheckedLoadSolver(SatSolver):
+    """A solver that first asserts the loader's precondition: no clause
+    repeats a literal or holds one beside its complement."""
+
+    def __init__(self, num_vars, clauses):
+        for cl in clauses:
+            assert len(set(cl)) == len(cl) and not any(-l in cl for l in cl), cl
+        super().__init__(num_vars, clauses)
+
+
+@st.composite
+def nondecision_circuits(draw):
+    """Both literals of up to 4 variables, then and-nodes and or-nodes without
+    a decision variable over earlier nodes, children drawn with repeats."""
+    num_vars = draw(st.integers(1, 4))
+    nodes = [(LIT, l, ()) for v in range(1, num_vars + 1) for l in (v, -v)]
+    for _ in range(draw(st.integers(1, 8))):
+        children = tuple(draw(st.lists(st.integers(0, len(nodes) - 1), max_size=4)))
+        nodes.append((draw(st.sampled_from([AND, OR])), 0, children))
+    return circuit_of(nodes, len(nodes) - 1, num_vars), nodes
+
+
+@given(nondecision_circuits())
+@settings(max_examples=300, deadline=None)
+def test_determinism_verdict_matches_enumeration(drawn):
+    # every multi-child or-node goes to the satisfiability fallback, repeated
+    # and complementary children included; the verdict must say whether some
+    # assignment makes two children of one or-node true
+    circ, nodes = drawn
+    everything = (1 << (1 << circ.num_vars)) - 1
+    models = []  # bit a set when assignment a satisfies the node
+    for kind, val, children in nodes:
+        if kind == LIT:
+            m = sum(1 << a for a in range(1 << circ.num_vars)
+                    if (a >> (abs(val) - 1) & 1) == (val > 0))
+        elif kind == AND:
+            m = everything
+            for c in children:
+                m &= models[c]
+        else:
+            m = 0
+            for c in children:
+                m |= models[c]
+        models.append(m)
+    expected = not any(
+        models[a] & models[b]
+        for kind, _, children in nodes if kind == OR
+        for i, a in enumerate(children) for b in children[i + 1:]
+    )
+    cnf = LabeledCnf(circ.num_vars, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit_module, "SatSolver", CheckedLoadSolver)
+        assert verify_circuit(circ, cnf, equivalence_var_limit=0).deterministic == expected
 
 
 def test_sat_determinism_check_on_deep_circuit():

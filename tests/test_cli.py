@@ -489,9 +489,10 @@ def test_cli_imports_only_the_standard_library():
 
 
 def test_every_public_definition_is_used_or_documented():
-    # a public top-level function or class of the package must be referenced
-    # by code in src/, scripts/ or perfbench/ (a name, an attribute or a
-    # string naming it) or be named in README.md; otherwise only tests reach it
+    # a public top-level function or class of the package, and a public
+    # method of one of its classes, must be referenced by code in src/,
+    # scripts/ or perfbench/ (a name, an attribute or a string naming it) or
+    # be named in README.md; otherwise only tests reach it
     root = Path(nestedamc.__file__).resolve().parents[2]
     package = Path(nestedamc.__file__).resolve().parent
     used = set()
@@ -505,13 +506,21 @@ def test_every_public_definition_is_used_or_documented():
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     used.add(node.value)
     readme = (root / "README.md").read_text()
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body if isinstance(item, ast.FunctionDef)
+                ]
     unused = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-        and not re.search(rf"\b{node.name}\b", readme)
+        qualified
+        for qualified, name in defined
+        if not name.startswith("_")
+        and name not in used
+        and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == []

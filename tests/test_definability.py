@@ -93,21 +93,22 @@ def test_monotone_in_base():
 
 
 def reference_verdicts(cnf, base):
-    """One plain Padoa query per candidate, each on a fresh solver built
-    clause by clause with `add_clause`: the path that components, model
-    pairs, steering, the bulk load and the satisfiability rule must agree
-    with. Variable v is solver variable v, its primed copy n + v and the
-    selector forcing the two equal 2n + v."""
+    """One plain Padoa query per candidate over the whole theory, each on a
+    fresh solver without steering: the path that components, model pairs,
+    steering and the satisfiability rule must agree with. Variable v is
+    solver variable v, its primed copy n + v and the selector forcing the
+    two equal 2n + v."""
     n = cnf.num_vars
+    encoding = []
+    for cl in cnf.clauses:
+        encoding.append(cl)
+        encoding.append([l + n if l > 0 else l - n for l in cl])
+    for v in range(1, n + 1):
+        encoding.append([-(2 * n + v), -v, n + v])
+        encoding.append([-(2 * n + v), v, -(n + v)])
     verdicts = {}
     for y in sorted(cnf.variables - base):
-        solver = SatSolver(3 * n)
-        for cl in cnf.clauses:
-            solver.add_clause(cl)
-            solver.add_clause([l + n if l > 0 else l - n for l in cl])
-        for v in range(1, n + 1):
-            solver.add_clause([-(2 * n + v), -v, n + v])
-            solver.add_clause([-(2 * n + v), v, -(n + v)])
+        solver = SatSolver(3 * n, encoding)
         assumptions = [2 * n + v for v in sorted(base)] + [y, -(n + y)]
         verdicts[y] = solver.solve(assumptions) is None
     return verdicts

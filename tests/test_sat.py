@@ -27,20 +27,13 @@ def satisfies(model, clauses):
     return all(any(l in lits for l in cl) for cl in clauses)
 
 
-def solver_for(clauses, num_vars=0):
-    s = SatSolver(num_vars)
-    for cl in clauses:
-        s.add_clause(cl)
-    return s
-
-
 def test_assumption_forces_branch():
-    model = solver_for([(1, 2)]).solve([-1])
+    model = SatSolver(2, [(1, 2)]).solve([-1])
     assert model is not None and -1 in model and 2 in model
 
 
 def test_contradiction_unsat():
-    assert solver_for([(1,), (-1,)]).solve() is None
+    assert SatSolver(1, [(1,), (-1,)]).solve() is None
 
 
 def test_padoa_encoding_of_defined_variable_is_unsat():
@@ -61,47 +54,74 @@ def test_padoa_encoding_of_defined_variable_is_unsat():
 
 
 # SatSolver.value reads 1 for a true literal, -1 for a false one and 0 while
-# unassigned; a unit clause added at level 0 propagates to a fixpoint at once.
+# unassigned; the unit clauses a solver is built with propagate to a fixpoint
+# at once.
 
 
 def test_propagate_unit_implication():
-    s = solver_for([(-1, 3)], 3)
-    s.add_clause([1])
+    s = SatSolver(3, [(-1, 3), (1,)])
     assert s.value(3) == 1 and not s.unsat
 
 
 def test_propagate_nothing_to_do():
-    s = solver_for([(1, 2)], 2)
+    s = SatSolver(2, [(1, 2)])
     assert s.value(1) == s.value(2) == 0
     assert s.trail == [] and not s.unsat
 
 
 def test_propagate_conflict():
-    s = solver_for([(-1, 3), (-1, -3)], 3)
-    s.add_clause([1])
+    s = SatSolver(3, [(-1, 3), (-1, -3), (1,)])
     assert s.unsat
 
 
 def test_propagate_is_a_closure():
-    s = solver_for([(-1, 2), (-2, 3)], 4)
-    s.add_clause([1])
+    s = SatSolver(4, [(-1, 2), (-2, 3), (1,)])
     assert set(s.trail) == {1, 2, 3} and not s.unsat
     assert s.value(4) == 0
-    s.add_clause([3])  # already implied: nothing new is forced
+    # a unit that is already implied forces nothing new, wherever it comes
+    s = SatSolver(4, [(3,), (-1, 2), (1,), (-2, 3)])
     assert set(s.trail) == {1, 2, 3} and not s.unsat
 
 
 def test_agrees_with_truth_table_on_random_3cnf():
+    # clauses as LabeledCnf normalises them, plus level-0 units, sometimes a
+    # unit conflicting with one of them and sometimes the empty clause
     rng = random.Random(11)
+    unsat = conflicting = empty = 0
     for trial in range(1000):
         n = rng.randint(1, 14)
-        clauses = random_clauses(rng, n, rng.randint(1, 4 * n))
-        model = solver_for(clauses, n).solve()
+        clauses = LabeledCnf(n, random_clauses(rng, n, rng.randint(1, 4 * n))).clauses
+        units = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
+        ]
+        clauses += [(l,) for l in units]
+        if units and rng.random() < 0.2:
+            clauses.append((-units[0],))
+        if rng.random() < 0.1:
+            clauses.append(())
+        rng.shuffle(clauses)
+        s = SatSolver(n, clauses)
+        unsat += s.unsat
+        conflicting += bool(units) and (-units[0],) in clauses
+        empty += () in clauses
+        model = s.solve()
         expected = tt_satisfiable(n, clauses)
         assert (model is not None) == expected, f"trial {trial}"
         if model is not None:
             assert satisfies(model, clauses)
             assert sorted(abs(l) for l in model) == list(range(1, n + 1))
+        for _ in range(3):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
+            ]
+            model = s.solve(assumptions)
+            expected = tt_satisfiable(n, clauses + [(a,) for a in assumptions])
+            assert (model is not None) == expected, f"trial {trial}"
+            if model is not None:
+                assert satisfies(model, clauses) and set(assumptions) <= set(model)
+    assert unsat > 50 and conflicting > 20 and empty > 20
 
 
 def test_agrees_with_model_enumeration():
@@ -111,7 +131,7 @@ def test_agrees_with_model_enumeration():
     for _ in range(200):
         n = rng.randint(1, 10)
         clauses = random_clauses(rng, n, rng.randint(1, 3 * n))
-        model = solver_for(clauses, n).solve()
+        model = SatSolver(n, clauses).solve()
         some_model = next(iter(enumerate_models(LabeledCnf(n, clauses))), None)
         assert (model is not None) == (some_model is not None)
         if model is not None:
@@ -122,9 +142,7 @@ def test_incremental_reuse_across_assumption_queries():
     rng = random.Random(5)
     n = 12
     clauses = random_clauses(rng, n, 30)
-    s = SatSolver(n)
-    for cl in clauses:
-        s.add_clause(cl)
+    s = SatSolver(n, clauses)
     for trial in range(200):
         k = rng.randint(0, 4)
         assumptions = [
@@ -136,44 +154,6 @@ def test_incremental_reuse_across_assumption_queries():
         if model is not None:
             assert satisfies(model, clauses)
             assert all(a in model for a in assumptions)
-
-
-def test_bulk_load_matches_clause_by_clause():
-    rng = random.Random(19)
-    unsat = conflicting = empty = 0
-    for _ in range(500):
-        n = rng.randint(1, 12)
-        clauses = LabeledCnf(n, random_clauses(rng, n, rng.randint(0, 3 * n))).clauses
-        units = [
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
-        ]
-        clauses += [(l,) for l in units]
-        if units and rng.random() < 0.2:
-            clauses.append((-units[0],))
-        if rng.random() < 0.1:
-            clauses.append(())
-        rng.shuffle(clauses)
-        bulk, plain = SatSolver(n), solver_for(clauses, n)
-        cut = rng.randint(0, len(clauses))  # a second load meets level-0 units
-        bulk.add_clauses(clauses[:cut])
-        bulk.add_clauses(clauses[cut:])
-        assert bulk.unsat == plain.unsat
-        if not plain.unsat:
-            assert sorted(bulk.trail) == sorted(plain.trail)
-        for _ in range(5):
-            assumptions = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
-            ]
-            model = bulk.solve(assumptions)
-            assert (model is None) == (plain.solve(assumptions) is None)
-            if model is not None:
-                assert satisfies(model, clauses) and set(assumptions) <= set(model)
-        unsat += plain.unsat
-        conflicting += bool(units) and (-units[0],) in clauses
-        empty += () in clauses
-    assert unsat > 50 and conflicting > 20 and empty > 20
 
 
 class ScanSolver(SatSolver):
@@ -202,9 +182,7 @@ def test_branching_matches_activity_scan(monkeypatch):
     for trial in range(300):
         n = rng.randint(10, 40)
         clauses = random_3cnf(rng, n, int(n * rng.uniform(3.5, 5)))
-        heap, scan = solver_for(clauses, n), ScanSolver(n)
-        for cl in clauses:
-            scan.add_clause(cl)
+        heap, scan = SatSolver(n, clauses), ScanSolver(n, clauses)
         attached = len(heap.clauses)
         if trial % 3 == 0:
             # start near the activity ceiling so the rescale, and with it the
