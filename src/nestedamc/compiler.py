@@ -15,9 +15,11 @@ Three modes:
              is a product homomorphism on the values that actually cross).
   X_FIRST    outer variables strictly precede inner ones in every branch:
              inner decisions wait until the component has no outer variable
-             left, unit-propagated inner literals are buffered until that
-             boundary, and component splits keep at most one outer-containing
-             block so the circuit satisfies the strict outer-first shape.
+             left, inner unit clauses are held back until that boundary (a
+             block records the ones it holds and propagates them first once
+             no outer literal is left), and component splits keep at most one
+             outer-containing block so the circuit satisfies the strict
+             outer-first shape.
 
 No node copies or rescans the residual formula; the layout follows sharpSAT
 (Thurley, SAT 2006):
@@ -34,17 +36,18 @@ No node copies or rescans the residual formula; the layout follows sharpSAT
   Components. One traversal of the parent component's unassigned
       variables, in increasing order, over the occurrence lists of the
       unsatisfied clauses finds the child components, ordered by their
-      smallest variable.
+      smallest variable, and keys each one as it visits its clauses.
   Cache. A component is keyed by its residual: the sorted ids of its
       distinct residual clauses, each an unsatisfied clause's unassigned
       literals. A clause that lost no literal is its own id; a shortened one
       is interned, so (-3 1 2) with 1 false gets the id of (-3 2) whatever
-      clause it came from. The key is exact: the residual fixes the
-      component's variables, its buffered units and whether outer literals
-      remain, which is all its compile reads, so equal keys compile to the
-      same node. Only components are cached: the decision points, plus
-      X_FIRST pure-inner blocks that hold buffered inner units and so
-      propagate before they decide.
+      clause it came from. An X_FIRST block merged from several components
+      is keyed by the union of their ids. The key is exact: the residual
+      fixes the component's variables, its held units and whether outer
+      literals remain, which is all its compile reads, so equal keys compile
+      to the same node. Only components are cached: the decision points,
+      plus X_FIRST pure-inner blocks that hold inner units and so propagate
+      before they decide.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ class CompileStats:
 
 class _Compilation:
     """One compile. A component is a tuple (cache key, sorted variables,
-    buffered unit clause ids, outer literal occurrences); the last two are
-    only kept in X_FIRST mode."""
+    propagation heap entries of its held unit clauses, outer literal
+    occurrences); the last two are only kept in X_FIRST mode."""
 
     def __init__(self, cnf: LabeledCnf, cfg: CompileConfig):
         if frozenset(cfg.order.sequence) != cnf.variables:
@@ -254,20 +257,22 @@ class _Compilation:
 
     # ------------------------------------------------------------- semantics
 
-    def _propagate(self, cands, n_outer, buffered=()):
+    def _propagate(self, cands, n_outer, held=()):
         """Exhaustive unit propagation from the unit clauses `cands` and the
-        inner unit clauses `buffered`; in X_FIRST mode inner units wait while
-        `n_outer`, the outer literal occurrences left in the block, is
-        positive. Returns (implied literals, conflict flag); the literals stay
-        on the trail."""
-        if not cands and not buffered:
+        heap entries `held` of inner unit clauses held back above the block;
+        in X_FIRST mode inner units wait while `n_outer`, the outer literal
+        occurrences left in the block, is positive. Returns (implied literals,
+        conflict flag); the literals stay on the trail."""
+        if not cands and not held:
             return [], False
         snap = len(self.trail)
         clauses, pos, free, nsat = self.clauses, self.pos, self.free, self.nsat
         is_outer = self.is_outer
         outer_heap: list = []
         inner_heap: list = []
-        waiting: list = []  # inner units not yet in the heap
+        # entries of inner units not yet in the heap; an entry stays valid
+        # until its clause is satisfied
+        waiting = list(held)
 
         def entry(c):
             # ordered by the clause as it read at `snap`
@@ -281,7 +286,7 @@ class _Compilation:
             if is_outer[abs(e[2])]:
                 heappush(outer_heap, e)
             elif n_outer:
-                waiting.append(c)
+                waiting.append(e)
             else:
                 heappush(inner_heap, e)
 
@@ -293,17 +298,10 @@ class _Compilation:
                 heap = outer_heap
             else:
                 heap = inner_heap
-                for c in waiting:
-                    if not nsat[c]:
-                        heappush(heap, entry(c))
+                for e in waiting:
+                    if not nsat[e[1]]:
+                        heappush(heap, e)
                 waiting.clear()
-                for c in buffered:
-                    # a buffered clause reads as its unit at `snap`
-                    if not nsat[c]:
-                        for unit in clauses[c]:
-                            if free[unit if unit > 0 else -unit]:
-                                heappush(heap, ((unit,), c, unit))
-                buffered = ()
             while heap and nsat[heap[0][1]]:
                 heappop(heap)
             if not heap:
@@ -321,13 +319,11 @@ class _Compilation:
 
     def _split(self, variables):
         """The components of the unsatisfied clauses over the unassigned
-        `variables`, each paired with whether it is settled: it holds no
-        eligible unit and is connected, or is an X_FIRST blob, so it goes
-        straight to a decision."""
+        `variables`, keyed by the traversal that finds them."""
         self.stamp += 1
         stamp = self.stamp
-        vmark, cmark, free, nsat = self.vmark, self.cmark, self.free, self.nsat
-        vocc, cvars = self.vocc, self.cvars
+        vmark, cmark, free, nsat, nlive = self.vmark, self.cmark, self.free, self.nsat, self.nlive
+        vocc, cvars, clauses, ids = self.vocc, self.cvars, self.clauses, self.residual_ids
         comps = []
         for v in variables:
             if not free[v] or vmark[v] == stamp:
@@ -335,67 +331,62 @@ class _Compilation:
             vmark[v] = stamp
             found = [v]
             cids = []
+            key = set()  # ids of the distinct residuals
             for u in found:
                 for c in vocc[u]:
                     if nsat[c] or cmark[c] == stamp:
                         continue
                     cmark[c] = stamp
                     cids.append(c)
-                    for w in cvars[c]:
-                        if free[w] and vmark[w] != stamp:
-                            vmark[w] = stamp
-                            found.append(w)
+                    cv = cvars[c]
+                    if nlive[c] == len(cv):
+                        # every variable is free: the clause is its own residual
+                        key.add(c)
+                        for w in cv:
+                            if vmark[w] != stamp:
+                                vmark[w] = stamp
+                                found.append(w)
+                        continue
+                    residual = []
+                    for l in clauses[c]:
+                        w = l if l > 0 else -l
+                        if free[w]:
+                            residual.append(l)
+                            if vmark[w] != stamp:
+                                vmark[w] = stamp
+                                found.append(w)
+                    residual = tuple(residual)
+                    i = ids.get(residual)
+                    if i is None:
+                        i = ids[residual] = len(ids)
+                        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * len(residual))
+                    key.add(i)
             if cids:
-                comps.append((cids, found))
+                comps.append((key, found, cids))
         if not self.x_first:
-            return [((self._key(cids), tuple(sorted(found)), (), 0), True)
-                    for cids, found in comps]
+            return [(tuple(sorted(key)), tuple(sorted(found)), (), 0) for key, found, _ in comps]
         # keep the strict outer-first shape: pure-outer components may split
         # off, everything else stays one block while a mixed component exists
         is_outer = self.is_outer
-        outer_vars = [sum(map(is_outer.__getitem__, found)) for _, found in comps]
-        if not any(0 < k < len(found) for k, (_, found) in zip(outer_vars, comps)):
-            out = []
-            for (cids, found), k in zip(comps, outer_vars):
-                comp = self._xcomp(cids, found)
-                # a pure-inner block may hold inner units buffered above it
-                out.append((comp, k or not comp[2]))
-            return out
-        out = [(self._xcomp(cids, found), True)
-               for (cids, found), k in zip(comps, outer_vars) if k == len(found)]
-        rest = [comp for comp, k in zip(comps, outer_vars) if k < len(comp[1])]
-        blob = self._xcomp([c for cids, _ in rest for c in cids],
-                           [v for _, found in rest for v in found])
-        return out + [(blob, True)]
+        outer_vars = [sum(map(is_outer.__getitem__, found)) for _, found, _ in comps]
+        if any(0 < k < len(comp[1]) for k, comp in zip(outer_vars, comps)):
+            rest = [comp for comp, k in zip(comps, outer_vars) if k < len(comp[1])]
+            comps = [comp for comp, k in zip(comps, outer_vars) if k == len(comp[1])]
+            comps.append((set().union(*[key for key, _, _ in rest]),
+                          [v for _, found, _ in rest for v in found],
+                          [c for _, _, cids in rest for c in cids]))
+        # a held unit clause reads as its unit alone at any later propagation
+        nout = self.nout
+        return [(tuple(sorted(key)), tuple(sorted(found)),
+                 [((u,), c, u) for c in cids if nlive[c] == 1
+                  for u in clauses[c] if free[u if u > 0 else -u]],
+                 sum(map(nout.__getitem__, cids)))
+                for key, found, cids in comps]
 
-    def _xcomp(self, cids, found):
-        """An X_FIRST component with its buffered units and outer count."""
-        nlive = self.nlive
-        return (self._key(cids), tuple(sorted(found)),
-                [c for c in cids if nlive[c] == 1], sum(map(self.nout.__getitem__, cids)))
-
-    def _key(self, cids):
-        """The cache key of the component of the unsatisfied clauses `cids`:
-        the sorted ids of their distinct residuals."""
-        clauses, nlive, free, ids = self.clauses, self.nlive, self.free, self.residual_ids
-        key = set()
-        for c in cids:
-            cl = clauses[c]
-            if nlive[c] == len(cl):
-                key.add(c)
-                continue
-            residual = tuple([l for l in cl if free[l if l > 0 else -l]])
-            i = ids.get(residual)
-            if i is None:
-                i = ids[residual] = len(ids)
-                self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * len(residual))
-            key.add(i)
-        return tuple(sorted(key))
-
-    def _expand(self, variables, cands, n_outer, buffered=()) -> int:
+    def _expand(self, variables, cands, n_outer, held=()) -> int:
         """Propagate, then compile the components over `variables`; the
         caller undoes the trail."""
-        lits, conflict = self._propagate(cands, n_outer, buffered)
+        lits, conflict = self._propagate(cands, n_outer, held)
         if conflict:
             return self._false()
         blocks = self._split(variables)
@@ -403,24 +394,24 @@ class _Compilation:
             return _TRUE
         # blocks are non-empty, so no child is _TRUE
         children = [self._lit(l) for l in lits]
-        for block, settled in blocks:
-            children.append(self._component(block, settled))
+        for block in blocks:
+            children.append(self._component(block))
         return self._and(children)
 
-    def _component(self, comp, settled) -> int:
+    def _component(self, comp) -> int:
         key = comp[0]
         got = self.cache.get(key)
         if got is not None:
             self.stats.cache_hits += 1
             return got
-        if settled:
-            result = self._decide(comp)
-        else:
-            # an X_FIRST pure-inner block with buffered units: these
-            # propagate, so the block never comes back whole as one child
+        if comp[2] and not comp[3]:
+            # an X_FIRST pure-inner block with held units: these propagate,
+            # so the block never comes back whole as one child
             mark = len(self.trail)
-            result = self._expand(comp[1], (), comp[3], comp[2])
+            result = self._expand(comp[1], (), 0, comp[2])
             self._undo(mark)
+        else:
+            result = self._decide(comp)
         self.cache[key] = result
         self.stats.cache_entries += 1
         # the variables are held along the recursion while the component compiles

@@ -52,7 +52,6 @@ class DefinabilityReport:
     base: frozenset[int]
     defined: frozenset[int]
     query_count: int
-    verdicts: dict[int, bool]
 
 
 class PadoaSession:
@@ -153,5 +152,4 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
         base=base,
         defined=frozenset(v for v, ok in verdicts.items() if ok),
         query_count=queries,
-        verdicts=verdicts,
     )

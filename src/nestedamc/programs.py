@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .circuit import NestedInstance, evaluate_verified, smooth
-from .cnf import LabeledCnf, primal_graph
+from .cnf import LabeledCnf
 from .compiler import CompileConfig, CompileMode, compile_cnf
 from .definability import defined_vars
 from .errors import ConfigError, ParseError
 from .semirings import SemiringId, TransformId
-from .treedecomp import VariableOrder, constrain_and_root, decompose, order_from_td
+from .treedecomp import constrain_and_root
 
 
 class TaskKind(enum.Enum):
@@ -441,12 +441,6 @@ def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
     """Choose the compilation variable order for a mode: a plain decomposition
     for FREE, separator-first rooted decompositions otherwise, with the
     defined variables widening the allowed side in XD mode."""
-    if mode is CompileMode.FREE:
-        td = decompose(primal_graph(cnf), seed=seed)
-        order = VariableOrder(order_from_td(td, ()), 0)
-        if diag is not None:
-            diag.width = td.width
-        return order
     d = frozenset()
     if mode is CompileMode.XD_FIRST and cnf.outer_vars:
         report = defined_vars(cnf, cnf.outer_vars)
@@ -454,7 +448,8 @@ def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
         if diag is not None:
             diag.defined = d
             diag.definability_queries = report.query_count
-    td, order = constrain_and_root(cnf, cnf.outer_vars, d, seed=seed)
+    x = cnf.variables if mode is CompileMode.FREE else cnf.outer_vars
+    td, order = constrain_and_root(cnf, x, d, seed=seed)
     if diag is not None:
         diag.separator_size = order.boundary_index
         diag.width = td.width

@@ -369,6 +369,66 @@ result value 0.5
 """,
 }
 
+# the same examples in mode x (strict outer-first: no definability, the
+# outer atoms form the separator); mode free prints the xd bytes above, since
+# it also reports the defined inner atoms and these orders need no separator
+GOLDEN_SOLVE_X = {
+    ("succ", "lex.pl"): """\
+definability defined 0
+definability queries 0
+order separator 0
+order width 1
+compile nodes 15
+compile edges 14
+compile decisions 2
+compile propagations 4
+compile cache_hits 0
+compile cache_entries 2
+result value 0.4
+""",
+    ("map", "lex_map.pl"): """\
+definability defined 0
+definability queries 0
+order separator 1
+order width 1
+compile nodes 16
+compile edges 16
+compile decisions 2
+compile propagations 4
+compile cache_hits 1
+compile cache_entries 2
+result value 0.6
+result witness ~c
+""",
+    ("meu", "leu.pl"): """\
+definability defined 0
+definability queries 0
+order separator 1
+order width 1
+compile nodes 16
+compile edges 16
+compile decisions 2
+compile propagations 4
+compile cache_hits 1
+compile cache_entries 2
+result value 48.0
+result witness a
+""",
+    ("smp", "lsm.pl"): """\
+definability defined 0
+definability queries 0
+order separator 2
+order width 1
+compile nodes 28
+compile edges 36
+compile decisions 4
+compile propagations 10
+compile cache_hits 3
+compile cache_entries 4
+result value 0.5
+""",
+}
+
 GOLDEN_SEPARATION = """\
 separation n2_x_nodes 21
 separation n2_x_boundary 4
@@ -393,6 +453,17 @@ def test_solve_kv_golden(capsys, task, program):
     )
     assert (code, err) == (0, "")
     assert out == GOLDEN_SOLVE[task, program]
+
+
+@pytest.mark.parametrize("mode", ["x", "free"])
+@pytest.mark.parametrize("task,program", sorted(GOLDEN_SOLVE))
+def test_solve_kv_golden_in_x_and_free_modes(capsys, task, program, mode):
+    code, out, err = run(
+        capsys, "solve", "--task", task, str(PROGRAMS / program),
+        "--mode", mode, "--format", "kv",
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_SOLVE_X if mode == "x" else GOLDEN_SOLVE)[task, program]
 
 
 def test_separation_kv_golden(capsys):
@@ -488,16 +559,15 @@ def test_cli_imports_only_the_standard_library():
     assert top - set(sys.stdlib_module_names) == {"__main__", "nestedamc"}
 
 
-def test_every_public_definition_is_used_or_documented():
-    # a public top-level function or class of the package, and a public
-    # method of one of its classes, must be referenced by code in src/,
-    # scripts/ or perfbench/ (a name, an attribute or a string naming it) or
-    # be named in README.md; otherwise only tests reach it
-    root = Path(nestedamc.__file__).resolve().parents[2]
-    package = Path(nestedamc.__file__).resolve().parent
+ROOT = Path(nestedamc.__file__).resolve().parents[2]
+
+
+def names_used_by_code():
+    """Every name, attribute and string constant in the code of src/,
+    scripts/ and perfbench/."""
     used = set()
     for folder in ("src", "scripts", "perfbench"):
-        for path in (root / folder).rglob("*.py"):
+        for path in (ROOT / folder).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
@@ -505,9 +575,14 @@ def test_every_public_definition_is_used_or_documented():
                     used.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     used.add(node.value)
-    readme = (root / "README.md").read_text()
+    return used
+
+
+def package_definitions():
+    """(qualified name, name) of every top-level function and class of the
+    package and of every method of its classes."""
     defined = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(Path(nestedamc.__file__).resolve().parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((f"{path.stem}.{node.name}", node.name))
@@ -516,11 +591,34 @@ def test_every_public_definition_is_used_or_documented():
                     (f"{path.stem}.{node.name}.{item.name}", item.name)
                     for item in node.body if isinstance(item, ast.FunctionDef)
                 ]
+    return defined
+
+
+def test_every_public_definition_is_used_or_documented():
+    # a public top-level function or class of the package, and a public
+    # method of one of its classes, must be referenced by code in src/,
+    # scripts/ or perfbench/ (a name, an attribute or a string naming it) or
+    # be named in README.md; otherwise only tests reach it
+    used = names_used_by_code()
+    readme = (ROOT / "README.md").read_text()
     unused = [
         qualified
-        for qualified, name in defined
+        for qualified, name in package_definitions()
         if not name.startswith("_")
         and name not in used
         and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
+
+
+def test_every_private_definition_is_used_by_code():
+    # a private function, class or method must be referenced by code in
+    # src/, scripts/ or perfbench/; a README mention does not count, and
+    # dunder methods are called by the language itself
+    used = names_used_by_code()
+    unused = [
+        qualified
+        for qualified, name in package_definitions()
+        if name.startswith("_") and not name.endswith("__") and name not in used
     ]
     assert unused == []

@@ -297,8 +297,9 @@ def planned_orders():
                 diag.separator_size, diag.width,
             )).encode())
             queries += diag.definability_queries
-        verdicts = defined_vars(cnf, cnf.outer_vars).verdicts
-        digest.update(repr(sorted(verdicts.items())).encode())
+        defined = defined_vars(cnf, cnf.outer_vars).defined
+        verdicts = [(v, v in defined) for v in sorted(cnf.variables - cnf.outer_vars)]
+        digest.update(repr(verdicts).encode())
     return digest.hexdigest()[:16], queries
 
 
