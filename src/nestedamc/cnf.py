@@ -266,51 +266,35 @@ def primal_graph(cnf: LabeledCnf) -> Graph:
     return g
 
 
-def clause_components(clauses):
-    """Partition non-empty clauses into the connected components of their
-    primal graph, keeping the clause order inside a group and ordering the
-    groups by their smallest variable; one group comes back as the input list
-    itself. The union-find keeps the smallest variable of a group as its
-    root."""
-    parent: dict[int, int] = {}
-    roots = 0
-    for cl in clauses:
-        top = 0
+def components(cnf: LabeledCnf) -> Iterator[tuple[list[tuple[int, ...]], frozenset[int]]]:
+    """Yield (clauses, variables) for each connected component of the primal
+    graph, by increasing smallest variable, with the clauses in input order.
+    A variable in no clause is a component without clauses; an empty clause
+    belongs to none. One traversal over per-variable occurrence lists."""
+    occurs: list[list[int]] = [[] for _ in range(cnf.num_vars + 1)]
+    for i, cl in enumerate(cnf.clauses):
         for l in cl:
-            v = l if l > 0 else -l
-            r = parent.get(v)
-            if r is None:
-                parent[v] = r = v
-                roots += 1
-            else:
-                while True:
-                    p = parent[r]
-                    if p == r:
-                        break
-                    parent[v] = r = p
-            if not top:
-                top = r
-            elif r != top:
-                roots -= 1
-                if r < top:
-                    parent[top] = top = r
-                else:
-                    parent[r] = top
-    if roots == 1:
-        return [clauses]
-    groups: dict[int, list] = {}
-    for cl in clauses:
-        v = cl[0] if cl[0] > 0 else -cl[0]
-        r = parent[v]
-        while parent[r] != r:
-            r = parent[r]
-        parent[v] = r
-        got = groups.get(r)
-        if got is None:
-            groups[r] = [cl]
-        else:
-            got.append(cl)
-    return [groups[r] for r in sorted(groups)]
+            occurs[abs(l)].append(i)
+    seen = [False] * (cnf.num_vars + 1)
+    taken = [False] * len(cnf.clauses)
+    for v in range(1, cnf.num_vars + 1):
+        if seen[v]:
+            continue
+        seen[v] = True
+        variables, stack, ids = [v], [v], []
+        while stack:
+            for i in occurs[stack.pop()]:
+                if not taken[i]:
+                    taken[i] = True
+                    ids.append(i)
+                    for l in cnf.clauses[i]:
+                        w = abs(l)
+                        if not seen[w]:
+                            seen[w] = True
+                            variables.append(w)
+                            stack.append(w)
+        ids.sort()
+        yield [cnf.clauses[i] for i in ids], frozenset(variables)
 
 
 def equivalence_cnf(n: int) -> LabeledCnf:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import LabeledCnf, clause_components
+from .cnf import LabeledCnf, components
 from .errors import PreconditionError
 from .sat import SatSolver
 
@@ -125,14 +125,7 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
     verdicts = dict.fromkeys(sorted(cnf.variables - base), True)
     queries = 0
     unproven = [cl for cl in cnf.clauses if not cl]
-    clauses = [cl for cl in cnf.clauses if cl]
-    groups = [
-        (group, frozenset(abs(l) for cl in group for l in cl))
-        for group in clause_components(clauses)
-    ]
-    isolated = cnf.variables.difference(*(vs for _, vs in groups))
-    groups += [([], frozenset([v])) for v in sorted(isolated)]
-    for group, variables in groups:
+    for group, variables in components(cnf):
         candidates = sorted(variables - base)
         if not candidates:
             unproven += group

@@ -140,8 +140,10 @@ def parse_program(text: str) -> Program:
             continue
         m = re.match(rf"^evidence\(\s*({_ATOM})\s*,\s*(true|false)\s*\)$", stmt)
         if m:
-            p.evidence[m.group(1)] = m.group(2) == "true"
-            note(m.group(1))
+            atom, val = m.group(1), m.group(2) == "true"
+            if p.evidence.setdefault(atom, val) != val:
+                raise ParseError(f"conflicting evidence for {atom}", line)
+            note(atom)
             continue
         m = re.match(rf"^map\(\s*({_ATOM})\s*\)$", stmt)
         if m:
@@ -254,146 +256,88 @@ def clark_completion(p: Program) -> tuple[LabeledCnf, dict[str, int]]:
     return cnf, index
 
 
-def _prob_weights(p: Program, index, skip=()):
-    w = {}
-    for atom, prob in p.prob_facts.items():
-        if atom in skip:
-            continue
-        v = index[atom]
-        w[v] = prob
-        w[-v] = 1.0 - prob
-    return w
-
-
 def build_instance(p: Program, task: TaskKind) -> NestedInstance:
-    """Label the completion and fix the semiring pair for the given task."""
+    """Label the completion and fix the semiring pair for the given task.
+
+    Every task reads one weight table over the probabilistic facts, p for the
+    positive literal and 1 - p for the negative one:
+
+      SUCC  P(query, evidence): the table as inner labels, with the negated
+            query zeroed.
+      MAP   max over the map atoms' assignments of P(assignment, evidence),
+            with the argmax as witness: the map atoms are outer, labelled by
+            the table (1 for a derived atom) and their own literal.
+      MEU   max over the decisions of the expected utility: inner pairs
+            (w, w * utility) with w from the table, or 1 for a literal that
+            only carries a utility; decisions are outer with their utility.
+      SMP   sum over the facts' worlds of the share of the world's stable
+            models holding the query: the table as outer labels, model
+            counts (query models, all models) inside.
+
+    Evidence zeroes the literal it contradicts, so an evidence fact keeps
+    its prior; MEU and SMP reject evidence.
+    """
     base, index = clark_completion(p)
+    weight = {}
+    for atom, prob in p.prob_facts.items():
+        v = index[atom]
+        weight[v], weight[-v] = prob, 1.0 - prob
+    outer_vars, inner, outer = frozenset(), {}, {}
 
     if task is TaskKind.SUCC:
         if len(p.queries) != 1:
             raise ConfigError("success queries need exactly one query atom")
-        q = index[p.queries[0]]
-        inner = _prob_weights(p, index)
-        for atom, val in p.evidence.items():
-            v = index[atom]
-            inner[-v if val else v] = 0.0
-        inner[-q] = 0.0
-        return NestedInstance(
-            LabeledCnf(
-                base.num_vars, base.clauses, inner_label=inner, names=base.names
-            )
-        )
-
-    if task is TaskKind.MAP:
-        qs = [index[a] for a in p.map_queries]
+        inner = dict(weight)
+        inner[-index[p.queries[0]]] = 0.0
+        semirings = (SemiringId.PROBABILITY, SemiringId.PROBABILITY, TransformId.IDENTITY)
+    elif task is TaskKind.MAP:
         if set(p.map_queries) & set(p.evidence):
             raise ConfigError("an atom cannot be both a map query and evidence")
-        inner = _prob_weights(p, index, skip=set(p.map_queries) | set(p.evidence))
-        for atom, val in p.evidence.items():
-            v = index[atom]
-            inner[v if val else -v] = 1.0
-            inner[-v if val else v] = 0.0
-        outer = {}
-        for atom in p.map_queries:
-            v = index[atom]
-            if atom in p.prob_facts:
-                prob = p.prob_facts[atom]
-                outer[v] = (prob, frozenset([v]))
-                outer[-v] = (1.0 - prob, frozenset([-v]))
-            else:
-                outer[v] = (1.0, frozenset([v]))
-                outer[-v] = (1.0, frozenset([-v]))
-        return NestedInstance(
-            LabeledCnf(
-                base.num_vars,
-                base.clauses,
-                outer_vars=frozenset(qs),
-                inner_label=inner,
-                outer_label=outer,
-                inner_sr=SemiringId.PROBABILITY,
-                outer_sr=SemiringId.MAP_ARGMAX,
-                transform=TransformId.PROB_TO_MAP,
-                names=base.names,
-            )
-        )
-
-    if task is TaskKind.MEU:
+        outer_vars = frozenset(index[a] for a in p.map_queries)
+        inner = {l: w for l, w in weight.items() if abs(l) not in outer_vars}
+        outer = {
+            l: (weight.get(l, 1.0), frozenset([l])) for v in outer_vars for l in (v, -v)
+        }
+        semirings = (SemiringId.PROBABILITY, SemiringId.MAP_ARGMAX, TransformId.PROB_TO_MAP)
+    elif task is TaskKind.MEU:
         if not p.decision_facts:
             raise ConfigError("expected-utility maximisation needs decision facts")
         if p.evidence:
             raise ConfigError("evidence is not supported for expected-utility tasks")
-        decisions = frozenset(index[a] for a in p.decision_facts)
-
-        def u(atom, sign):
-            return p.utilities.get((atom, sign), 0.0)
-
-        inner = {}
-        for atom in p.atoms:
-            v = index[atom]
-            if v in decisions:
-                continue
-            if atom in p.prob_facts:
-                prob = p.prob_facts[atom]
-                inner[v] = (prob, prob * u(atom, True))
-                inner[-v] = (1.0 - prob, (1.0 - prob) * u(atom, False))
-            else:
-                if u(atom, True):
-                    inner[v] = (1.0, u(atom, True))
-                if u(atom, False):
-                    inner[-v] = (1.0, u(atom, False))
-        outer = {}
-        for atom in p.decision_facts:
-            v = index[atom]
-            outer[v] = (u(atom, True), frozenset([v]))
-            outer[-v] = (u(atom, False), frozenset([-v]))
-        return NestedInstance(
-            LabeledCnf(
-                base.num_vars,
-                base.clauses,
-                outer_vars=decisions,
-                inner_label=inner,
-                outer_label=outer,
-                inner_sr=SemiringId.EU,
-                outer_sr=SemiringId.MEU_ARGMAX,
-                transform=TransformId.EU_PROJECT,
-                names=base.names,
-            )
+        outer_vars = frozenset(index[a] for a in p.decision_facts)
+        utility = {index[a] if sign else -index[a]: u for (a, sign), u in p.utilities.items()}
+        inner = {l: (w, w * utility.get(l, 0.0)) for l, w in weight.items()}
+        inner.update(
+            (l, (1.0, u)) for l, u in utility.items()
+            if u and l not in weight and abs(l) not in outer_vars
         )
-
-    if task is TaskKind.SMP:
+        outer = {
+            l: (utility.get(l, 0.0), frozenset([l])) for v in outer_vars for l in (v, -v)
+        }
+        semirings = (SemiringId.EU, SemiringId.MEU_ARGMAX, TransformId.EU_PROJECT)
+    elif task is TaskKind.SMP:
         if len(p.queries) != 1:
             raise ConfigError("stable-model probability needs exactly one query atom")
         if p.evidence:
             raise ConfigError("evidence is not supported for stable-model probability")
-        q_atom = p.queries[0]
-        q = index[q_atom]
-        facts = frozenset(index[a] for a in p.prob_facts)
-        outer = {}
-        for atom, prob in p.prob_facts.items():
-            v = index[atom]
-            outer[v] = prob
-            outer[-v] = 1.0 - prob
-        inner = {}
-        if q_atom in p.prob_facts:
+        q = index[p.queries[0]]
+        outer_vars = frozenset(index[a] for a in p.prob_facts)
+        outer = dict(weight)
+        if q in outer_vars:
             # a query on a fact zeroes the worlds violating it on the outer side
             outer[-q] = 0.0
         else:
             inner[-q] = (0, 1)
-        return NestedInstance(
-            LabeledCnf(
-                base.num_vars,
-                base.clauses,
-                outer_vars=facts,
-                inner_label=inner,
-                outer_label=outer,
-                inner_sr=SemiringId.NAT_PAIR,
-                outer_sr=SemiringId.PROBABILITY,
-                transform=TransformId.RATIO,
-                names=base.names,
-            )
-        )
+        semirings = (SemiringId.NAT_PAIR, SemiringId.PROBABILITY, TransformId.RATIO)
+    else:
+        raise ConfigError(f"unknown task {task}")
 
-    raise ConfigError(f"unknown task {task}")
+    for atom, val in p.evidence.items():
+        v = index[atom]
+        inner[-v if val else v] = 0.0
+    return NestedInstance(LabeledCnf(
+        base.num_vars, base.clauses, outer_vars, inner, outer, *semirings, names=base.names
+    ))
 
 
 @dataclass

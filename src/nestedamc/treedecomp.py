@@ -55,13 +55,15 @@ def _min_fill_order(g: Graph, rng: random.Random):
     Each step draws uniformly from the sorted vertices of least fill cost.
     A vertex of degree d lying on t triangles has fill cost C(d, 2) - t, the
     number of its neighbour pairs that are not adjacent. Triangle counts are
-    taken once, then kept: a new fill edge (a, b) adds one triangle for each
-    common neighbour to a, to b and to that neighbour, and removing v takes
-    len(N) - 1 from each neighbour u in N, which is a clique by then. Only
-    the vertices whose degree or count moved are re-bucketed.
+    taken once, over int adjacency masks, then kept: a new fill edge (a, b)
+    adds one triangle for each common neighbour to a, to b and to that
+    neighbour, and removing v takes len(N) - 1 from each neighbour u in N,
+    which is a clique by then. Only the vertices whose degree or count moved
+    are re-bucketed.
     """
     adj = {v: set(nbrs) for v, nbrs in g.items()}
-    tri = {v: sum(len(nbrs & adj[u]) for u in nbrs) // 2 for v, nbrs in adj.items()}
+    bits = {v: sum(1 << u for u in nbrs) for v, nbrs in adj.items()}
+    tri = {v: sum((bits[v] & bits[u]).bit_count() for u in nbrs) // 2 for v, nbrs in adj.items()}
     cost: dict[int, int] = {}
     buckets: dict[int, set[int]] = {}  # fill cost -> vertices of that cost
 

@@ -548,6 +548,15 @@ def test_non_finite_utility_is_input_error(capsys, tmp_path):
         assert err == "error: line 4: utility 1e400 is not a finite number\n"
 
 
+def test_conflicting_evidence_is_input_error(capsys, tmp_path):
+    # accepted, the last evidence line won: solve printed 0.36
+    path = tmp_path / "clash.pl"
+    path.write_text("0.4::a.\n0.6::b.\nc :- a.\nquery(b).\nevidence(c, true).\nevidence(c, false).\n")
+    code, out, err = run(capsys, "solve", "--task", "succ", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 6: conflicting evidence for c\n"
+
+
 def test_cli_imports_only_the_standard_library():
     # -S keeps site-packages off the path, so a third-party import fails outright
     src = str(Path(nestedamc.__file__).resolve().parents[1])

@@ -9,9 +9,16 @@ from gen import (
     planning_instances,
     positive_chain,
     random_program,
+    random_program_text,
     values_close,
 )
-from nestedamc.circuit import NestedInstance, brute_force_nested, evaluate_nested, smooth
+from nestedamc.circuit import (
+    EvaluationRefused,
+    NestedInstance,
+    brute_force_nested,
+    evaluate_nested,
+    smooth,
+)
 from nestedamc.cnf import enumerate_models
 from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
@@ -196,6 +203,47 @@ def test_map_empty_queries_degenerates_to_evidence_probability():
     assert val[1] == frozenset()
 
 
+@pytest.mark.parametrize("text, expected, witness", [
+    # MAP is max over the map atoms of P(assignment, evidence): the prior of
+    # an evidence fact stays in, as it does for evidence on a derived atom
+    ("0.3::a. 0.6::b. map(b). evidence(a, true).", 0.18, {"b"}),
+    # no map atom: P(evidence), which SUCC gives for query(a)
+    ("0.4::a. 0.6::b. c :- b. evidence(a, true).", 0.4, set()),
+    ("0.4::a. 0.6::b. c :- a. c :- b. map(b). evidence(a, false). evidence(c, true).",
+     0.36, {"b"}),
+])
+def test_map_evidence_on_a_fact_keeps_its_prior(text, expected, witness):
+    inst = build_instance(parse_program(text), TaskKind.MAP)
+    values = [brute_force_nested(inst)]
+    for mode in CompileMode:
+        # a free order may decide inner before outer variables, and the
+        # pipeline then refuses; some seed in eight gives a free-mode value
+        for seed in range(8):
+            try:
+                values.append(solve(parse_program(text), TaskKind.MAP, mode, seed)[0])
+                break
+            except EvaluationRefused:
+                assert mode is CompileMode.FREE
+        else:
+            pytest.fail(f"no seed evaluates {text!r} in {mode}")
+    assert len(values) == 4
+    for value, lits in values:
+        assert value == pytest.approx(expected, rel=1e-9)
+        assert {inst.cnf.names[l] for l in lits} == witness
+    if not witness:
+        query = text.replace("evidence(a, true).", "query(a).")
+        assert solve(parse_program(query), TaskKind.SUCC)[0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_conflicting_evidence_is_a_parse_error():
+    text = "0.4::a. 0.6::b. c :- a. query(b).\nevidence(c, true).\nevidence(c, false)."
+    with pytest.raises(ParseError, match="conflicting evidence for c") as e:
+        parse_program(text)
+    assert e.value.line == 3
+    # the same evidence twice is no conflict
+    assert parse_program("0.4::a. evidence(a, true). evidence(a, true).").evidence == {"a": True}
+
+
 def test_smp_equals_succ_when_worlds_have_unique_models():
     # tight programs without negative cycles: one model per world
     base = parse_program(LEX)
@@ -280,6 +328,40 @@ def test_transforms_are_homomorphic_on_observed_values(monkeypatch):
             for a, b in zip(observed, observed[1:]):
                 assert sin.contains(a) and sin.contains(b)
                 assert values_close(t(sin.mul(a, b)), sout.mul(t(a), t(b)))
+
+
+def instance_labels():
+    """Build 400 random programs, the four families in turn, for every task.
+    Returns a digest of each build's ConfigError message or of its theory,
+    semirings and effective literal weights: the outer weight for an outer
+    variable, the inner weight for the rest, so an explicit label equal to
+    the semiring's one reads as the default."""
+    digest = hashlib.sha256()
+    rng = random.Random(2017)
+    families = ("succ", "map", "meu", "smp")
+    for i in range(400):
+        p = parse_program(random_program_text(rng, families[i % 4]))
+        for task in TaskKind:
+            try:
+                cnf = build_instance(p, task).cnf
+            except ConfigError as e:
+                digest.update(repr(("error", str(e))).encode())
+                continue
+            weights = [
+                cnf.outer_weight(l) if abs(l) in cnf.outer_vars else cnf.inner_weight(l)
+                for v in range(1, cnf.num_vars + 1) for l in (v, -v)
+            ]
+            digest.update(repr((
+                cnf.num_vars, cnf.clauses, sorted(cnf.outer_vars),
+                cnf.inner_sr, cnf.outer_sr, cnf.transform, weights,
+            )).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_instance_labels_golden():
+    # pins what build_instance labels for every task: the same theories,
+    # semirings and effective weights, or the same error message
+    assert instance_labels() == "36999a67e35bfda3"
 
 
 def planned_orders():

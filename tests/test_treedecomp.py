@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from gen import (
     equivalence_cnf,
@@ -9,7 +10,9 @@ from gen import (
     validate_td,
 )
 from nestedamc.cnf import LabeledCnf, primal_graph
+from nestedamc.compiler import CompileMode
 from nestedamc.definability import defined_vars
+from nestedamc.programs import Diagnostics, plan_order
 from nestedamc.treedecomp import (
     TreeDecomposition,
     _degeneracy,
@@ -324,3 +327,15 @@ def test_separator_clique_at_scale():
     assert td.width == 199
     assert order.boundary_index == 200
     assert decompose(clique_with_pendants(200)).width == 199
+
+
+def test_xd_planning_over_an_800_vertex_separator_clique():
+    # a triangle count by set intersections is cubic in the clique: on a
+    # 2-core host it made this plan take 11 s, int masks take under 1 s
+    cnf = implication_chain(800)
+    diag = Diagnostics()
+    t0 = time.perf_counter()
+    order = plan_order(cnf, CompileMode.XD_FIRST, diag=diag)
+    assert time.perf_counter() - t0 < 4.0
+    assert order.boundary_index == diag.separator_size == 800
+    assert diag.width == 799
