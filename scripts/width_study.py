@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
+from nestedamc.compiler import CompileMode, compile_cnf
 from nestedamc.programs import Diagnostics, TaskKind, build_instance, plan_order
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -41,8 +41,8 @@ def main(argv=None):
             dx, dxd = Diagnostics(), Diagnostics()
             order_x = plan_order(cnf, CompileMode.X_FIRST, seed=i, diag=dx)
             order_xd = plan_order(cnf, CompileMode.XD_FIRST, seed=i, diag=dxd)
-            cx = compile_cnf(cnf, CompileConfig(order_x, CompileMode.X_FIRST))
-            cxd = compile_cnf(cnf, CompileConfig(order_xd, CompileMode.XD_FIRST))
+            cx = compile_cnf(cnf, order_x, CompileMode.X_FIRST)
+            cxd = compile_cnf(cnf, order_xd, CompileMode.XD_FIRST)
 
             print(f"{fam:>6} {cnf.num_vars:>5} {len(cnf.outer_vars):>5} "
                   f"{len(dxd.defined):>7} {dx.width:>7} {dxd.width:>8} "

@@ -517,13 +517,17 @@ def _vars_of(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
+MODEL_LIMIT = 1 << 21  # most models circuit_models enumerates
+
+
 def circuit_models(
-    circuit: Circuit, over: Optional[frozenset[int]] = None, guard: int = 1 << 21
+    circuit: Circuit, over: Optional[frozenset[int]] = None
 ) -> frozenset[frozenset[int]]:
     """Enumerate the models of a deterministic decomposable circuit as total
-    assignments over `over` (default: the circuit's variable universe)."""
+    assignments over `over` (default: the circuit's variable universe), at
+    most `MODEL_LIMIT` of them."""
     over_mask = circuit.full_mask if over is None else _mask_of(over)
-    if count_models(circuit, over) > guard:
+    if count_models(circuit, over) > MODEL_LIMIT:
         raise CapacityError("model set too large to enumerate")
     kinds, vals, offsets, kids, masks = (
         circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)

@@ -26,11 +26,11 @@ from .circuit import (
     verify_circuit,
 )
 from .cnf import LabeledCnf, equivalence_cnf, parse_cnf
-from .compiler import CompileConfig, CompileMode, compile_cnf
+from .compiler import CompileMode, compile_cnf
 from .definability import defined_vars
 from .errors import CapacityError, NestedAmcError, decode_ascii
 from .programs import TaskKind, build_instance, parse_program, plan_order, solve
-from .semirings import NEG_INF, SemiringId
+from .semirings import SemiringId
 
 _EXIT_INPUT = 1
 _EXIT_CAPACITY = 2
@@ -56,7 +56,7 @@ def _fmt_lit(lit: int, names) -> str:
 
 
 def _fmt_real(x: float) -> str:
-    return "-inf" if x == NEG_INF else repr(float(x))
+    return repr(float(x))
 
 
 def format_value(value, sr: SemiringId, names) -> tuple[str, str | None]:
@@ -119,7 +119,7 @@ def _cmd_compile(args, out: _Output) -> int:
     cnf = parse_cnf(_read(args.input))
     mode = CompileMode(args.mode)
     order = plan_order(cnf, mode, seed=args.seed)
-    circ = compile_cnf(cnf, CompileConfig(order, mode, cache_budget=args.cache_mb << 20))
+    circ = compile_cnf(cnf, order, mode, args.cache_mb << 20)
     stats = circ.stats
     if args.smooth:
         circ = smooth(circ, cnf.outer_vars)
@@ -190,7 +190,7 @@ def _cmd_defined(args, out: _Output) -> int:
                 f"bad --base {args.base!r}, expected comma-separated variable indices"
             )
     report = defined_vars(cnf, base)
-    base_s = " ".join(cnf.name_of(v) for v in sorted(report.base)) or "(empty)"
+    base_s = " ".join(cnf.name_of(v) for v in sorted(base)) or "(empty)"
     defined_s = " ".join(cnf.name_of(v) for v in sorted(report.defined)) or "(empty)"
     out.text(f"base: {base_s}")
     out.text(f"defined: {defined_s}")
@@ -219,7 +219,7 @@ def _cmd_separation(args, out: _Output) -> int:
     for n in range(lo, hi + 1):
         cnf = equivalence_cnf(n)
         cx, cxd = (
-            compile_cnf(cnf, CompileConfig(plan_order(cnf, mode, seed=args.seed), mode))
+            compile_cnf(cnf, plan_order(cnf, mode, seed=args.seed), mode)
             for mode in (CompileMode.X_FIRST, CompileMode.XD_FIRST)
         )
         boundary = count_boundary_nodes(cx, cnf.outer_vars)

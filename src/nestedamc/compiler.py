@@ -60,7 +60,6 @@ from heapq import heappop, heappush
 from .circuit import AND, LIT, OR, Circuit
 from .cnf import LabeledCnf
 from .errors import CapacityError, ConfigError, PreconditionError
-from .treedecomp import VariableOrder
 
 DEFAULT_BUDGET = 256 << 20  # bytes
 # Bytes charged against the budget, fitted to tracemalloc peaks of compiles
@@ -81,13 +80,6 @@ class CompileMode(enum.Enum):
     FREE = "free"
     X_FIRST = "x"
     XD_FIRST = "xd"
-
-
-@dataclass
-class CompileConfig:
-    order: VariableOrder
-    mode: CompileMode = CompileMode.XD_FIRST
-    cache_budget: int = DEFAULT_BUDGET
 
 
 @dataclass
@@ -116,26 +108,25 @@ class _Compilation:
     propagation heap entries of its held unit clauses, outer literal
     occurrences); the last two are only kept in X_FIRST mode."""
 
-    def __init__(self, cnf: LabeledCnf, cfg: CompileConfig):
-        if frozenset(cfg.order.sequence) != cnf.variables:
+    def __init__(self, cnf: LabeledCnf, order, mode: CompileMode, cache_budget: int):
+        if frozenset(order) != cnf.variables:
             raise PreconditionError("variable order is not a permutation of the theory's variables")
-        if cfg.cache_budget <= 0:
-            raise ConfigError(f"cache budget must be positive, got {cfg.cache_budget} bytes")
+        if cache_budget <= 0:
+            raise ConfigError(f"cache budget must be positive, got {cache_budget} bytes")
         self.cnf = cnf
-        self.cfg = cfg
+        self.cache_budget = cache_budget
         n = cnf.num_vars
-        self.x_first = cfg.mode is CompileMode.X_FIRST
+        self.x_first = mode is CompileMode.X_FIRST
         # decision rank by variable: order position, outer variables first in X_FIRST
-        seq = cfg.order.sequence
         self.is_outer = [False] * (n + 1)
         if self.x_first:
-            seq = [v for v in seq if v in cnf.outer_vars] + [
-                v for v in seq if v not in cnf.outer_vars]
+            order = [v for v in order if v in cnf.outer_vars] + [
+                v for v in order if v not in cnf.outer_vars]
             for v in cnf.outer_vars:
                 self.is_outer[v] = True
-        self.by_rank = tuple(seq)
+        self.by_rank = tuple(order)
         self.rank = [0] * (n + 1)
-        for i, v in enumerate(seq):
+        for i, v in enumerate(order):
             self.rank[v] = i
         self.clauses = sorted({tuple(sorted(cl)) for cl in cnf.clauses})
         self.cvars = [tuple(map(abs, cl)) for cl in self.clauses]
@@ -167,7 +158,7 @@ class _Compilation:
 
     def _budget(self, extra: int):
         self.stats.bytes_estimate += extra
-        if self.stats.bytes_estimate > self.cfg.cache_budget:
+        if self.stats.bytes_estimate > self.cache_budget:
             raise CapacityError("compilation exceeded the cache budget", self.stats)
 
     def _new(self, kind: int, val: int, children=()) -> int:
@@ -457,13 +448,19 @@ class _Compilation:
         return self.circuit
 
 
-def compile_cnf(cnf: LabeledCnf, cfg: CompileConfig) -> Circuit:
-    """Compile the theory into a deterministic decomposable circuit whose
-    models equal the theory's models; statistics are attached to the result.
+def compile_cnf(
+    cnf: LabeledCnf,
+    order,
+    mode: CompileMode = CompileMode.XD_FIRST,
+    cache_budget: int = DEFAULT_BUDGET,
+) -> Circuit:
+    """Compile the theory along `order`, a sequence of its variables, into a
+    deterministic decomposable circuit whose models equal the theory's
+    models; statistics are attached to the result.
 
-    Raises CapacityError carrying partial statistics when the configured
-    budget is exhausted, PreconditionError when the order does not cover
+    Raises CapacityError carrying partial statistics when `cache_budget`
+    bytes are exhausted, PreconditionError when the order does not cover
     exactly the theory's variables, and ConfigError when the budget is not
     positive.
     """
-    return _Compilation(cnf, cfg).run()
+    return _Compilation(cnf, order, mode, cache_budget).run()

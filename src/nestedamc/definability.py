@@ -49,7 +49,6 @@ from .sat import SatSolver
 
 @dataclass(frozen=True)
 class DefinabilityReport:
-    base: frozenset[int]
     defined: frozenset[int]
     query_count: int
 
@@ -142,7 +141,6 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
         if SatSolver(cnf.num_vars, unproven).solve() is None:
             verdicts = dict.fromkeys(verdicts, True)
     return DefinabilityReport(
-        base=base,
         defined=frozenset(v for v, ok in verdicts.items() if ok),
         query_count=queries,
     )

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .circuit import NestedInstance, evaluate_verified, smooth
 from .cnf import LabeledCnf
-from .compiler import CompileConfig, CompileMode, compile_cnf
+from .compiler import DEFAULT_BUDGET, CompileMode, compile_cnf
 from .definability import defined_vars
 from .errors import ConfigError, ParseError
 from .semirings import SemiringId, TransformId
@@ -130,12 +130,16 @@ def parse_program(text: str) -> Program:
             utility = float(m.group(2))
             if not math.isfinite(utility):
                 raise ParseError(f"utility {m.group(2)} is not a finite number", line)
+            if (atom, sign) in p.utilities:
+                literal = atom if sign else "\\+" + atom
+                raise ParseError(f"duplicate utility for {literal}", line)
             p.utilities[(atom, sign)] = utility
             note(atom)
             continue
         m = re.match(rf"^query\(\s*({_ATOM})\s*\)$", stmt)
         if m:
-            p.queries.append(m.group(1))
+            if m.group(1) not in p.queries:
+                p.queries.append(m.group(1))
             note(m.group(1))
             continue
         m = re.match(rf"^evidence\(\s*({_ATOM})\s*,\s*(true|false)\s*\)$", stmt)
@@ -381,7 +385,7 @@ class Diagnostics:
 
 
 def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
-               diag: Optional[Diagnostics] = None):
+               diag: Optional[Diagnostics] = None) -> tuple[int, ...]:
     """Choose the compilation variable order for a mode: a plain decomposition
     for FREE, separator-first rooted decompositions otherwise, with the
     defined variables widening the allowed side in XD mode."""
@@ -393,9 +397,9 @@ def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
             diag.defined = d
             diag.definability_queries = report.query_count
     x = cnf.variables if mode is CompileMode.FREE else cnf.outer_vars
-    td, order = constrain_and_root(cnf, x, d, seed=seed)
+    td, order, sep = constrain_and_root(cnf, x, d, seed=seed)
     if diag is not None:
-        diag.separator_size = order.boundary_index
+        diag.separator_size = len(sep)
         diag.width = td.width
     return order
 
@@ -404,7 +408,7 @@ def solve_instance(
     inst: NestedInstance,
     mode: CompileMode = CompileMode.XD_FIRST,
     seed: int = 0,
-    cache_budget: Optional[int] = None,
+    cache_budget: int = DEFAULT_BUDGET,
 ):
     """Definability, constrained order, compilation, smoothing, verified
     evaluation of one prepared instance. Returns (value, diagnostics).
@@ -419,10 +423,7 @@ def solve_instance(
     diag.times["order"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cfg = CompileConfig(order, mode)
-    if cache_budget is not None:
-        cfg.cache_budget = cache_budget
-    circ = compile_cnf(inst.cnf, cfg)
+    circ = compile_cnf(inst.cnf, order, mode, cache_budget)
     diag.circuit_nodes = circ.node_count
     diag.circuit_edges = circ.edge_count
     diag.compile_stats = circ.stats
@@ -453,7 +454,7 @@ def solve(
     task: TaskKind,
     mode: CompileMode = CompileMode.XD_FIRST,
     seed: int = 0,
-    cache_budget: Optional[int] = None,
+    cache_budget: int = DEFAULT_BUDGET,
 ):
     """Full pipeline from a program. Returns (value, diagnostics)."""
     t0 = time.perf_counter()

@@ -1,15 +1,15 @@
 """Tree decompositions of primal graphs, separator approximation, and the
 rooted, separator-first decompositions that yield compilation variable orders.
 
-Decomposition uses min-fill elimination with seeded random tie-breaking and a
-configurable number of restarts, keeping the smallest width found. A fill
-cost is the neighbour pairs less the triangles through a vertex; triangle
-counts are taken once per run and updated only around each eliminated vertex,
-so the candidates drawn from at each step are the same sorted least-cost
-vertices a full rescan finds. Restarts stop early once a run reaches the
-degeneracy of the graph, a lower bound on its treewidth. Separators
-are exact vertex min-cuts computed by node-splitting max-flow as long as the
-flow stays under a bound, with the frontier of the allowed set as fallback.
+Decomposition uses min-fill elimination with seeded random tie-breaking and
+up to `RESTARTS` runs, keeping the smallest width found. A fill cost is the
+neighbour pairs less the triangles through a vertex; triangle counts are
+taken once per run and updated only around each eliminated vertex, so the
+candidates drawn from at each step are the same sorted least-cost vertices a
+full rescan finds. Restarts stop early once a run reaches the degeneracy of
+the graph, a lower bound on its treewidth. Separators are exact vertex
+min-cuts computed by node-splitting max-flow as long as the flow stays within
+`FLOW_BOUND`, with the frontier of the allowed set as fallback.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .cnf import Graph, LabeledCnf, primal_graph
 from .errors import PreconditionError
 
-DEFAULT_RESTARTS = 8
-DEFAULT_FLOW_BOUND = 64
+RESTARTS = 8  # min-fill runs per decomposition
+FLOW_BOUND = 64  # largest flow find_separator pushes before its fallback
 
 
 @dataclass
@@ -38,15 +38,6 @@ class TreeDecomposition:
 
     def children(self, node: int, parent: int | None = None):
         return sorted(n for n in self.tree[node] if n != parent)
-
-
-@dataclass(frozen=True)
-class VariableOrder:
-    """A permutation of the variables; the prefix up to `boundary_index` is
-    the separator block that must be decided first."""
-
-    sequence: tuple[int, ...]
-    boundary_index: int = 0
 
 
 def _min_fill_order(g: Graph, rng: random.Random):
@@ -153,18 +144,18 @@ def _td_from_elimination(order) -> TreeDecomposition:
     return TreeDecomposition(bags, tree, len(order) - 1)
 
 
-def decompose(g: Graph, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> TreeDecomposition:
+def decompose(g: Graph, seed: int = 0) -> TreeDecomposition:
     """Heuristic tree decomposition of a graph; width is the best of up to
-    `restarts` seeded min-fill runs, not optimal.
+    `RESTARTS` seeded min-fill runs, not optimal.
 
     The first run of least width wins. Runs stop once that width is at most
     the degeneracy of g, a lower bound no later run can beat, so the result
-    is the one all `restarts` runs would give.
+    is the one all `RESTARTS` runs would give.
     """
     rng = random.Random(seed)
     bound = _degeneracy(g)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(RESTARTS):
         td = _td_from_elimination(_min_fill_order(g, rng))
         if best is None or td.width < best.width:
             best = td
@@ -185,14 +176,12 @@ def _reach(g: Graph, start, inside) -> set:
     return seen
 
 
-def find_separator(
-    g: Graph, x, allowed, flow_bound: int = DEFAULT_FLOW_BOUND
-) -> frozenset[int]:
+def find_separator(g: Graph, x, allowed) -> frozenset[int]:
     """A vertex set S within `allowed` cutting every path from x to the
     vertices outside `allowed`.
 
     Exact minimum cut via node-splitting max-flow while the flow value stays
-    at most `flow_bound`; beyond that the frontier of `allowed` is returned.
+    at most `FLOW_BOUND`; beyond that the frontier of `allowed` is returned.
     """
     x = frozenset(x).intersection(g)
     allowed = frozenset(allowed).intersection(g)
@@ -222,7 +211,7 @@ def find_separator(
         arc(2 * v + 1, "t", inf)
 
     flow = 0
-    while flow <= flow_bound:
+    while flow <= FLOW_BOUND:
         prev = {"s": None}  # breadth-first search for a shortest augmenting path
         queue = ["s"]
         for u in queue:
@@ -243,7 +232,7 @@ def find_separator(
             res[w][u] += 1
             w = u
         flow += 1
-    if flow > flow_bound:
+    if flow > FLOW_BOUND:
         return frozenset(v for v in allowed if g[v] & targets)
 
     # min cut nearest the target side: split arcs leaving the set of nodes
@@ -280,17 +269,15 @@ def order_from_td(td: TreeDecomposition, first) -> tuple[int, ...]:
 
 
 def constrain_and_root(
-    cnf: LabeledCnf,
-    x,
-    d,
-    seed: int = 0,
-) -> tuple[TreeDecomposition, VariableOrder]:
+    cnf: LabeledCnf, x, d, seed: int = 0
+) -> tuple[TreeDecomposition, tuple[int, ...], frozenset[int]]:
     """Build a decomposition whose root bag is a separator inside x and the
     variables x defines, then emit the compilation variable order.
 
     The separator is turned into a clique before decomposing so some bag
     contains it; that bag is split so the root bag is exactly the separator,
-    and the order lists the separator block first.
+    and the order lists the separator first. Returns the decomposition, the
+    order and the separator.
     """
     g = primal_graph(cnf)
     x = frozenset(x).intersection(g)
@@ -299,7 +286,7 @@ def constrain_and_root(
 
     if not targets:
         td = decompose(g, seed=seed)
-        return td, VariableOrder(order_from_td(td, ()), 0)
+        return td, order_from_td(td, ()), frozenset()
 
     sep = find_separator(g, x, allowed)
     g2 = {v: nbrs | sep - {v} if v in sep else set(nbrs) for v, nbrs in g.items()}
@@ -318,17 +305,4 @@ def constrain_and_root(
         td.tree[new] = {host}
         td.tree[host].add(new)
         td.root = new
-    order = order_from_td(td, sorted(sep))
-    return td, VariableOrder(order, len(sep))
-
-
-def emit_td(td: TreeDecomposition, num_vertices: int) -> str:
-    """PACE-style serialization for debugging and external comparison."""
-    ids = {node: i + 1 for i, node in enumerate(sorted(td.bags))}
-    lines = [f"s td {len(td.bags)} {td.width + 1} {num_vertices}"]
-    for node in sorted(td.bags):
-        lines.append(f"b {ids[node]} " + " ".join(str(v) for v in sorted(td.bags[node])))
-    edges = ((ids[a], ids[b]) for a in td.tree for b in td.tree[a])
-    for u, v in sorted((u, v) for u, v in edges if u < v):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    return td, order_from_td(td, sorted(sep)), sep

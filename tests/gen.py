@@ -128,10 +128,12 @@ def random_program_text(rng: random.Random, family: str) -> str:
             lines.append(f"evidence({rng.choice(others)}, {rng.choice(['true', 'false'])}).")
     elif family == "meu":
         atoms = facts + derived
+        utilities = {}  # a literal drawn again keeps its place and its last value
         for _ in range(rng.randint(1, 3)):
             atom = rng.choice(atoms)
             sign = "" if rng.random() < 0.6 else "\\+"
-            lines.append(f"utility({sign}{atom}, {rng.randint(-20, 40)}).")
+            utilities[sign + atom] = rng.randint(-20, 40)
+        lines += [f"utility({lit}, {u})." for lit, u in utilities.items()]
     elif family == "smp":
         for j in range(rng.randint(1, 2)):
             u, v = f"c{2 * j}", f"c{2 * j + 1}"

@@ -30,7 +30,7 @@ from nestedamc.circuit import (
 )
 from nestedamc.cli import main
 from nestedamc.cnf import LabeledCnf, enumerate_models, primal_graph
-from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
+from nestedamc.compiler import CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.programs import Diagnostics, TaskKind, build_instance, parse_program, plan_order
 from nestedamc.semirings import NEG_INF, SEMIRINGS, TRANSFORMS, SemiringId, TransformId
@@ -54,7 +54,7 @@ def pipeline(inst: NestedInstance, mode: CompileMode, seed: int = 0):
     cnf = inst.cnf
     diag = Diagnostics()
     order = plan_order(cnf, mode, seed=seed, diag=diag)
-    circ = compile_cnf(cnf, CompileConfig(order, mode))
+    circ = compile_cnf(cnf, order, mode)
     return smooth(circ, cnf.outer_vars), diag.defined
 
 
@@ -170,9 +170,9 @@ def separation_runs():
         cnf = equivalence_cnf(n)
         x = cnf.outer_vars
         order_x = plan_order(cnf, CompileMode.X_FIRST, seed=0)
-        cx = compile_cnf(cnf, CompileConfig(order_x, CompileMode.X_FIRST))
+        cx = compile_cnf(cnf, order_x, CompileMode.X_FIRST)
         order_xd = plan_order(cnf, CompileMode.XD_FIRST, seed=0)
-        cxd = compile_cnf(cnf, CompileConfig(order_xd, CompileMode.XD_FIRST))
+        cxd = compile_cnf(cnf, order_xd, CompileMode.XD_FIRST)
         runs.append((n, cnf, cx, cxd))
     return runs
 
@@ -239,14 +239,14 @@ def test_5_constrained_decomposition_guarantees():
         cnf = random_partitioned_cnf(rng, max_vars=14, max_clauses=40)
         x = cnf.outer_vars
         d = defined_vars(cnf, x).defined
-        td, order = constrain_and_root(cnf, x, d, seed=i)
+        td, order, _ = constrain_and_root(cnf, x, d, seed=i)
         g = primal_graph(cnf)
         targets = set(g) - set(x) - set(d)
         root_bag = td.bags[td.root]
         ok = ok and validate_td(g, td)
         ok = ok and root_bag <= x | d
         ok = ok and separates(g, root_bag, x, targets)
-        circ = compile_cnf(cnf, CompileConfig(order, CompileMode.XD_FIRST))
+        circ = compile_cnf(cnf, order, CompileMode.XD_FIRST)
         bound = 2 ** (td.width + 1) * (len(cnf.clauses) + len(cnf.variables))
         ok = ok and circ.node_count <= bound
     assert report("rooted decomposition guarantees", ok)

@@ -557,6 +557,20 @@ def test_conflicting_evidence_is_input_error(capsys, tmp_path):
     assert err == "error: line 6: conflicting evidence for c\n"
 
 
+def test_meu_value_of_minus_inf_prints_as_minus_inf(capsys, tmp_path):
+    # every decision leaves probability 0, which euproject maps to -inf
+    cnf = tmp_path / "neginf.cnf"
+    cnf.write_text(
+        "p cnf 2 1\nc s eu meuargmax euproject\nc o 1 0\n"
+        "c wi 2 0 0 0\nc wi -2 0 0 0\nc wo 1 5 0\nc wo -1 0 0\n-1 2 0\n"
+    )
+    nnf = tmp_path / "neginf.nnf"
+    assert run(capsys, "compile", str(cnf), "-o", str(nnf))[0] == 0
+    expected = "result value -inf\nresult witness (empty)\n"
+    assert run(capsys, "oracle", str(cnf), "--format", "kv") == (0, expected, "")
+    assert run(capsys, "eval", str(nnf), str(cnf), "--format", "kv") == (0, expected, "")
+
+
 def test_cli_imports_only_the_standard_library():
     # -S keeps site-packages off the path, so a third-party import fails outright
     src = str(Path(nestedamc.__file__).resolve().parents[1])

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import hashlib
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -20,17 +22,13 @@ from nestedamc.circuit import (
     verify_circuit,
 )
 from nestedamc.cnf import LabeledCnf, enumerate_models, parse_cnf
-from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
+from nestedamc.compiler import CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import CapacityError, PreconditionError
 from nestedamc.programs import TaskKind, build_instance, parse_program, plan_order
-from nestedamc.treedecomp import VariableOrder, constrain_and_root
+from nestedamc.treedecomp import constrain_and_root
 
 LEX_CLAUSES = [(-1, 3), (1, -3), (-2, 4), (2, -4)]
-
-
-def order_of(*vs, boundary=0):
-    return VariableOrder(tuple(vs), boundary)
 
 
 def models_of(circ, cnf):
@@ -39,7 +37,7 @@ def models_of(circ, cnf):
 
 def test_contradiction_single_false_node():
     cnf = LabeledCnf(1, [(1,), (-1,)])
-    circ = compile_cnf(cnf, CompileConfig(order_of(1)))
+    circ = compile_cnf(cnf, (1,))
     assert circ.node_count == 1
     assert nodes_of(circ)[circ.root] == (OR, 0, ())
     assert models_of(circ, cnf) == frozenset()
@@ -48,21 +46,21 @@ def test_contradiction_single_false_node():
 def test_order_mismatch_rejected():
     cnf = LabeledCnf(2, [(1, 2)])
     with pytest.raises(PreconditionError):
-        compile_cnf(cnf, CompileConfig(order_of(1)))
+        compile_cnf(cnf, (1,))
 
 
 def test_budget_exhaustion_carries_stats():
     cnf = equivalence_cnf(10)
-    order = order_of(*range(1, 21))
+    order = tuple(range(1, 21))
     with pytest.raises(CapacityError) as e:
-        compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST, cache_budget=10_000))
+        compile_cnf(cnf, order, CompileMode.X_FIRST, cache_budget=10_000)
     assert e.value.stats is not None and e.value.stats.nodes > 0
 
 
 def test_repeated_literal_clause_is_a_unit():
     # `1 1 0` is the unit clause `1 0`: one literal node from one propagation
     def compiled(text):
-        circ = compile_cnf(parse_cnf(text), CompileConfig(order_of(1)))
+        circ = compile_cnf(parse_cnf(text), (1,))
         return nodes_of(circ), circ.root, circ.stats
 
     nodes, root, stats = compiled("p cnf 1 1\n1 1 0\n")
@@ -78,7 +76,7 @@ def test_lex_unit_propagation_shares_component():
     # deciding c forces a by propagation; the {b,d} block is compiled once
     # and shared instead of being duplicated under both c-branches
     cnf = LabeledCnf(4, LEX_CLAUSES, outer_vars=frozenset([3]))
-    circ = compile_cnf(cnf, CompileConfig(order_of(3, 1, 2, 4), CompileMode.XD_FIRST))
+    circ = compile_cnf(cnf, (3, 1, 2, 4), CompileMode.XD_FIRST)
     assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))
     assert len(decisions_on(circ, 2)) == 1  # one shared or-node over b
     assert len(decisions_on(circ, 3)) == 1
@@ -90,7 +88,7 @@ def test_lex_outer_first_keeps_branches_apart():
     # deciding a then b, with the biconditional consequences held back to the
     # boundary: one decision on a, one residual decision on b per a-branch
     cnf = LabeledCnf(4, LEX_CLAUSES, outer_vars=frozenset([1, 2]))
-    circ = compile_cnf(cnf, CompileConfig(order_of(1, 2, 3, 4), CompileMode.X_FIRST))
+    circ = compile_cnf(cnf, (1, 2, 3, 4), CompileMode.X_FIRST)
     assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))
     rep = verify_circuit(smooth(circ, cnf.outer_vars), cnf, frozenset())
     assert rep.outer_first
@@ -112,7 +110,7 @@ def test_model_equivalence_random_suite():
             )
         seq = list(cnf.variables)
         rng.shuffle(seq)
-        circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
+        circ = compile_cnf(cnf, tuple(seq), mode)
         assert models_of(circ, cnf) == frozenset(enumerate_models(cnf)), f"trial {trial}"
 
 
@@ -120,7 +118,7 @@ def test_every_or_node_is_a_decision():
     rng = random.Random(55)
     for _ in range(50):
         cnf = random_cnf(rng, max_vars=10, max_clauses=25)
-        circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(sorted(cnf.variables)))))
+        circ = compile_cnf(cnf, tuple(sorted(cnf.variables)))
         for kind, val, kids in nodes_of(circ):
             if kind == OR and kids:
                 assert val != 0
@@ -132,12 +130,12 @@ def test_exponential_separation_lower_and_upper():
         cnf = equivalence_cnf(n)
         x = cnf.outer_vars
         # strict outer-first: one boundary node per outer assignment
-        order = order_of(*(list(range(1, n + 1)) + list(range(n + 1, 2 * n + 1))))
-        cx = compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST))
+        order = tuple(range(1, 2 * n + 1))
+        cx = compile_cnf(cnf, order, CompileMode.X_FIRST)
         assert count_boundary_nodes(cx, x) >= 2 ** n
         # relaxed mode with an interleaved order: linear size
         inter = [v for i in range(1, n + 1) for v in (i, n + i)]
-        cxd = compile_cnf(cnf, CompileConfig(order_of(*inter), CompileMode.XD_FIRST))
+        cxd = compile_cnf(cnf, tuple(inter), CompileMode.XD_FIRST)
         assert cxd.node_count <= 32 * n
 
 
@@ -146,8 +144,8 @@ def test_deferred_propagation_matches_eager():
     for _ in range(100):
         cnf = random_partitioned_cnf(rng, max_vars=12, max_clauses=25)
         seq = tuple(sorted(cnf.variables, key=lambda v: (v not in cnf.outer_vars, v)))
-        eager = compile_cnf(cnf, CompileConfig(VariableOrder(seq), CompileMode.XD_FIRST))
-        deferred = compile_cnf(cnf, CompileConfig(VariableOrder(seq), CompileMode.X_FIRST))
+        eager = compile_cnf(cnf, seq, CompileMode.XD_FIRST)
+        deferred = compile_cnf(cnf, seq, CompileMode.X_FIRST)
         assert models_of(eager, cnf) == models_of(deferred, cnf)
 
 
@@ -155,8 +153,8 @@ def test_outer_first_mode_emits_outer_first_circuits():
     rng = random.Random(13)
     for _ in range(100):
         cnf = random_partitioned_cnf(rng, max_vars=12, max_clauses=25)
-        td, order = constrain_and_root(cnf, cnf.outer_vars, frozenset(), seed=3)
-        circ = compile_cnf(cnf, CompileConfig(order, CompileMode.X_FIRST))
+        td, order, _ = constrain_and_root(cnf, cnf.outer_vars, frozenset(), seed=3)
+        circ = compile_cnf(cnf, order, CompileMode.X_FIRST)
         rep = verify_circuit(smooth(circ, cnf.outer_vars), cnf, frozenset())
         assert rep.outer_first
         assert rep.decomposable and rep.deterministic and rep.smooth
@@ -167,8 +165,8 @@ def test_relaxed_mode_respects_static_check_with_flags():
     for _ in range(100):
         cnf = random_partitioned_cnf(rng, max_vars=12, max_clauses=25)
         d = defined_vars(cnf, cnf.outer_vars).defined
-        td, order = constrain_and_root(cnf, cnf.outer_vars, d, seed=3)
-        circ = compile_cnf(cnf, CompileConfig(order, CompileMode.XD_FIRST))
+        td, order, _ = constrain_and_root(cnf, cnf.outer_vars, d, seed=3)
+        circ = compile_cnf(cnf, order, CompileMode.XD_FIRST)
         rep = verify_circuit(smooth(circ, cnf.outer_vars), cnf, d)
         assert rep.outer_first_mod_defs
         assert rep.decomposable and rep.deterministic and rep.smooth
@@ -179,15 +177,15 @@ def test_size_bound_against_constrained_width():
     for _ in range(100):
         cnf = random_partitioned_cnf(rng, max_vars=14, max_clauses=40)
         d = defined_vars(cnf, cnf.outer_vars).defined
-        td, order = constrain_and_root(cnf, cnf.outer_vars, d, seed=7)
-        circ = compile_cnf(cnf, CompileConfig(order, CompileMode.XD_FIRST))
+        td, order, _ = constrain_and_root(cnf, cnf.outer_vars, d, seed=7)
+        circ = compile_cnf(cnf, order, CompileMode.XD_FIRST)
         bound = 2 ** (td.width + 1) * (len(cnf.clauses) + len(cnf.variables))
         assert circ.node_count <= bound
 
 
 def test_stats_populated():
     cnf = LabeledCnf(4, LEX_CLAUSES)
-    circ = compile_cnf(cnf, CompileConfig(order_of(1, 2, 3, 4)))
+    circ = compile_cnf(cnf, (1, 2, 3, 4))
     s = circ.stats
     assert s.nodes == circ.node_count
     assert s.edges == circ.edge_count
@@ -213,11 +211,11 @@ def test_compiled_structure_golden():
         seq = list(cnf.variables)
         rng.shuffle(seq)
         for mode in CompileMode:
-            circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
+            circ = compile_cnf(cnf, tuple(seq), mode)
             digest.update(repr(_structure(circ)).encode())
     with pytest.raises(CapacityError) as e:
-        compile_cnf(equivalence_cnf(8), CompileConfig(
-            order_of(*range(1, 17)), CompileMode.X_FIRST, cache_budget=20_000))
+        compile_cnf(equivalence_cnf(8), tuple(range(1, 17)), CompileMode.X_FIRST,
+                    cache_budget=20_000)
     digest.update(repr(dataclasses.astuple(e.value.stats)).encode())
     assert digest.hexdigest()[:16] == "f666c4470b056484"
 
@@ -227,7 +225,7 @@ def test_buffered_inner_units_propagate_below_the_split():
     # the outer clause (1, 2) remained; the block must still propagate after
     # the split instead of deciding on 3
     cnf = LabeledCnf(4, [(1, 2), (3,), (-3, 4)], outer_vars={1, 2})
-    circ = compile_cnf(cnf, CompileConfig(order_of(1, 2, 3, 4), CompileMode.X_FIRST))
+    circ = compile_cnf(cnf, (1, 2, 3, 4), CompileMode.X_FIRST)
     s = circ.stats
     assert (s.decisions, s.propagations, s.nodes, s.cache_entries) == (1, 3, 9, 2)
     assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))
@@ -245,7 +243,7 @@ def test_compiled_sizes_golden():
         seq = list(cnf.variables)
         rng.shuffle(seq)
         for mode in CompileMode:
-            circ = compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))
+            circ = compile_cnf(cnf, tuple(seq), mode)
             s = circ.stats
             sizes = (s.nodes, s.edges, s.decisions, count_models(circ, cnf.variables))
             digest.update(repr(sizes).encode())
@@ -265,7 +263,7 @@ def _benchmark_compiles():
         inst = workloads.generate(w, 1)[0]
         cnf = inst.cnf or build_instance(parse_program(inst.text), TaskKind(inst.task)).cnf
         mode = CompileMode(w.mode)
-        yield cnf, compile_cnf(cnf, CompileConfig(plan_order(cnf, mode), mode))
+        yield cnf, compile_cnf(cnf, plan_order(cnf, mode), mode)
 
 
 def test_benchmark_compiles_golden():
@@ -291,7 +289,7 @@ def test_emitted_circuits_golden():
         seq = list(cnf.variables)
         rng.shuffle(seq)
         for mode in CompileMode:
-            compiled.append((cnf, compile_cnf(cnf, CompileConfig(VariableOrder(tuple(seq)), mode))))
+            compiled.append((cnf, compile_cnf(cnf, tuple(seq), mode)))
     digest = hashlib.sha256()
     for cnf, circ in [*compiled, *_benchmark_compiles()]:
         digest.update(emit_nnf(circ).encode())
@@ -305,7 +303,7 @@ def test_cache_key_tells_variables_apart():
     # components that must not share a cache entry
     cnf = LabeledCnf(5, [(1, 2, 3, 4), (-5, -1), (5, -2)], outer_vars=frozenset([5]))
     for mode in CompileMode:
-        circ = compile_cnf(cnf, CompileConfig(order_of(5, 3, 4, 1, 2), mode))
+        circ = compile_cnf(cnf, (5, 3, 4, 1, 2), mode)
         assert models_of(circ, cnf) == frozenset(enumerate_models(cnf)), mode
         assert (circ.stats.decisions, circ.stats.cache_hits) == (5, 0), mode
 
@@ -315,7 +313,7 @@ def test_equal_residuals_share_an_entry_across_clause_ids():
     # with 1 false from (-3 1 2) as well: other clause ids, one residual
     cnf = LabeledCnf(3, [(-3, 1, 2), (-3, 2)])
     for mode in CompileMode:
-        circ = compile_cnf(cnf, CompileConfig(order_of(1, 2, 3), mode))
+        circ = compile_cnf(cnf, (1, 2, 3), mode)
         assert models_of(circ, cnf) == frozenset(enumerate_models(cnf)), mode
         assert (circ.stats.decisions, circ.stats.cache_hits) == (2, 1), mode
 
@@ -331,7 +329,7 @@ def test_equal_residuals_across_clause_ids_keep_decisions_linear():
         cnf = LabeledCnf(n + 2, [(x, a, b) for x in range(1, n + 1)],
                          outer_vars=frozenset(range(1, n + 1)))
         for mode in CompileMode:
-            circ = compile_cnf(cnf, CompileConfig(order_of(*range(1, n + 3)), mode))
+            circ = compile_cnf(cnf, tuple(range(1, n + 3)), mode)
             assert circ.stats.decisions == 2 * n, (n, mode)
             assert count_models(circ, cnf.variables) == 3 * 2 ** n + 1, (n, mode)
 
@@ -342,10 +340,10 @@ def test_compile_restores_the_recursion_limit():
     limit = sys.getrecursionlimit()
     n = limit + 1
     units = LabeledCnf(n, [(v,) for v in range(1, n + 1)])
-    compile_cnf(units, CompileConfig(order_of(*range(1, n + 1))))
+    compile_cnf(units, tuple(range(1, n + 1)))
     assert sys.getrecursionlimit() == limit
     with pytest.raises(CapacityError):
-        compile_cnf(units, CompileConfig(order_of(*range(1, n + 1)), cache_budget=1))
+        compile_cnf(units, tuple(range(1, n + 1)), cache_budget=1)
     assert sys.getrecursionlimit() == limit
 
 
@@ -357,19 +355,19 @@ def test_budget_estimate_tracks_traced_memory():
     xab = LabeledCnf(n + 2, [(x, n + 1, n + 2) for x in range(1, n + 1)],
                      outer_vars=frozenset(range(1, n + 1)))
     cases = [
-        (equivalence_cnf(10), CompileConfig(order_of(*range(1, 21)), CompileMode.X_FIRST)),
-        (chain, CompileConfig(plan_order(chain, CompileMode.XD_FIRST), CompileMode.XD_FIRST)),
-        (xab, CompileConfig(order_of(*range(1, n + 3)), CompileMode.X_FIRST)),
+        (equivalence_cnf(10), tuple(range(1, 21)), CompileMode.X_FIRST),
+        (chain, plan_order(chain, CompileMode.XD_FIRST), CompileMode.XD_FIRST),
+        (xab, tuple(range(1, n + 3)), CompileMode.X_FIRST),
     ]
-    for cnf, cfg in cases:
+    for cnf, order, mode in cases:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            circ = compile_cnf(cnf, cfg)
+            circ = compile_cnf(cnf, order, mode)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / 2 <= circ.stats.bytes_estimate <= 2 * peak, (cfg.mode, peak)
+        assert peak / 2 <= circ.stats.bytes_estimate <= 2 * peak, (mode, peak)
 
 
 def test_compiled_circuit_holds_few_bytes_per_node():
@@ -380,7 +378,7 @@ def test_compiled_circuit_holds_few_bytes_per_node():
     try:
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
-        circ = compile_cnf(cnf, CompileConfig(order_of(*range(1, 21)), CompileMode.X_FIRST))
+        circ = compile_cnf(cnf, tuple(range(1, 21)), CompileMode.X_FIRST)
         # a full collection also empties the interpreter's free lists, so
         # what is left is what the circuit holds
         gc.collect()
@@ -389,3 +387,15 @@ def test_compiled_circuit_holds_few_bytes_per_node():
         tracemalloc.stop()
     assert circ.node_count == 4133
     assert held / circ.node_count < 80
+
+
+def test_compiler_does_not_load_the_planner():
+    # the compiler takes a plain order; the planner that makes one stays out
+    # of its imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, nestedamc.compiler; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "nestedamc.compiler" in loaded
+    assert "nestedamc.treedecomp" not in loaded

@@ -20,7 +20,7 @@ from nestedamc.circuit import (
     smooth,
 )
 from nestedamc.cnf import enumerate_models
-from nestedamc.compiler import CompileConfig, CompileMode, compile_cnf
+from nestedamc.compiler import CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import ConfigError, ParseError
 from nestedamc.programs import (
@@ -244,6 +244,27 @@ def test_conflicting_evidence_is_a_parse_error():
     assert parse_program("0.4::a. evidence(a, true). evidence(a, true).").evidence == {"a": True}
 
 
+def test_repeated_utility_is_a_parse_error():
+    # accepted, the last value won: the program solved with utility 5
+    text = "?::a. c :- a.\nutility(c, 3).\nutility(c, 5)."
+    with pytest.raises(ParseError, match="duplicate utility for c$") as e:
+        parse_program(text)
+    assert e.value.line == 3
+    with pytest.raises(ParseError, match=r"duplicate utility for \\\+c$"):
+        parse_program("?::a. c :- a. utility(\\+c, 3). utility(\\+ c, 3).")
+    # c and \+c are two literals, each with its own utility
+    p = parse_program("?::a. c :- a. utility(c, 3). utility(\\+c, 5).")
+    assert p.utilities == {("c", True): 3.0, ("c", False): 5.0}
+
+
+def test_repeated_query_is_deduplicated():
+    # was ["c", "c"], which SUCC refused as more than one query atom
+    p = parse_program("0.4::a. c :- a. query(c). query(c).")
+    assert p.queries == ["c"]
+    value, _ = solve(p, TaskKind.SUCC)
+    assert value == pytest.approx(0.4)
+
+
 def test_smp_equals_succ_when_worlds_have_unique_models():
     # tight programs without negative cycles: one model per world
     base = parse_program(LEX)
@@ -317,7 +338,7 @@ def test_transforms_are_homomorphic_on_observed_values(monkeypatch):
             p = random_program(rng, family)
             inst = build_instance(p, task)
             order = plan_order(inst.cnf, CompileMode.XD_FIRST, seed=1)
-            circ = compile_cnf(inst.cnf, CompileConfig(order, CompileMode.XD_FIRST))
+            circ = compile_cnf(inst.cnf, order, CompileMode.XD_FIRST)
             observed.clear()
             evaluate_nested(smooth(circ, inst.cnf.outer_vars), inst)
             if len(observed) < 2:
@@ -375,7 +396,7 @@ def planned_orders():
             diag = Diagnostics()
             order = plan_order(cnf, mode, seed=seed, diag=diag)
             digest.update(repr((
-                order.sequence, order.boundary_index, sorted(diag.defined),
+                order, diag.separator_size, sorted(diag.defined),
                 diag.separator_size, diag.width,
             )).encode())
             queries += diag.definability_queries

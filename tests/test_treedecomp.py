@@ -14,13 +14,14 @@ from nestedamc.compiler import CompileMode
 from nestedamc.definability import defined_vars
 from nestedamc.programs import Diagnostics, plan_order
 from nestedamc.treedecomp import (
+    FLOW_BOUND,
+    RESTARTS,
     TreeDecomposition,
     _degeneracy,
     _min_fill_order,
     _td_from_elimination,
     constrain_and_root,
     decompose,
-    emit_td,
     find_separator,
     order_from_td,
 )
@@ -69,7 +70,7 @@ def test_decompose_valid_on_random_graphs():
     for _ in range(500):
         n = rng.randint(1, 40)
         g = gnp_graph(n, rng.random() * 0.3, seed=rng.randrange(1 << 30))
-        td = decompose(g, seed=rng.randrange(1 << 30), restarts=2)
+        td = decompose(g, seed=rng.randrange(1 << 30))
         assert validate_td(g, td)
 
 
@@ -113,10 +114,14 @@ def test_separator_star_center():
 
 
 def test_separator_flow_bound_fallback_is_still_a_separator():
-    g = graph((i, 100 + i) for i in range(1, 11))
-    sep = find_separator(g, set(range(1, 11)), set(range(1, 11)), flow_bound=3)
-    assert sep == frozenset(range(1, 11))  # the frontier
-    assert separates(g, sep, set(range(1, 11)), set(range(101, 111)))
+    # 70 disjoint edges from an outer vertex to a target: the min cut of 70
+    # exceeds the flow bound
+    n = 70
+    assert n > FLOW_BOUND
+    g = graph((i, 100 + i) for i in range(1, n + 1))
+    sep = find_separator(g, set(range(1, n + 1)), set(range(1, n + 1)))
+    assert sep == frozenset(range(1, n + 1))  # the frontier
+    assert separates(g, sep, set(range(1, n + 1)), set(range(101, 101 + n)))
 
 
 def test_separator_is_a_minimum_cut_by_enumeration():
@@ -144,16 +149,16 @@ def test_constrain_and_root_guarantees():
         cnf = random_partitioned_cnf(rng, max_vars=14, max_clauses=30)
         x = cnf.outer_vars
         d = defined_vars(cnf, x).defined
-        td, order = constrain_and_root(cnf, x, d, seed=rng.randrange(1 << 30))
+        td, order, sep = constrain_and_root(cnf, x, d, seed=rng.randrange(1 << 30))
         g = primal_graph(cnf)
         assert validate_td(g, td)
         root_bag = td.bags[td.root]
         targets = set(g) - set(x) - set(d)
         assert root_bag <= x | d
         assert separates(g, root_bag, x, targets)
-        # the emitted order is a permutation with the separator block first
-        assert sorted(order.sequence) == sorted(cnf.variables)
-        sep = set(order.sequence[: order.boundary_index])
+        # the emitted order is a permutation with the separator first
+        assert sorted(order) == sorted(cnf.variables)
+        assert set(order[: len(sep)]) == sep
         assert separates(g, sep, x, targets)
         assert td.width >= len(sep) - 1
 
@@ -161,16 +166,16 @@ def test_constrain_and_root_guarantees():
 def test_constrain_equivalence_theory_unconstrained():
     cnf = equivalence_cnf(3)
     x = frozenset(range(1, 4))
-    td, order = constrain_and_root(cnf, x, frozenset(range(4, 7)))
+    td, order, sep = constrain_and_root(cnf, x, frozenset(range(4, 7)))
     assert td.width == 1
-    assert order.boundary_index == 0
-    assert sorted(order.sequence) == list(range(1, 7))
+    assert sep == frozenset()
+    assert sorted(order) == list(range(1, 7))
 
 
 def test_constrain_all_vars_outer_plain_decompose():
     cnf = LabeledCnf(4, [(1, 2), (2, 3), (3, 4)], outer_vars=frozenset([1, 2, 3, 4]))
-    td, order = constrain_and_root(cnf, cnf.outer_vars, frozenset())
-    assert order.boundary_index == 0
+    td, _, sep = constrain_and_root(cnf, cnf.outer_vars, frozenset())
+    assert sep == frozenset()
     assert validate_td(primal_graph(cnf), td)
 
 
@@ -178,9 +183,8 @@ def test_order_separator_block_first():
     rng = random.Random(9)
     for _ in range(50):
         cnf = random_partitioned_cnf(rng, max_vars=12, max_clauses=24)
-        td, order = constrain_and_root(cnf, cnf.outer_vars, frozenset(), seed=1)
-        sep = set(order.sequence[: order.boundary_index])
-        pos = {v: i for i, v in enumerate(order.sequence)}
+        td, order, sep = constrain_and_root(cnf, cnf.outer_vars, frozenset(), seed=1)
+        pos = {v: i for i, v in enumerate(order)}
         assert all(
             pos[s] < pos[v]
             for s in sep
@@ -188,19 +192,10 @@ def test_order_separator_block_first():
         )
 
 
-def test_emit_td_format():
-    g = graph([(1, 2), (2, 3)])
-    td = decompose(g)
-    text = emit_td(td, 3)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("s td ")
-    assert any(line.startswith("b ") for line in lines)
-
-
 def test_order_from_td_deep_tree():
     # isolated vertices are chained into one path of 1100 bags
     g = primal_graph(LabeledCnf(1100, []))
-    td = decompose(g, restarts=1)
+    td = decompose(g)
     assert sorted(order_from_td(td, ())) == list(range(1, 1101))
 
 
@@ -269,12 +264,12 @@ def test_min_fill_matches_full_rescan():
         assert fast.getstate() == slow.getstate()
 
 
-def all_restarts_decompose(g, seed, restarts):
+def all_restarts_decompose(g, seed):
     """Every restart runs and the first strictly smaller width wins: the
     reference the early stop at the degeneracy bound must match."""
     rng = random.Random(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(RESTARTS):
         td = _td_from_elimination(_min_fill_order(g, rng))
         if best is None or td.width < best.width:
             best = td
@@ -285,18 +280,17 @@ def test_decompose_matches_all_restarts():
     rng = random.Random(23)
     cases = [
         (gnp_graph(rng.randint(1, 30), rng.random() * 0.6, seed=rng.randrange(1 << 30)),
-         rng.randrange(1 << 30), (1, 2, 8)[i % 3])
-        for i in range(300)
+         rng.randrange(1 << 30))
+        for _ in range(300)
     ]
     # at seed 0 the first run is one above the degeneracy, and one of the
     # first eight runs meets it
     cases += [
-        (gnp_graph(n, p, seed=s), 0, restarts)
+        (gnp_graph(n, p, seed=s), 0)
         for n, p, s in [(10, 0.7, 373), (12, 0.7, 1017), (10, 0.5, 1117), (14, 0.7, 713)]
-        for restarts in (2, 8)
     ]
-    for g, seed, restarts in cases:
-        fast, slow = decompose(g, seed, restarts), all_restarts_decompose(g, seed, restarts)
+    for g, seed in cases:
+        fast, slow = decompose(g, seed), all_restarts_decompose(g, seed)
         assert (fast.bags, fast.tree, fast.root) == (slow.bags, slow.tree, slow.root)
 
 
@@ -323,9 +317,10 @@ def test_degeneracy_of_small_graphs():
 def test_separator_clique_at_scale():
     # a 200-vertex separator clique: quartic fill-cost upkeep stalls here
     cnf = implication_chain(200)
-    td, order = constrain_and_root(cnf, cnf.outer_vars, ())
+    td, order, sep = constrain_and_root(cnf, cnf.outer_vars, ())
     assert td.width == 199
-    assert order.boundary_index == 200
+    assert len(sep) == 200
+    assert set(order[:200]) == sep
     assert decompose(clique_with_pendants(200)).width == 199
 
 
@@ -337,5 +332,6 @@ def test_xd_planning_over_an_800_vertex_separator_clique():
     t0 = time.perf_counter()
     order = plan_order(cnf, CompileMode.XD_FIRST, diag=diag)
     assert time.perf_counter() - t0 < 4.0
-    assert order.boundary_index == diag.separator_size == 800
+    assert diag.separator_size == 800
+    assert sorted(order) == sorted(cnf.variables)
     assert diag.width == 799
