@@ -17,11 +17,13 @@ A node's mask is computed once, when the node is added, as the OR of its
 children's masks, and stays on the circuit for smoothing, verification and
 evaluation. Nodes with equal masks share one mask object: a circuit has far
 fewer distinct variable sets than nodes. True is the empty and-node, false
-the empty or-node.
+the empty or-node. The same step keeps one record, `uneven_or`: the id of the
+first or-node whose children's masks differ from its own, -1 while there is
+none. It is the circuit's one or-node smoothness check.
 
-`smooth` returns its input itself when the input is already smooth: every
-or-node's children have the or-node's mask and the root's mask covers every
-variable. Otherwise it rebuilds the circuit, hash-consing the nodes it makes.
+`smooth` returns its input itself, without a scan, when the input is already
+smooth: `uneven_or` is -1 and the root's mask covers every variable.
+Otherwise it rebuilds the circuit, hash-consing the nodes it makes.
 
 Exchange grammar (one node per line, ids implicit by line order, children
 must precede parents):
@@ -52,8 +54,8 @@ class Circuit:
     over the variables 1..num_vars; smoothing pads up to them. Starts empty:
     `add` appends nodes, then `root` is set."""
 
-    __slots__ = ("kinds", "vals", "offsets", "kids", "masks", "_shared", "root",
-                 "num_vars", "stats")
+    __slots__ = ("kinds", "vals", "offsets", "kids", "masks", "_shared", "uneven_or",
+                 "root", "num_vars", "stats")
 
     def __init__(self, num_vars: int, stats=None):
         self.kinds = bytearray()
@@ -62,6 +64,7 @@ class Circuit:
         self.kids = array("i")
         self.masks: list[int] = []
         self._shared: dict[int, int] = {}  # one object per distinct mask
+        self.uneven_or = -1  # the first or-node whose children's masks differ from its own
         self.root = -1
         self.num_vars = num_vars
         self.stats = stats
@@ -76,6 +79,11 @@ class Circuit:
             m = 0
             for c in children:
                 m |= masks[c]
+            if kind == OR and self.uneven_or < 0:
+                for c in children:
+                    if masks[c] != m:
+                        self.uneven_or = len(masks)
+                        break
         self.kinds.append(kind)
         self.kids.extend(children)
         self.offsets.append(len(self.kids))
@@ -109,7 +117,8 @@ def _mask_of(vars_iter: Iterable[int]) -> int:
 def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
     """Parse the exchange format; the root is the last node. The circuit is
     over `num_vars` variables, by default the header's count; a literal or
-    decision variable beyond them is an error."""
+    decision variable beyond them is an error, and so are node and edge
+    counts that differ from the header's, as in a truncated file."""
     if isinstance(text, bytes):
         text = decode_ascii(text)
     circ = Circuit(0)
@@ -166,6 +175,10 @@ def parse_nnf(text, num_vars: Optional[int] = None) -> Circuit:
             raise ParseError("malformed node line", lineno)
     if not circ.node_count:
         raise ParseError("empty circuit")
+    if counts[:2] != (circ.node_count, circ.edge_count):
+        raise ParseError(
+            f"header declares {counts[0]} nodes and {counts[1]} edges, "
+            f"the file has {circ.node_count} and {circ.edge_count}")
     circ.num_vars = num_vars
     circ.root = circ.node_count - 1
     return circ
@@ -197,21 +210,6 @@ def emit_nnf(circuit: Circuit) -> str:
 # --------------------------------------------------------------- smoothing
 
 
-def _is_smooth(circuit: Circuit) -> bool:
-    """Every or-node's children have its mask and the root's mask covers
-    every variable."""
-    kinds, offsets, kids, masks = circuit.kinds, circuit.offsets, circuit.kids, circuit.masks
-    if circuit.full_mask & ~masks[circuit.root]:
-        return False
-    for i in range(len(kinds)):
-        if kinds[i] == OR:
-            m = masks[i]
-            for c in kids[offsets[i]:offsets[i + 1]]:
-                if masks[c] != m:
-                    return False
-    return True
-
-
 def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
     """Make every or-node's children mention the same variables and the root
     mention the whole universe, by padding with (v or not v) gates. The model
@@ -223,7 +221,7 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
     and-node, or into every child of an or-node), so a circuit that decides
     the outer variables first keeps that shape.
     """
-    if _is_smooth(circuit):
+    if circuit.uneven_or < 0 and not circuit.full_mask & ~circuit.masks[circuit.root]:
         return circuit
     out_mask = _mask_of(outer_vars or ())
     out = Circuit(circuit.num_vars)
@@ -370,13 +368,23 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     Nodes whose variables are all inner evaluate in the inner semiring;
     whenever an inner value meets an outer context at an and-node (or at the
     root), it crosses through the transformation function.
+
+    Refuses a circuit that is not smooth (an `uneven_or` or-node, or a root
+    that misses one of the instance's variables) with a PreconditionError
+    naming the node; `evaluate_verified` checks the other properties first.
     """
     cnf = instance.cnf
+    kinds, vals, offsets, kids, masks = (
+        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
+    missing = _mask_of(cnf.variables) & ~masks[circuit.root]
+    if circuit.uneven_or >= 0 or missing:
+        node = (f"or-node {circuit.uneven_or} has children over different variables"
+                if circuit.uneven_or >= 0 else
+                f"root node {circuit.root} misses variable {_vars_of(missing)[0]}")
+        raise PreconditionError(f"{node}; evaluation requires a smooth circuit")
     sin = SEMIRINGS[cnf.inner_sr]
     sout = SEMIRINGS[cnf.outer_sr]
     t = TRANSFORMS[cnf.transform].fn
-    kinds, vals, offsets, kids, masks = (
-        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
     outer_mask = _mask_of(cnf.outer_vars)
     outer = [m & outer_mask != 0 for m in masks]  # mentions an outer variable
 
@@ -405,12 +413,6 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
                 values[i] = sin.zero  # false node, inner-tagged (no variables)
                 continue
             side = sin if not is_outer else sout
-            for c in ch:
-                if outer[c] != is_outer:
-                    raise PreconditionError(
-                        f"or-node {i} mixes inner and outer children; "
-                        "evaluation requires a smooth circuit"
-                    )
             acc = values[ch[0]]
             for c in ch[1:]:
                 acc = side.add(acc, values[c])
@@ -679,49 +681,39 @@ def verify_circuit(
     cls = bytes(map(by_mask.__getitem__, masks))
 
     live_mask = _mask_of(cnf.variables)
-    smooth_ok = masks[circuit.root] & live_mask == live_mask
-    sat_fallback = []
-    # or-parents branching on a variable; dvar 0 means the branch variable is
-    # unknown, which the flagging below treats conservatively
-    branched_on: dict[int, set[int]] = {}
-    for i in range(n):
-        if kinds[i] != OR:
-            continue
-        ch = kids[offsets[i]:offsets[i + 1]]
-        m = masks[i]
-        for c in ch:
-            if masks[c] != m:
-                smooth_ok = False
-        if len(ch) <= 1:
-            continue
-        dvar = vals[i]
-        fixed = [_decision_literal(circuit, c, dvar) if dvar else None for c in ch]
-        if None in fixed or len(set(fixed)) != len(fixed):
-            sat_fallback.append(i)
-        for c in ch:
-            branched_on.setdefault(c, set()).add(dvar)
-    deterministic = True
-    if sat_fallback:
-        if n <= _SAT_CHECK_NODE_LIMIT:
-            deterministic = _sat_pairwise_deterministic(circuit, sat_fallback)
-        else:
-            deterministic = False
-
-    # Outer-first: at most one mixed child per and-node, and beside a mixed
-    # child only children over outer variables. Modulo definability the same
-    # with outer ∪ D in place of outer; an and-node that fails only that is
-    # flagged rather than failed when its shape is justified beyond the
-    # static check: pure-inner children that are unit-propagated literals or
-    # whole split-off components crossing the transform, and multiple
-    # variable-disjoint mixed children from component splits. A pure-inner
-    # literal the enclosing or-node branches on is an early inner decision,
-    # which the static check rightly rejects.
+    smooth_ok = circuit.uneven_or < 0 and masks[circuit.root] & live_mask == live_mask
     decomposable = outer_first = strictly = mod_ok = True
+    sat_fallback = []
     flagged = []
-    for i in range(n):
-        if kinds[i] != AND:
+    # or-parents branching on a variable; dvar 0 means the branch variable is
+    # unknown, which the flagging below treats conservatively. Node ids run
+    # down, parents before children, so an and-node's entry is complete when
+    # the and-node is checked.
+    branched_on: dict[int, set[int]] = {}
+    for i in range(n - 1, -1, -1):
+        kind = kinds[i]
+        if kind == LIT:
             continue
         ch = kids[offsets[i]:offsets[i + 1]]
+        if kind == OR:
+            if len(ch) > 1:
+                dvar = vals[i]
+                fixed = [_decision_literal(circuit, c, dvar) if dvar else None for c in ch]
+                if None in fixed or len(set(fixed)) != len(fixed):
+                    sat_fallback.append(i)
+                for c in ch:
+                    branched_on.setdefault(c, set()).add(dvar)
+            continue
+        # Outer-first: at most one mixed child per and-node, and beside a
+        # mixed child only children over outer variables. Modulo definability
+        # the same with outer ∪ D in place of outer; an and-node that fails
+        # only that is flagged rather than failed when its shape is justified
+        # beyond the static check: pure-inner children that are
+        # unit-propagated literals or whole split-off components crossing the
+        # transform, and multiple variable-disjoint mixed children from
+        # component splits. A pure-inner literal the enclosing or-node
+        # branches on is an early inner decision, which the static check
+        # rightly rejects.
         acc = mixed = inner = mixed_mod = inner_mod = 0
         disjoint = True
         for c in ch:
@@ -751,6 +743,11 @@ def verify_circuit(
             flagged.append(i)
         else:
             mod_ok = False
+    # both were gathered downwards; the fallback and the report take them ascending
+    sat_fallback.reverse()
+    flagged.reverse()
+    deterministic = not sat_fallback or (
+        n <= _SAT_CHECK_NODE_LIMIT and _sat_pairwise_deterministic(circuit, sat_fallback))
 
     equivalent = None
     if len(cnf.variables) <= equivalence_var_limit:

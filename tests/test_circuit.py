@@ -59,6 +59,13 @@ def or_children_aligned(circ):
                for i in range(circ.node_count) if circ.kinds[i] == OR)
 
 
+def first_uneven_or(circ):
+    """Reference for `Circuit.uneven_or`: the scan `smooth` made before the
+    record, over every or-node in id order, or -1."""
+    return next((i for i in range(circ.node_count) if circ.kinds[i] == OR
+                 and any(circ.masks[c] != circ.masks[i] for c in circ.children(i))), -1)
+
+
 def fig_left():
     """{a,b}-first circuit for the two-biconditional theory."""
     b = Builder()
@@ -169,6 +176,17 @@ def test_roundtrip_preserves_models():
     assert emit_nnf(again) == emit_nnf(circ)
 
 
+def test_parse_rejects_counts_that_differ_from_the_header():
+    # a truncated file would otherwise parse as a smaller circuit rooted at
+    # its last surviving line
+    text = "nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nL -1\nO 1 2 2 3\n"
+    assert parse_nnf(text).node_count == 5
+    for bad in (text.replace("nnf 5", "nnf 6"), text.replace(" 4 2", " 3 2"),
+                "".join(text.splitlines(keepends=True)[:-1])):
+        with pytest.raises(ParseError, match="header declares"):
+            parse_nnf(bad)
+
+
 def test_true_false_spellings():
     c = parse_nnf("nnf 2 0 1\nA 0\nO 0 0\n")
     assert nodes_of(c)[0] == (AND, 0, ())
@@ -212,6 +230,19 @@ def test_emit_reorders_when_root_is_not_last():
     assert circuit_models(again, over=frozenset([1, 2])) == circuit_models(
         circ, over=frozenset([1, 2])
     )
+
+
+@given(circuits(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_uneven_or_record_matches_a_full_scan(circ, data):
+    # the record kept by `add` names the first or-node the reference scan
+    # finds, however the circuit was built, and smoothing clears it
+    for built in (circ, parse_nnf(emit_nnf(circ))):
+        assert built.uneven_or == first_uneven_or(built)
+        assert (built.uneven_or == -1) == or_children_aligned(built)
+    sm = smooth(circ, data.draw(st.sets(st.integers(1, circ.num_vars))))
+    assert sm.uneven_or == -1
+    assert (sm is circ) == (or_children_aligned(circ) and circ.masks[circ.root] == circ.full_mask)
 
 
 # ---------------------------------------------------------------- smoothing
@@ -440,6 +471,25 @@ def test_mixed_or_children_rejected():
     inst = NestedInstance(LabeledCnf(2, [(1, 2)], outer_vars=frozenset([1])))
     with pytest.raises(PreconditionError):
         evaluate_nested(circ, inst)
+
+
+def test_evaluator_refuses_a_non_smooth_circuit():
+    # the ~1 branch forgets variable 2, whose two labels do not sum to one:
+    # evaluated as it is, the circuit gave 0.72 without a word
+    inst = NestedInstance(LabeledCnf(2, [(-1, 2)], inner_label={1: 0.4, -1: 0.6, 2: 0.3, -2: 0.3}))
+    circ = parse_nnf("nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nL -1\nO 1 2 2 3\n")
+    with pytest.raises(PreconditionError, match="or-node 4 "):
+        evaluate_nested(circ, inst)
+    with pytest.raises(EvaluationRefused):
+        evaluate_verified(circ, inst)
+    assert evaluate_nested(smooth(circ), inst) == pytest.approx(0.48)
+    assert brute_force_nested(inst) == pytest.approx(0.48)
+    # every or-node even, but the root misses variable 2
+    circ = parse_nnf("nnf 3 2 2\nL 1\nL -1\nO 1 2 0 1\n")
+    with pytest.raises(PreconditionError, match="root node 2 misses variable 2"):
+        evaluate_nested(circ, inst)
+    with pytest.raises(EvaluationRefused):
+        evaluate_verified(circ, inst)
 
 
 def test_instance_header_coherence():

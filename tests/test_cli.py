@@ -484,6 +484,23 @@ def test_nnf_header_with_non_integer_fields_is_input_error(files, capsys, tmp_pa
     assert out == ""
 
 
+def test_truncated_circuit_is_input_error(capsys, tmp_path):
+    # the chain has 30 variables, above the equivalence check's 20, so a
+    # circuit cut short used to evaluate to 11.0 instead of 31.0
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text("p cnf 30 29\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, 30)))
+    nnf = tmp_path / "chain.nnf"
+    assert run(capsys, "compile", str(cnf), "-o", str(nnf), "--mode", "free")[0] == 0
+    lines = nnf.read_text().splitlines(keepends=True)
+    assert lines[0] == "nnf 165 405 30\n"
+    code, out, _ = run(capsys, "eval", str(nnf), str(cnf))
+    assert (code, out) == (0, "value: 31.0\n")
+    nnf.write_text("".join(lines[:-3]))
+    code, out, err = run(capsys, "eval", str(nnf), str(cnf))
+    assert (code, out) == (1, "")
+    assert err == "error: header declares 165 nodes and 405 edges, the file has 162 and 401\n"
+
+
 def test_defined_non_integer_base_is_input_error(files, capsys):
     code, out, err = run(capsys, "defined", files["aex.cnf"], "--base", "a")
     assert code == 1
