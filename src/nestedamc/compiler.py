@@ -33,21 +33,36 @@ No node copies or rescans the residual formula; the layout follows sharpSAT
   Unit order. Propagation takes the eligible unit clause that comes first
       in sorted order of the clauses as they read when the propagation
       began, so and-nodes list implied literals in a fixed order.
-  Components. One traversal of the parent component's unassigned
-      variables, in increasing order, over the occurrence lists of the
-      unsatisfied clauses finds the child components, ordered by their
-      smallest variable, and keys each one as it visits its clauses.
-  Cache. A component is keyed by its residual: the sorted ids of its
-      distinct residual clauses, each an unsatisfied clause's unassigned
-      literals. A clause that lost no literal is its own id; a shortened one
-      is interned, so (-3 1 2) with 1 false gets the id of (-3 2) whatever
-      clause it came from. An X_FIRST block merged from several components
-      is keyed by the union of their ids. The key is exact: the residual
-      fixes the component's variables, its held units and whether outer
-      literals remain, which is all its compile reads, so equal keys compile
-      to the same node. Only components are cached: the decision points,
-      plus X_FIRST pure-inner blocks that hold inner units and so propagate
-      before they decide.
+  Components. A block carries int bitmasks of its live clauses, of its
+      shortened clauses (with the bit of each one's interned residual), of
+      its variables and of their decision ranks. After a decision and its
+      propagation the child's residual is derived from the parent's masks
+      and the occurrence masks of the new trail literals: clauses they
+      satisfy leave, clauses they shorten are interned again. The whole
+      child is looked up in the cache before it is partitioned, since equal
+      keys mean equal residuals and a residual fixes its split. On a miss
+      the search walks the live clauses from the free variables next to the
+      new literals, the seeds. Every component of a connected parent holds
+      a seed, so the search stops on reaching the last one: that component
+      is the child less the parts walked before. In an X_FIRST merged block
+      each seed's region is walked to its end, and the untouched rest keeps
+      its class; it is walked apart only when no mixed part remains. The
+      root, and a connected block of at most 32 clauses, where updating the
+      masks costs more than the walk they save, are walked whole instead:
+      one traversal from each variable that interns residuals as it goes.
+      Components are ordered by their smallest variable; the next decision
+      is the lowest bit of the rank mask.
+  Cache. A component is keyed by its residual: the ids of its distinct
+      residual clauses, each an unsatisfied clause's unassigned literals,
+      held as an int with one bit per id. A clause that lost no literal is
+      its own id; a shortened one is interned, so (-3 1 2) with 1 false gets
+      the id of (-3 2) whatever clause it came from. An X_FIRST block merged
+      from several components is keyed by the union of their ids. The key
+      is exact: the residual fixes the component's variables, its held units
+      and whether outer literals remain, which is all its compile reads, so
+      equal keys compile to the same node. Only components are cached: the
+      decision points, plus X_FIRST pure-inner blocks that hold inner units
+      and so propagate before they decide.
 """
 
 from __future__ import annotations
@@ -55,7 +70,9 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
+from operator import or_
 
 from .circuit import AND, LIT, OR, Circuit
 from .cnf import LabeledCnf
@@ -72,6 +89,9 @@ _LITERAL_BYTES = 220
 _NODE_BYTES = 160
 _ENTRY_BYTES = 60
 _ELEMENT_BYTES = 8
+# a connected block of at most this many live clauses is walked whole at each
+# split instead of deriving its child: keeping its masks costs more than that
+_WALK_CLAUSES = 32
 _TRUE = -1  # the result of an empty residual; its node is built only as a root
 _UNSET = sys.maxsize  # trail position of an unassigned variable
 
@@ -104,9 +124,17 @@ class CompileStats:
 
 
 class _Compilation:
-    """One compile. A component is a tuple (cache key, sorted variables,
-    propagation heap entries of its held unit clauses, outer literal
-    occurrences); the last two are only kept in X_FIRST mode."""
+    """One compile. A block is a tuple (key, live clauses, residual bits of
+    its shortened clauses by clause bit, shortened clauses, variables, ranks,
+    held units, outer occurrences, whole, variable list). The key, the live
+    and shortened clauses, the variables and the ranks are int bitmasks over
+    residual ids, clause ids, variable ids and decision ranks. Held units are
+    the propagation heap entries of its inner unit clauses held back above
+    it, and outer occurrences count the unassigned outer literals of its
+    clauses; both stay empty outside X_FIRST. A block is whole when it is
+    connected, not whole when X_FIRST merged it from several components, and
+    None at the root, where nothing is known of its shape. The variable list
+    is the walk's, kept to walk the block again, or None for a derived one."""
 
     def __init__(self, cnf: LabeledCnf, order, mode: CompileMode, cache_budget: int):
         if frozenset(order) != cnf.variables:
@@ -136,6 +164,8 @@ class _Compilation:
             for l in cl:
                 occ[l].append(c)
         self.vocc = [occ[v] + occ[-v] for v in range(n + 1)]
+        self.occm = self.near = None  # the same as bitmasks, see _build_masks
+        self.inner = sum(1 << v for v in cnf.inner_vars) if self.x_first else 0
         self.nsat = [0] * len(self.clauses)  # true literals per clause
         self.nlive = list(map(len, self.clauses))  # non-false literals per clause
         # unassigned outer literals per clause; all zero outside X_FIRST
@@ -143,16 +173,19 @@ class _Compilation:
         self.free = [True] * (n + 1)
         self.pos = [_UNSET] * (n + 1)
         self.trail: list[int] = []
-        self.stamp = 0  # one per component traversal, marking what it visited
+        self.stamp = 0  # one per split and per walk, marking what it visited
         self.vmark = [0] * (n + 1)
         self.cmark = [0] * len(self.clauses)
+        self.smark = [0] * (n + 1)  # the split whose seed a variable is
         self.stats = CompileStats()
         self.circuit = Circuit(n, stats=self.stats)
         self.index: dict[tuple, int] = {}  # (kind, value, *children) -> node id
         self.lit_ids: dict[int, int] = {}
-        self.cache: dict[tuple, int] = {}
-        # residual clause -> id; a clause that lost no literal is its own id
-        self.residual_ids = {cl: c for c, cl in enumerate(self.clauses)}
+        self.cache: dict[int, int] = {}
+        # residual clause -> bit of its id; a clause that lost no literal is its own id
+        self.residual_bits = {cl: 1 << c for c, cl in enumerate(self.clauses)}
+        self.pending = None  # new residuals -> their charge, while a child is derived
+        self.replay = None  # the same, charged as a walk meets them
 
     # -------------------------------------------------------- node building
 
@@ -231,13 +264,13 @@ class _Compilation:
         return conflict, units, drop
 
     def _undo(self, mark: int):
-        trail, occ, vocc = self.trail, self.occ, self.vocc
+        trail, occ, vocc, free, pos = self.trail, self.occ, self.vocc, self.free, self.pos
         nsat, nlive, nout, is_outer = self.nsat, self.nlive, self.nout, self.is_outer
         while len(trail) > mark:
             lit = trail.pop()
             v = lit if lit > 0 else -lit
-            self.free[v] = True
-            self.pos[v] = _UNSET
+            free[v] = True
+            pos[v] = _UNSET
             for c in occ[lit]:
                 nsat[c] -= 1
             for c in occ[-lit]:
@@ -253,9 +286,10 @@ class _Compilation:
         heap entries `held` of inner unit clauses held back above the block;
         in X_FIRST mode inner units wait while `n_outer`, the outer literal
         occurrences left in the block, is positive. Returns (implied literals,
-        conflict flag); the literals stay on the trail."""
+        conflict flag, outer occurrences left); the literals stay on the
+        trail."""
         if not cands and not held:
-            return [], False
+            return [], False, n_outer
         snap = len(self.trail)
         clauses, pos, free, nsat = self.clauses, self.pos, self.free, self.nsat
         is_outer = self.is_outer
@@ -297,94 +331,288 @@ class _Compilation:
                 heappop(heap)
             if not heap:
                 self.stats.propagations += len(implied)
-                return implied, False
+                return implied, False, n_outer
             unit = heappop(heap)[2]
             implied.append(unit)
             conflict, units, drop = self._assign(unit)
             if conflict:
                 self.stats.propagations += len(implied)
-                return implied, True
+                return implied, True, n_outer
             n_outer -= drop
             for c in units:
                 push(c)
 
-    def _split(self, variables):
-        """The components of the unsatisfied clauses over the unassigned
-        `variables`, keyed by the traversal that finds them."""
+    def _split(self, parent, lits, n_outer):
+        """The blocks left of the parent block once `lits`, the literals set
+        since it was split off, are true; `n_outer` is what propagation left
+        of its outer occurrences."""
+        self.pending = {}
+        child = self._derive(parent, lits, n_outer)
+        pending, self.pending = self.pending, None
+        if child is None:
+            return ()
+        if pending:
+            charge = sum(pending.values())
+            if self.stats.bytes_estimate + charge > self.cache_budget:
+                # charge the new residuals in the order a walk of the child
+                # meets them, which fixes the partial stats of the overflow
+                self.replay = pending
+                self._walk_apart(child)
+                self.replay = None
+                charge = sum(pending.values())
+            self._budget(charge)
+        if child[0] in self.cache:
+            # equal keys mean equal residuals, which split alike: the child
+            # is the one block the cache holds
+            return (child,)
+        return self._search(child, lits)
+
+    def _derive(self, parent, lits, n_outer):
+        """The parent block less the clauses that `lits` satisfy, with the
+        clauses they shorten interned again, or None when nothing is left.
+        Its variables and ranks still hold those of `lits` and of variables
+        whose clauses all left."""
+        _, live, short, shortm, variables, ranks, held, _, whole, _ = parent
+        if self.occm is None:
+            self._build_masks()
+        occm = self.occm
+        sat = hit = 0
+        for l in lits:
+            sat |= occm[l]
+            hit |= occm[-l]
+        live &= ~sat
+        if not live:
+            return None
+        touched = live & hit
+        gone = shortm & sat
+        if held:
+            nsat = self.nsat
+            held = [e for e in held if not nsat[e[1]]]
+        if gone or touched:
+            short = dict(short)
+            while gone:
+                low = gone & -gone
+                del short[low]
+                gone ^= low
+            shortm = shortm & live | touched
+            nlive = self.nlive
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                c = low.bit_length() - 1
+                short[low] = self._residual(c)
+                if nlive[c] == 1:
+                    held = [*held, self._held(c)]
+        key = live & ~shortm
+        for r in short.values():
+            key |= r
+        return (key, live, short, shortm, variables, ranks, held, n_outer, whole, None)
+
+    def _search(self, child, lits):
+        """The blocks of a derived child, walked from the free variables next
+        to `lits`, the seeds. Every component of a whole child holds a seed,
+        so the search stops on reaching the last one: its component is what
+        the others leave. A merged child's seed regions are walked to their
+        end, and what they leave is its untouched parts."""
+        key, live, short, shortm, variables, ranks, held, n_outer, whole, _ = child
+        occm, rank, near, smark = self.occm, self.rank, self.near, self.smark
+        gone_v = gone_r = around = 0
+        for l in lits:
+            v = l if l > 0 else -l
+            gone_v |= 1 << v
+            gone_r |= 1 << rank[v]
+            around |= near[v]
+        self.stamp += 1
+        base = self.stamp
+        seeds = []
+        around &= variables & ~gone_v
+        while around:
+            low = around & -around
+            around ^= low
+            v = low.bit_length() - 1
+            if (occm[v] | occm[-v]) & live:
+                smark[v] = base
+                seeds.append(v)
+            else:  # every clause of v is satisfied
+                gone_v |= low
+                gone_r |= 1 << rank[v]
+        child = (key, live, short, shortm, variables & ~gone_v, ranks & ~gone_r, held,
+                 n_outer, whole, None)
+        left = len(seeds) if whole else -1
+        vmark = self.vmark
+        parts = []
+        for v in seeds:
+            if vmark[v] > base:
+                continue
+            left -= 1
+            walk = self._walk(v, base, left, short) if left else None
+            if walk is None:
+                break
+            block, left = walk
+            parts.append(block)
+        return self._group(parts, self._minus(child, parts) if parts else child)
+
+    def _build_masks(self):
+        """The clauses of each literal and the variables sharing a clause
+        with each variable, as bitmasks: built for the first split that
+        derives a child."""
+        self.occm = [sum(1 << c for c in cs) for cs in self.occ]
+        cvarm = [sum(1 << v for v in cv) for cv in self.cvars]
+        self.near = [reduce(or_, map(cvarm.__getitem__, cs), 0) for cs in self.vocc]
+
+    def _residual(self, c) -> int:
+        """The bit of the id of clause c's residual, its unassigned literals.
+        A residual met for the first time gets the next id, and its bytes
+        are charged now, or kept in `pending` while a child is derived."""
+        free, bits = self.free, self.residual_bits
+        residual = tuple([l for l in self.clauses[c] if free[l if l > 0 else -l]])
+        got = bits.get(residual)
+        if got is None:
+            got = bits[residual] = 1 << len(bits)
+            charge = _ENTRY_BYTES + _ELEMENT_BYTES * len(residual)
+            if self.pending is None:
+                self._budget(charge)
+            else:
+                self.pending[residual] = charge
+        elif self.replay and residual in self.replay:
+            self._budget(self.replay.pop(residual))
+        return got
+
+    def _held(self, c):
+        """The heap entry of the held unit clause c, which reads as its unit
+        alone at any later propagation."""
+        free = self.free
+        for u in self.clauses[c]:
+            if free[u if u > 0 else -u]:
+                return (u,), c, u
+
+    def _group(self, parts, rest):
+        """The blocks of a child found as walked parts plus the rest, if
+        any, ordered by their smallest variable."""
+        if rest is not None:
+            parts.append(rest)
+        if not self.x_first:
+            if len(parts) > 1:
+                parts.sort(key=_lowest)
+            return parts
+        # keep the strict outer-first shape: pure-outer components may split
+        # off, everything else stays one block while a mixed component exists.
+        # The rest of a merged block is whole components that keep their
+        # class, so it holds a mixed one exactly when outer literals remain.
+        inner = self.inner
+        if not any(b[7] and b[4] & inner for b in parts):
+            if rest is not None and rest[8] is False:
+                parts.pop()
+                parts += self._walk_apart(rest, rest[2])
+            parts.sort(key=_lowest)
+            return parts
+        blocks = sorted((b for b in parts if not b[4] & inner), key=_lowest)
+        blocks.append(_merge([b for b in parts if b[4] & inner]))
+        return blocks
+
+    def _walk_apart(self, block, short=None):
+        """The components over the free variables of a block, each walked
+        from its first variable; `short` as for _walk."""
+        self.stamp += 1
+        base = self.stamp
+        vmark, free = self.vmark, self.free
+        parts = []
+        for v in block[9] or _bits(block[4]):
+            if free[v] and vmark[v] < base:
+                block = self._walk(v, base, 0, short)[0]
+                if block is not None:
+                    parts.append(block)
+        return parts
+
+    def _walk(self, v, base, left, short):
+        """The block of the component of the free variable v, walked over the
+        live clauses from v, with the residual bits of its shortened clauses
+        taken from `short` when it is current, else interned (None if every
+        clause of v is satisfied); and `left` less the seeds of split `base`
+        it reached. None once `left` drops to zero."""
         self.stamp += 1
         stamp = self.stamp
-        vmark, cmark, free, nsat, nlive = self.vmark, self.cmark, self.free, self.nsat, self.nlive
-        vocc, cvars, clauses, ids = self.vocc, self.cvars, self.clauses, self.residual_ids
-        comps = []
-        for v in variables:
-            if not free[v] or vmark[v] == stamp:
-                continue
-            vmark[v] = stamp
-            found = [v]
-            cids = []
-            key = set()  # ids of the distinct residuals
-            for u in found:
-                for c in vocc[u]:
-                    if nsat[c] or cmark[c] == stamp:
-                        continue
-                    cmark[c] = stamp
-                    cids.append(c)
-                    cv = cvars[c]
-                    if nlive[c] == len(cv):
-                        # every variable is free: the clause is its own residual
-                        key.add(c)
-                        for w in cv:
-                            if vmark[w] != stamp:
-                                vmark[w] = stamp
-                                found.append(w)
-                        continue
-                    residual = []
-                    for l in clauses[c]:
-                        w = l if l > 0 else -l
-                        if free[w]:
-                            residual.append(l)
-                            if vmark[w] != stamp:
-                                vmark[w] = stamp
-                                found.append(w)
-                    residual = tuple(residual)
-                    i = ids.get(residual)
-                    if i is None:
-                        i = ids[residual] = len(ids)
-                        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * len(residual))
-                    key.add(i)
-            if cids:
-                comps.append((key, found, cids))
+        vmark, cmark, smark = self.vmark, self.cmark, self.smark
+        free, nsat, nlive, vocc, cvars = self.free, self.nsat, self.nlive, self.vocc, self.cvars
+        vmark[v] = stamp
+        found = [v]
+        cids = []
+        shortened = {}
+        for u in found:
+            for c in vocc[u]:
+                if nsat[c] or cmark[c] == stamp:
+                    continue
+                cmark[c] = stamp
+                cids.append(c)
+                cv = cvars[c]
+                if nlive[c] < len(cv):
+                    b = 1 << c
+                    shortened[b] = short[b] if short is not None else self._residual(c)
+                for w in cv:
+                    if free[w] and vmark[w] != stamp:
+                        vmark[w] = stamp
+                        found.append(w)
+                        if smark[w] == base:
+                            left -= 1
+                            if not left:
+                                return None
+        if not cids:  # every clause of v is satisfied
+            return None, left
+        found.sort()  # to walk the block again in variable order
+        # plain loops: summing big ints through map() costs more here
+        rank = self.rank
+        live = shortm = variables = ranks = 0
+        for c in cids:
+            live += 1 << c
+        key = live
+        if shortened:
+            residuals = 0
+            for b, r in shortened.items():
+                shortm += b
+                residuals |= r
+            key = live & ~shortm | residuals
+        for v in found:
+            variables += 1 << v
+            ranks += 1 << rank[v]
         if not self.x_first:
-            return [(tuple(sorted(key)), tuple(sorted(found)), (), 0) for key, found, _ in comps]
-        # keep the strict outer-first shape: pure-outer components may split
-        # off, everything else stays one block while a mixed component exists
-        is_outer = self.is_outer
-        outer_vars = [sum(map(is_outer.__getitem__, found)) for _, found, _ in comps]
-        if any(0 < k < len(comp[1]) for k, comp in zip(outer_vars, comps)):
-            rest = [comp for comp, k in zip(comps, outer_vars) if k < len(comp[1])]
-            comps = [comp for comp, k in zip(comps, outer_vars) if k == len(comp[1])]
-            comps.append((set().union(*[key for key, _, _ in rest]),
-                          [v for _, found, _ in rest for v in found],
-                          [c for _, _, cids in rest for c in cids]))
-        # a held unit clause reads as its unit alone at any later propagation
-        nout = self.nout
-        return [(tuple(sorted(key)), tuple(sorted(found)),
-                 [((u,), c, u) for c in cids if nlive[c] == 1
-                  for u in clauses[c] if free[u if u > 0 else -u]],
-                 sum(map(nout.__getitem__, cids)))
-                for key, found, cids in comps]
+            return (key, live, shortened, shortm, variables, ranks, (), 0, True, found), left
+        return (key, live, shortened, shortm, variables, ranks,
+                [self._held(c) for c in cids if nlive[c] == 1],
+                sum(map(self.nout.__getitem__, cids)), True, found), left
 
-    def _expand(self, variables, cands, n_outer, held=()) -> int:
-        """Propagate, then compile the components over `variables`; the
-        caller undoes the trail."""
-        lits, conflict = self._propagate(cands, n_outer, held)
+    def _minus(self, child, parts):
+        """What is left of the child block without its walked parts, or None."""
+        got = _merge(parts)
+        live = child[1] & ~got[1]
+        if not live:
+            return None
+        short = dict(child[2])
+        for b in got[2]:
+            del short[b]
+        return (child[0] & ~got[0], live, short, child[3] & live, child[4] & ~got[4],
+                child[5] & ~got[5], [e for e in child[6] if live >> e[1] & 1],
+                child[7] - got[7], child[8], None)
+
+    def _expand(self, parent, lit, cands, n_outer, held=()) -> int:
+        """Propagate, then compile the blocks left of the parent block once
+        its decision literal `lit` (0 if none) is set; the caller undoes the
+        trail."""
+        implied, conflict, n_outer = self._propagate(cands, n_outer, held)
         if conflict:
             return self._false()
-        blocks = self._split(variables)
-        if not lits and not blocks:
+        whole = parent[8]
+        if whole is None or whole and parent[1].bit_count() <= _WALK_CLAUSES:
+            # the root, whose shape nothing tells, or a block so small that
+            # walking what is left of it costs less than deriving it
+            blocks = self._walk_apart(parent)
+            if self.x_first or len(blocks) > 1:
+                blocks = self._group(blocks, None)
+        else:
+            blocks = self._split(parent, (lit, *implied) if lit else implied, n_outer)
+        if not implied and not blocks:
             return _TRUE
         # blocks are non-empty, so no child is _TRUE
-        children = [self._lit(l) for l in lits]
+        children = [self._lit(l) for l in implied]
         for block in blocks:
             children.append(self._component(block))
         return self._and(children)
@@ -395,22 +623,23 @@ class _Compilation:
         if got is not None:
             self.stats.cache_hits += 1
             return got
-        if comp[2] and not comp[3]:
+        if comp[6] and not comp[7]:
             # an X_FIRST pure-inner block with held units: these propagate,
             # so the block never comes back whole as one child
             mark = len(self.trail)
-            result = self._expand(comp[1], (), 0, comp[2])
+            result = self._expand(comp, 0, (), 0, comp[6])
             self._undo(mark)
         else:
             result = self._decide(comp)
         self.cache[key] = result
         self.stats.cache_entries += 1
         # the variables are held along the recursion while the component compiles
-        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (len(key) + len(comp[1])))
+        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (key.bit_count() + comp[4].bit_count()))
         return result
 
     def _decide(self, comp) -> int:
-        v = self.by_rank[min(map(self.rank.__getitem__, comp[1]))]
+        ranks = comp[5]
+        v = self.by_rank[(ranks & -ranks).bit_length() - 1]
         self.stats.decisions += 1
         pos = self._branch(comp, v)
         neg = self._branch(comp, -v)
@@ -422,7 +651,7 @@ class _Compilation:
         if conflict:
             result = self._false()
         else:
-            result = self._expand(comp[1], units, comp[3] - drop, comp[2])
+            result = self._expand(comp, lit, units, comp[7] - drop, comp[6])
         self._undo(mark)
         return result
 
@@ -439,13 +668,49 @@ class _Compilation:
                 root = self._false()
             else:
                 units = [c for c, cl in enumerate(clauses) if len(cl) == 1]
-                root = self._expand(range(1, self.cnf.num_vars + 1), units, sum(self.nout))
+                n_outer = sum(self.nout)
+                variables = range(1, self.cnf.num_vars + 1)
+                root = self._expand((0, 0, {}, 0, 0, 0, (), n_outer, None, variables),
+                                    0, units, n_outer)
         finally:
             sys.setrecursionlimit(limit)
         if root == _TRUE:
             root = self._mk(AND, 0)
         self.circuit.root = root
         return self.circuit
+
+
+def _bits(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lowest(block):
+    """The sort key of a block: the bit of its smallest variable."""
+    variables = block[4]
+    return variables & -variables
+
+
+def _merge(blocks):
+    """One block of several, which is whole only if it is one whole block."""
+    if len(blocks) == 1:
+        return blocks[0]
+    key = live = shortm = variables = ranks = n_outer = 0
+    short = {}
+    held = []
+    for b in blocks:
+        key |= b[0]
+        live |= b[1]
+        short.update(b[2])
+        shortm |= b[3]
+        variables |= b[4]
+        ranks |= b[5]
+        held += b[6]
+        n_outer += b[7]
+    return (key, live, short, shortm, variables, ranks, held, n_outer, False, None)
 
 
 def compile_cnf(

@@ -27,7 +27,7 @@ from .circuit import NestedInstance, evaluate_verified, smooth
 from .cnf import LabeledCnf
 from .compiler import DEFAULT_BUDGET, CompileMode, compile_cnf
 from .definability import defined_vars
-from .errors import ConfigError, ParseError
+from .errors import CapacityError, ConfigError, ParseError
 from .semirings import SemiringId, TransformId
 from .treedecomp import constrain_and_root
 
@@ -423,7 +423,12 @@ def solve_instance(
     diag.times["order"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    circ = compile_cnf(inst.cnf, order, mode, cache_budget)
+    try:
+        circ = compile_cnf(inst.cnf, order, mode, cache_budget)
+    except CapacityError as e:
+        # the planned order's separator and width size the compile
+        raise CapacityError(f"{e} (separator {diag.separator_size}, width {diag.width})",
+                            e.stats) from e
     diag.circuit_nodes = circ.node_count
     diag.circuit_edges = circ.edge_count
     diag.compile_stats = circ.stats

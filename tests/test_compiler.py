@@ -297,6 +297,25 @@ def test_emitted_circuits_golden():
     assert digest.hexdigest()[:16] == "9d44ed7996e9e401"
 
 
+def test_split_paths_golden():
+    # the exchange-format text and counters of 200 random instances of up to
+    # 24 variables and 70 clauses, and of a 240-variable implication chain,
+    # each compiled along its planned order in every mode. These are large
+    # enough for searches that stop before walking the last component and for
+    # X_FIRST merged blocks that split back into pure-inner parts; the digest
+    # was taken before the compiler derived components from their parents'
+    # clause masks, so a change to how components are found must leave it
+    rng = random.Random(1618)
+    cnfs = [random_partitioned_cnf(rng, 24, 70) for _ in range(200)]
+    digest = hashlib.sha256()
+    for cnf in [*cnfs, implication_chain(120)]:
+        for mode in CompileMode:
+            circ = compile_cnf(cnf, plan_order(cnf, mode), mode)
+            digest.update(repr(dataclasses.astuple(circ.stats)).encode())
+            digest.update(emit_nnf(circ).encode())
+    assert digest.hexdigest()[:16] == "c9801e9f45745d12"
+
+
 def test_cache_key_tells_variables_apart():
     # deciding 5 falsifies 1 in one branch and 2 in the other, leaving the
     # clause (1 2 3 4) over {2,3,4} and over {1,3,4}: one clause id, two

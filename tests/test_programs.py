@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from nestedamc.circuit import (
 from nestedamc.cnf import enumerate_models
 from nestedamc.compiler import CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
-from nestedamc.errors import ConfigError, ParseError
+from nestedamc.errors import CapacityError, ConfigError, ParseError
 from nestedamc.programs import (
     Diagnostics,
     TaskKind,
@@ -32,6 +34,7 @@ from nestedamc.programs import (
     parse_program,
     plan_order,
     solve,
+    solve_instance,
 )
 from nestedamc.semirings import SEMIRINGS, TRANSFORMS
 
@@ -449,3 +452,23 @@ def test_solve_3000_rule_positive_chain():
     assert len(p.rules) == 3000
     value, _ = solve(p, TaskKind.SUCC)
     assert value == pytest.approx(0.3, rel=1e-9)
+
+
+def test_capacity_error_names_the_planned_separator_and_width():
+    # the benchmark's chain MAP family at n=80 outgrows a 2 MB budget; the
+    # error says how large the planned order's separator and width are, and
+    # keeps the compiler's partial counters
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import families
+
+    text = families.chain(random.Random(0), 80, "map").text
+    inst = build_instance(parse_program(text), TaskKind.MAP)
+    diag = Diagnostics(instance=inst)
+    plan_order(inst.cnf, CompileMode.XD_FIRST, diag=diag)
+    with pytest.raises(CapacityError) as e:
+        solve_instance(inst, CompileMode.XD_FIRST, cache_budget=2 << 20)
+    assert str(e.value) == (f"compilation exceeded the cache budget "
+                            f"(separator {diag.separator_size}, width {diag.width})")
+    assert e.value.stats is not None and e.value.stats.bytes_estimate > 2 << 20

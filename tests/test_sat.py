@@ -1,7 +1,5 @@
 import random
 
-import numpy as np
-
 from gen import random_clauses
 from nestedamc import definability
 from nestedamc.definability import PadoaSession
@@ -10,16 +8,23 @@ from nestedamc.sat import SatSolver
 
 
 def tt_satisfiable(num_vars, clauses):
-    """Truth-table satisfiability, the independent oracle for the solver."""
-    m = np.arange(1 << num_vars, dtype=np.uint32)
-    ok = np.ones(m.shape, dtype=bool)
+    """Truth-table satisfiability, the independent oracle for the solver. A
+    table is a 2^n-bit int whose bit m is a value under the assignment that
+    gives variable v bit v-1 of m; a clause ORs its literals' tables, and the
+    theory is satisfiable iff the AND of its clauses' tables is nonzero."""
+    full = (1 << (1 << num_vars)) - 1
+    table = {}
+    for v in range(1, num_vars + 1):
+        half = 1 << (v - 1)
+        # 2^(v-1) false assignments, then as many true ones, repeated
+        table[v] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    ok = full
     for cl in clauses:
-        sat = np.zeros(m.shape, dtype=bool)
+        sat = 0
         for l in cl:
-            bit = (m >> (abs(l) - 1)) & 1
-            sat |= bit == (1 if l > 0 else 0)
+            sat |= table[l] if l > 0 else full & ~table[-l]
         ok &= sat
-    return bool(ok.any())
+    return ok != 0
 
 
 def satisfies(model, clauses):
