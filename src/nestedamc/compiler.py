@@ -50,8 +50,11 @@ No node copies or rescans the residual formula; the layout follows sharpSAT
       root, and a connected block of at most 32 clauses, where updating the
       masks costs more than the walk they save, are walked whole instead:
       one traversal from each variable that interns residuals as it goes.
+      A component such a walk finds with at most 32 clauses keeps no masks,
+      only its key and variables, since it is walked again at every split.
       Components are ordered by their smallest variable; the next decision
-      is the lowest bit of the rank mask.
+      is the lowest bit of the rank mask, or a light block's variable of
+      least rank.
   Cache. A component is keyed by its residual: the ids of its distinct
       residual clauses, each an unsatisfied clause's unassigned literals,
       held as an int with one bit per id. A clause that lost no literal is
@@ -134,7 +137,20 @@ class _Compilation:
     clauses; both stay empty outside X_FIRST. A block is whole when it is
     connected, not whole when X_FIRST merged it from several components, and
     None at the root, where nothing is known of its shape. The variable list
-    is the walk's, kept to walk the block again, or None for a derived one."""
+    is the walk's, kept to walk the block again, or None for a derived one.
+
+    A light block is walked again at every split, so it keeps no clause
+    masks and no ranks, only its key, held units, outer occurrences and
+    variable list, and its variables in X_FIRST, which groups blocks by
+    them. A walk gives one to a component of at most _WALK_CLAUSES clauses;
+    the root is one too."""
+
+    # slots: the hot methods read many attributes, and slot reads are cheaper
+    __slots__ = ("cnf", "cache_budget", "x_first", "is_outer", "by_rank", "rank",
+                 "clauses", "cvars", "occ", "vocc", "occm", "near", "inner", "nsat",
+                 "nlive", "nout", "free", "pos", "trail", "stamp", "vmark", "cmark",
+                 "smark", "stats", "circuit", "index", "lit_ids", "cache", "cbit",
+                 "residual_bits")
 
     def __init__(self, cnf: LabeledCnf, order, mode: CompileMode, cache_budget: int):
         if frozenset(order) != cnf.variables:
@@ -169,7 +185,10 @@ class _Compilation:
         self.nsat = [0] * len(self.clauses)  # true literals per clause
         self.nlive = list(map(len, self.clauses))  # non-false literals per clause
         # unassigned outer literals per clause; all zero outside X_FIRST
-        self.nout = [sum(map(self.is_outer.__getitem__, cv)) for cv in self.cvars]
+        if self.x_first:
+            self.nout = [sum(map(self.is_outer.__getitem__, cv)) for cv in self.cvars]
+        else:
+            self.nout = [0] * len(self.clauses)
         self.free = [True] * (n + 1)
         self.pos = [_UNSET] * (n + 1)
         self.trail: list[int] = []
@@ -182,10 +201,9 @@ class _Compilation:
         self.index: dict[tuple, int] = {}  # (kind, value, *children) -> node id
         self.lit_ids: dict[int, int] = {}
         self.cache: dict[int, int] = {}
+        self.cbit = [1 << c for c in range(len(self.clauses))]  # bit by clause id
         # residual clause -> bit of its id; a clause that lost no literal is its own id
-        self.residual_bits = {cl: 1 << c for c, cl in enumerate(self.clauses)}
-        self.pending = None  # new residuals -> their charge, while a child is derived
-        self.replay = None  # the same, charged as a walk meets them
+        self.residual_bits = dict(zip(self.clauses, self.cbit))
 
     # -------------------------------------------------------- node building
 
@@ -346,21 +364,9 @@ class _Compilation:
         """The blocks left of the parent block once `lits`, the literals set
         since it was split off, are true; `n_outer` is what propagation left
         of its outer occurrences."""
-        self.pending = {}
         child = self._derive(parent, lits, n_outer)
-        pending, self.pending = self.pending, None
         if child is None:
             return ()
-        if pending:
-            charge = sum(pending.values())
-            if self.stats.bytes_estimate + charge > self.cache_budget:
-                # charge the new residuals in the order a walk of the child
-                # meets them, which fixes the partial stats of the overflow
-                self.replay = pending
-                self._walk_apart(child)
-                self.replay = None
-                charge = sum(pending.values())
-            self._budget(charge)
         if child[0] in self.cache:
             # equal keys mean equal residuals, which split alike: the child
             # is the one block the cache holds
@@ -438,18 +444,7 @@ class _Compilation:
                 gone_r |= 1 << rank[v]
         child = (key, live, short, shortm, variables & ~gone_v, ranks & ~gone_r, held,
                  n_outer, whole, None)
-        left = len(seeds) if whole else -1
-        vmark = self.vmark
-        parts = []
-        for v in seeds:
-            if vmark[v] > base:
-                continue
-            left -= 1
-            walk = self._walk(v, base, left, short) if left else None
-            if walk is None:
-                break
-            block, left = walk
-            parts.append(block)
+        parts = self._walk(seeds, short, False, base, len(seeds) if whole else -1)
         return self._group(parts, self._minus(child, parts) if parts else child)
 
     def _build_masks(self):
@@ -461,21 +456,17 @@ class _Compilation:
         self.near = [reduce(or_, map(cvarm.__getitem__, cs), 0) for cs in self.vocc]
 
     def _residual(self, c) -> int:
-        """The bit of the id of clause c's residual, its unassigned literals.
-        A residual met for the first time gets the next id, and its bytes
-        are charged now, or kept in `pending` while a child is derived."""
-        free, bits = self.free, self.residual_bits
+        """The bit of the id of clause c's residual, its unassigned literals."""
+        free = self.free
         residual = tuple([l for l in self.clauses[c] if free[l if l > 0 else -l]])
-        got = bits.get(residual)
-        if got is None:
-            got = bits[residual] = 1 << len(bits)
-            charge = _ENTRY_BYTES + _ELEMENT_BYTES * len(residual)
-            if self.pending is None:
-                self._budget(charge)
-            else:
-                self.pending[residual] = charge
-        elif self.replay and residual in self.replay:
-            self._budget(self.replay.pop(residual))
+        return self.residual_bits.get(residual) or self._intern(residual)
+
+    def _intern(self, residual) -> int:
+        """The bit of the next id, given to a residual met for the first time,
+        whose bytes are charged."""
+        bits = self.residual_bits
+        got = bits[residual] = 1 << len(bits)
+        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * len(residual))
         return got
 
     def _held(self, c):
@@ -503,86 +494,108 @@ class _Compilation:
         if not any(b[7] and b[4] & inner for b in parts):
             if rest is not None and rest[8] is False:
                 parts.pop()
-                parts += self._walk_apart(rest, rest[2])
+                parts += self._walk(_bits(rest[4]), rest[2], True)
             parts.sort(key=_lowest)
             return parts
         blocks = sorted((b for b in parts if not b[4] & inner), key=_lowest)
-        blocks.append(_merge([b for b in parts if b[4] & inner]))
+        blocks.append(self._merge([b for b in parts if b[4] & inner]))
         return blocks
 
-    def _walk_apart(self, block, short=None):
-        """The components over the free variables of a block, each walked
-        from its first variable; `short` as for _walk."""
-        self.stamp += 1
-        base = self.stamp
-        vmark, free = self.vmark, self.free
-        parts = []
-        for v in block[9] or _bits(block[4]):
-            if free[v] and vmark[v] < base:
-                block = self._walk(v, base, 0, short)[0]
-                if block is not None:
-                    parts.append(block)
-        return parts
-
-    def _walk(self, v, base, left, short):
-        """The block of the component of the free variable v, walked over the
-        live clauses from v, with the residual bits of its shortened clauses
-        taken from `short` when it is current, else interned (None if every
-        clause of v is satisfied); and `left` less the seeds of split `base`
-        it reached. None once `left` drops to zero."""
+    def _walk(self, starts, short, light, base=-1, left=-1):
+        """The blocks of the components of the free variables `starts`, each
+        walked over the live clauses from the first of its variables met,
+        with the residual bits of its shortened clauses taken from `short`
+        when it is current, else interned; with `light`, a component of at
+        most _WALK_CLAUSES clauses gets a light block. Components come in the
+        order of their smallest variable when `starts` is sorted. `left`
+        counts the seeds of split `base` not reached yet: the walk stops,
+        returning the blocks found so far, before it would reach the last
+        one. A negative count never stops it."""
         self.stamp += 1
         stamp = self.stamp
         vmark, cmark, smark = self.vmark, self.cmark, self.smark
         free, nsat, nlive, vocc, cvars = self.free, self.nsat, self.nlive, self.vocc, self.cvars
-        vmark[v] = stamp
-        found = [v]
-        cids = []
-        shortened = {}
-        for u in found:
-            for c in vocc[u]:
-                if nsat[c] or cmark[c] == stamp:
-                    continue
-                cmark[c] = stamp
-                cids.append(c)
-                cv = cvars[c]
-                if nlive[c] < len(cv):
-                    b = 1 << c
-                    shortened[b] = short[b] if short is not None else self._residual(c)
-                for w in cv:
-                    if free[w] and vmark[w] != stamp:
-                        vmark[w] = stamp
-                        found.append(w)
-                        if smark[w] == base:
-                            left -= 1
-                            if not left:
-                                return None
-        if not cids:  # every clause of v is satisfied
-            return None, left
-        found.sort()  # to walk the block again in variable order
-        # plain loops: summing big ints through map() costs more here
-        rank = self.rank
-        live = shortm = variables = ranks = 0
-        for c in cids:
-            live += 1 << c
-        key = live
-        if shortened:
-            residuals = 0
-            for b, r in shortened.items():
+        cbit, clauses, bits = self.cbit, self.clauses, self.residual_bits
+        x_first = self.x_first
+        parts = []
+        for v in starts:
+            if not free[v] or vmark[v] == stamp:
+                continue
+            left -= 1
+            if not left:
+                return parts
+            vmark[v] = stamp
+            found = [v]
+            cids = []
+            shortened = {}
+            # the bits of the clauses that lost no literal, and of the others' residuals
+            plain = residuals = 0
+            for u in found:
+                for c in vocc[u]:
+                    if nsat[c] or cmark[c] == stamp:
+                        continue
+                    cmark[c] = stamp
+                    cids.append(c)
+                    cv = cvars[c]
+                    if nlive[c] < len(cv):
+                        b = cbit[c]
+                        if short is None:
+                            # _residual, written out: this loop is hot
+                            residual = []
+                            cv = []
+                            for l in clauses[c]:
+                                w = l if l > 0 else -l
+                                if free[w]:
+                                    residual.append(l)
+                                    cv.append(w)
+                            residual = tuple(residual)
+                            r = bits.get(residual) or self._intern(residual)
+                        else:
+                            r = short[b]
+                            cv = [w for w in cv if free[w]]
+                        shortened[b] = r
+                        residuals |= r
+                    else:
+                        plain += cbit[c]
+                    for w in cv:
+                        if vmark[w] != stamp:
+                            vmark[w] = stamp
+                            found.append(w)
+                            if smark[w] == base:
+                                left -= 1
+                                if not left:
+                                    return parts
+            if not cids:  # every clause of v is satisfied
+                continue
+            found.sort()  # to walk the block again in variable order
+            if x_first:
+                held = [self._held(c) for c in cids if nlive[c] == 1]
+                n_outer = sum(map(self.nout.__getitem__, cids))
+            else:
+                held, n_outer = (), 0
+            small = light and len(cids) <= _WALK_CLAUSES
+            variables = None  # read of a small block only to group it in X_FIRST
+            if x_first or not small:
+                variables = 0
+                for w in found:
+                    variables += 1 << w
+            if small:
+                parts.append((plain | residuals, None, None, None, variables, None, held,
+                              n_outer, True, found))
+                continue
+            rank = self.rank
+            shortm = ranks = 0
+            for b in shortened:
                 shortm += b
-                residuals |= r
-            key = live & ~shortm | residuals
-        for v in found:
-            variables += 1 << v
-            ranks += 1 << rank[v]
-        if not self.x_first:
-            return (key, live, shortened, shortm, variables, ranks, (), 0, True, found), left
-        return (key, live, shortened, shortm, variables, ranks,
-                [self._held(c) for c in cids if nlive[c] == 1],
-                sum(map(self.nout.__getitem__, cids)), True, found), left
+            for w in found:
+                ranks += 1 << rank[w]
+            parts.append((plain | residuals, plain | shortm, shortened, shortm, variables, ranks,
+                          held, n_outer, True, found))
+        return parts
 
     def _minus(self, child, parts):
         """What is left of the child block without its walked parts, or None."""
-        got = _merge(parts)
+        got = self._merge(parts)
         live = child[1] & ~got[1]
         if not live:
             return None
@@ -593,6 +606,27 @@ class _Compilation:
                 child[5] & ~got[5], [e for e in child[6] if live >> e[1] & 1],
                 child[7] - got[7], child[8], None)
 
+    def _merge(self, blocks):
+        """One block of several, which is whole only if it is one whole
+        block; a light one among several is walked again for its masks."""
+        if len(blocks) == 1:
+            return blocks[0]
+        key = live = shortm = variables = ranks = n_outer = 0
+        short = {}
+        held = []
+        for b in blocks:
+            if b[1] is None:
+                b = self._walk(b[9][:1], None, False)[0]
+            key |= b[0]
+            live |= b[1]
+            short.update(b[2])
+            shortm |= b[3]
+            variables |= b[4]
+            ranks |= b[5]
+            held += b[6]
+            n_outer += b[7]
+        return (key, live, short, shortm, variables, ranks, held, n_outer, False, None)
+
     def _expand(self, parent, lit, cands, n_outer, held=()) -> int:
         """Propagate, then compile the blocks left of the parent block once
         its decision literal `lit` (0 if none) is set; the caller undoes the
@@ -600,12 +634,12 @@ class _Compilation:
         implied, conflict, n_outer = self._propagate(cands, n_outer, held)
         if conflict:
             return self._false()
-        whole = parent[8]
-        if whole is None or whole and parent[1].bit_count() <= _WALK_CLAUSES:
-            # the root, whose shape nothing tells, or a block so small that
-            # walking what is left of it costs less than deriving it
-            blocks = self._walk_apart(parent)
-            if self.x_first or len(blocks) > 1:
+        live = parent[1]
+        if live is None or parent[8] and live.bit_count() <= _WALK_CLAUSES:
+            # a light block, or one so small that walking what is left of it
+            # costs less than deriving it
+            blocks = self._walk(parent[9] or _bits(parent[4]), None, True)
+            if self.x_first:
                 blocks = self._group(blocks, None)
         else:
             blocks = self._split(parent, (lit, *implied) if lit else implied, n_outer)
@@ -634,12 +668,16 @@ class _Compilation:
         self.cache[key] = result
         self.stats.cache_entries += 1
         # the variables are held along the recursion while the component compiles
-        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (key.bit_count() + comp[4].bit_count()))
+        n_vars = len(comp[9]) if comp[9] else comp[4].bit_count()
+        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (key.bit_count() + n_vars))
         return result
 
     def _decide(self, comp) -> int:
         ranks = comp[5]
-        v = self.by_rank[(ranks & -ranks).bit_length() - 1]
+        if ranks is None:  # a light block
+            v = self.by_rank[min(map(self.rank.__getitem__, comp[9]))]
+        else:
+            v = self.by_rank[(ranks & -ranks).bit_length() - 1]
         self.stats.decisions += 1
         pos = self._branch(comp, v)
         neg = self._branch(comp, -v)
@@ -670,7 +708,7 @@ class _Compilation:
                 units = [c for c, cl in enumerate(clauses) if len(cl) == 1]
                 n_outer = sum(self.nout)
                 variables = range(1, self.cnf.num_vars + 1)
-                root = self._expand((0, 0, {}, 0, 0, 0, (), n_outer, None, variables),
+                root = self._expand((0, None, None, None, 0, None, (), n_outer, None, variables),
                                     0, units, n_outer)
         finally:
             sys.setrecursionlimit(limit)
@@ -692,25 +730,6 @@ def _lowest(block):
     """The sort key of a block: the bit of its smallest variable."""
     variables = block[4]
     return variables & -variables
-
-
-def _merge(blocks):
-    """One block of several, which is whole only if it is one whole block."""
-    if len(blocks) == 1:
-        return blocks[0]
-    key = live = shortm = variables = ranks = n_outer = 0
-    short = {}
-    held = []
-    for b in blocks:
-        key |= b[0]
-        live |= b[1]
-        short.update(b[2])
-        shortm |= b[3]
-        variables |= b[4]
-        ranks |= b[5]
-        held += b[6]
-        n_outer += b[7]
-    return (key, live, short, shortm, variables, ranks, held, n_outer, False, None)
 
 
 def compile_cnf(
