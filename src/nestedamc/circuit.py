@@ -244,11 +244,13 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
         return got
 
     def attach(nid: int, missing_mask: int) -> int:
-        gates = tuple(
-            gate(v) for v in range(1, circuit.num_vars + 1) if missing_mask >> v & 1
-        )
+        gates = []
+        while missing_mask:  # the set bits, lowest variable first
+            low = missing_mask & -missing_mask
+            gates.append(gate(low.bit_length() - 1))
+            missing_mask ^= low
         base = tuple(out.children(nid)) if out.kinds[nid] == AND else (nid,)
-        return mk(AND, 0, base + gates)
+        return mk(AND, 0, (*base, *gates))
 
     pad_memo: dict[tuple[int, int], int] = {}
 
@@ -431,10 +433,10 @@ def brute_force_nested(instance: NestedInstance, max_vars: int = 24):
     if max_vars < 0:
         raise ConfigError(f"oracle guard must not be negative, got {max_vars}")
     cnf = instance.cnf
-    variables = sorted(cnf.variables)
-    n = len(variables)
+    n = cnf.num_vars
     if n > max_vars:
         raise CapacityError(f"{n} variables exceed the oracle guard of {max_vars}")
+    variables = range(1, n + 1)
     sin = SEMIRINGS[cnf.inner_sr]
     sout = SEMIRINGS[cnf.outer_sr]
     t = TRANSFORMS[cnf.transform].fn

@@ -65,11 +65,12 @@ class LabeledCnf:
             clauses.append(cl)
         self.clauses = clauses
         self.outer_vars = frozenset(self.outer_vars)
-        if not self.outer_vars <= self.variables:
+        # ranges checked directly: a declared count may be too large to list
+        n = self.num_vars
+        if not all(1 <= v <= n for v in self.outer_vars):
             raise PreconditionError("outer variables must lie in 1..num_vars")
-        inner = self.inner_vars
         for l in self.inner_label:
-            if abs(l) not in inner:
+            if not 1 <= abs(l) <= n or abs(l) in self.outer_vars:
                 raise PreconditionError(f"inner label on non-inner literal {l}")
         for l in self.outer_label:
             if abs(l) not in self.outer_vars:

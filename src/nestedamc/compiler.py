@@ -82,16 +82,16 @@ from .cnf import LabeledCnf
 from .errors import CapacityError, ConfigError, PreconditionError
 
 DEFAULT_BUDGET = 256 << 20  # bytes
-# Bytes charged against the budget, fitted to tracemalloc peaks of compiles
-# in every mode: the occurrence lists, per-clause arrays and residual table
-# per literal, a node (its hash-consing key, dict slot and id, plus its slots
-# in the circuit's arrays), a cache entry or interned residual clause with
-# their dict slots, and a child, key element, component variable or literal
-# of a residual.
-_LITERAL_BYTES = 220
-_NODE_BYTES = 160
-_ENTRY_BYTES = 60
-_ELEMENT_BYTES = 8
+# Bytes the budget counts, fitted to tracemalloc peaks of compiles in every
+# mode: per literal of the theory its occurrence lists, clause arrays and
+# residual table; per variable its slots in the per-variable arrays and its
+# share of the recursion; then per node of the circuit built so far its
+# hash-consing key, dict slot and id, its slots in the circuit's arrays and
+# its share of the cache; and per child its slots in the key and the arrays
+_LITERAL_BYTES = 160
+_VARIABLE_BYTES = 360
+_NODE_BYTES = 152
+_EDGE_BYTES = 18
 # a connected block of at most this many live clauses is walked whole at each
 # split instead of deriving its child: keeping its masks costs more than that
 _WALK_CLAUSES = 32
@@ -146,8 +146,8 @@ class _Compilation:
     the root is one too."""
 
     # slots: the hot methods read many attributes, and slot reads are cheaper
-    __slots__ = ("cnf", "cache_budget", "x_first", "is_outer", "by_rank", "rank",
-                 "clauses", "cvars", "occ", "vocc", "occm", "near", "inner", "nsat",
+    __slots__ = ("cnf", "cache_budget", "theory_bytes", "x_first", "is_outer", "by_rank",
+                 "rank", "clauses", "cvars", "occ", "vocc", "occm", "near", "inner", "nsat",
                  "nlive", "nout", "free", "pos", "trail", "stamp", "vmark", "cmark",
                  "smark", "stats", "circuit", "index", "lit_ids", "cache", "cbit",
                  "residual_bits")
@@ -173,6 +173,7 @@ class _Compilation:
         for i, v in enumerate(order):
             self.rank[v] = i
         self.clauses = sorted({tuple(sorted(cl)) for cl in cnf.clauses})
+        self.theory_bytes = _LITERAL_BYTES * sum(map(len, self.clauses)) + _VARIABLE_BYTES * n
         self.cvars = [tuple(map(abs, cl)) for cl in self.clauses]
         # lists indexed by a literal in -n..n: a negative one counts from the end
         self.occ = occ = [[] for _ in range(2 * n + 1)]
@@ -207,28 +208,31 @@ class _Compilation:
 
     # -------------------------------------------------------- node building
 
-    def _budget(self, extra: int):
-        self.stats.bytes_estimate += extra
-        if self.stats.bytes_estimate > self.cache_budget:
-            raise CapacityError("compilation exceeded the cache budget", self.stats)
-
-    def _new(self, kind: int, val: int, children=()) -> int:
-        self.stats.nodes += 1
-        self.stats.edges += len(children)
-        self._budget(_NODE_BYTES + _ELEMENT_BYTES * len(children))
-        return self.circuit.add(kind, val, children)
+    def _budget(self):
+        """Copy the circuit's and the cache's sizes into the statistics, with
+        the bytes they come to, and stop the compile once those pass the
+        budget. Run at each cache store, so between two checks a compile adds
+        at most one decision's nodes, and once at the end."""
+        circuit, stats = self.circuit, self.stats
+        stats.nodes = circuit.node_count
+        stats.edges = circuit.edge_count
+        stats.cache_entries = len(self.cache)
+        stats.bytes_estimate = (self.theory_bytes + _NODE_BYTES * stats.nodes
+                                + _EDGE_BYTES * stats.edges)
+        if stats.bytes_estimate > self.cache_budget:
+            raise CapacityError("compilation exceeded the cache budget", stats)
 
     def _mk(self, kind: int, val: int, children=()) -> int:
         key = (kind, val, *children)
         got = self.index.get(key)
         if got is None:
-            got = self.index[key] = self._new(kind, val, children)
+            got = self.index[key] = self.circuit.add(kind, val, children)
         return got
 
     def _lit(self, lit: int) -> int:
         got = self.lit_ids.get(lit)
         if got is None:
-            got = self.lit_ids[lit] = self._new(LIT, lit)
+            got = self.lit_ids[lit] = self.circuit.add(LIT, lit)
         return got
 
     def _false(self) -> int:
@@ -459,15 +463,9 @@ class _Compilation:
         """The bit of the id of clause c's residual, its unassigned literals."""
         free = self.free
         residual = tuple([l for l in self.clauses[c] if free[l if l > 0 else -l]])
-        return self.residual_bits.get(residual) or self._intern(residual)
-
-    def _intern(self, residual) -> int:
-        """The bit of the next id, given to a residual met for the first time,
-        whose bytes are charged."""
         bits = self.residual_bits
-        got = bits[residual] = 1 << len(bits)
-        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * len(residual))
-        return got
+        # a residual met for the first time gets the bit of the next id
+        return bits.get(residual) or bits.setdefault(residual, 1 << len(bits))
 
     def _held(self, c):
         """The heap entry of the held unit clause c, which reads as its unit
@@ -549,7 +547,7 @@ class _Compilation:
                                     residual.append(l)
                                     cv.append(w)
                             residual = tuple(residual)
-                            r = bits.get(residual) or self._intern(residual)
+                            r = bits.get(residual) or bits.setdefault(residual, 1 << len(bits))
                         else:
                             r = short[b]
                             cv = [w for w in cv if free[w]]
@@ -666,10 +664,7 @@ class _Compilation:
         else:
             result = self._decide(comp)
         self.cache[key] = result
-        self.stats.cache_entries += 1
-        # the variables are held along the recursion while the component compiles
-        n_vars = len(comp[9]) if comp[9] else comp[4].bit_count()
-        self._budget(_ENTRY_BYTES + _ELEMENT_BYTES * (key.bit_count() + n_vars))
+        self._budget()
         return result
 
     def _decide(self, comp) -> int:
@@ -701,7 +696,6 @@ class _Compilation:
         if needed > limit:
             sys.setrecursionlimit(needed)
         try:
-            self._budget(_LITERAL_BYTES * sum(map(len, clauses)))
             if clauses and not clauses[0]:
                 root = self._false()
             else:
@@ -714,6 +708,7 @@ class _Compilation:
             sys.setrecursionlimit(limit)
         if root == _TRUE:
             root = self._mk(AND, 0)
+        self._budget()
         self.circuit.root = root
         return self.circuit
 

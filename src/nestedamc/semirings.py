@@ -15,6 +15,7 @@ from typing import Callable, Optional
 from .errors import ConfigError
 
 NEG_INF = float("-inf")
+_INF = float("inf")
 
 
 class SemiringId(enum.Enum):
@@ -45,6 +46,11 @@ def _is_real(v) -> bool:
     if isinstance(v, float):
         return v == v
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """An int or a float other than NaN, inf and -inf."""
+    return _is_real(v) and abs(v) != _INF
 
 
 class Semiring:
@@ -92,7 +98,7 @@ class _Probability(Semiring):
         return a * b
 
     def contains(self, v):
-        return _is_real(v) and v != NEG_INF and v >= 0
+        return _is_finite(v) and v >= 0
 
     def parse_label(self, lit, fields):
         return float(fields[0])
@@ -154,10 +160,8 @@ class _ExpectedUtility(Semiring):
         return (
             isinstance(v, tuple)
             and len(v) == 2
-            and _is_real(v[0])
-            and _is_real(v[1])
-            and v[0] != NEG_INF
-            and v[1] != NEG_INF
+            and _is_finite(v[0])
+            and _is_finite(v[1])
         )
 
     def parse_label(self, lit, fields):
@@ -255,7 +259,7 @@ class _MapArgmax(_Argmax):
         return a * b
 
     def contains(self, v):
-        return super().contains(v) and v[0] >= 0.0
+        return super().contains(v) and _is_finite(v[0]) and v[0] >= 0.0
 
 
 class _MeuArgmax(_Argmax):

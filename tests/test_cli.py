@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -304,7 +305,7 @@ def test_stats_file_written(capsys, tmp_path):
     metrics = out.splitlines()[:-1]  # all but the result line
     assert lines[:len(metrics)] == metrics
     assert lines[len(metrics):len(metrics) + 3] == [
-        "compile bytes_estimate 4456", "smooth nodes 15", "smooth edges 14",
+        "compile bytes_estimate 5252", "smooth nodes 15", "smooth edges 14",
     ]
     assert [l.split()[:2] for l in lines[len(metrics) + 3:]] == [
         ["time", stage] for stage in ("build", "order", "compile", "evaluate")
@@ -553,6 +554,123 @@ def test_mapargmax_label_outside_its_domain_is_input_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "error: line 4: mapargmax label -0.3 outside the semiring's domain\n"
+
+
+def test_infinite_probability_label_is_input_error(capsys, tmp_path):
+    # accepted, inf times the zero labels of 2 made oracle and the compiled
+    # circuit's eval both print nan and exit 0
+    path = tmp_path / "inf.cnf"
+    path.write_text("p cnf 2 0\nc wi 1 inf 0\nc wi 2 0 0\nc wi -2 0 0\n")
+    for argv in (["oracle", str(path)], ["compile", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: probability label inf outside the semiring's domain\n"
+
+
+# one labeled CNF per parse error: (text, line or None, message)
+CNF_ERRORS = [
+    ("p cnf 1 0\np cnf 1 0\n", 2, "duplicate problem line"),
+    ("p dnf 1 0\n", 1, "malformed problem line"),
+    ("p cnf one 0\n", 1, "malformed problem line"),
+    ("p cnf -1 0\n", 1, "negative counts in problem line"),
+    ("p cnf 1 0\nc s probability probability\n", 2, "semiring header needs three tokens"),
+    ("p cnf 1 0\nc s probability probability sum\n", 2, "unknown token sum"),
+    ("p cnf 1 0\nc o 1\n", 2, "outer variable list not terminated by 0"),
+    ("p cnf 1 0\nc o x 0\n", 2, "bad variable x"),
+    ("p cnf 1 0\nc wi 1 0.5\n", 2, "weight line not terminated by 0"),
+    ("p cnf 1 0\nc wi 1 0\n", 2, "weight line too short"),
+    ("p cnf 1 0\nc wi x 0.5 0\n", 2, "bad literal x"),
+    ("p cnf 1 0\nc wi 1 half 0\n", 2, "bad weight fields half"),
+    ("p cnf 1 0\nc o 1 0\nc wi 1 0.5 0\n", 3, "inner weight on outer literal 1"),
+    ("p cnf 1 0\nc wo -1 0.5 0\n", 2, "outer weight on inner literal -1"),
+    ("1 0\np cnf 1 1\n", 1, "clause before problem line"),
+    ("p cnf 1 1\n1 x 0\n", 2, "bad literal in clause"),
+    ("p cnf 1 1\n1\n", 2, "clause not terminated by 0"),
+    ("c no problem line\n", None, "missing problem line"),
+    ("p cnf 1 0\nc o 2 0\n", None, "outer variable 2 out of range"),
+]
+
+# one circuit per parse error, read against `p cnf 2 0`
+NNF_ERRORS = [
+    ("nnf 1 0 2\nnnf 1 0 2\nL 1\n", 2, "duplicate header"),
+    ("nnf 1 0\nL 1\n", 1, "malformed header"),
+    ("L 1\nnnf 1 0 2\n", 1, "node line before header"),
+    ("nnf 1 0 2\nL 0\n", 2, "0 is not a literal"),
+    ("nnf 3 2 2\nL 1\nL 2\nA 3 0 1\n", 4, "child count mismatch"),
+    ("nnf 3 2 2\nL 1\nL -1\nO 1 1 0 1\n", 4, "child count mismatch"),
+    ("nnf 1 0 2\nX 1\n", 2, "unknown node kind X"),
+    ("nnf 1 0 2\nL one\n", 2, "malformed node line"),
+    ("nnf 0 0 2\n", None, "empty circuit"),
+]
+
+# one program per parse or task error: (task, text, line or None, message)
+PROGRAM_ERRORS = [
+    ("succ", "1.5::a.\nquery(a).\n", 1, "probability 1.5 outside [0,1]"),
+    ("succ", "0.5::a.\n0.4::a.\nquery(a).\n", 2, "duplicate probabilistic fact a"),
+    ("meu", "?::d.\n?::d.\nutility(d, 1).\n", 2, "duplicate decision fact d"),
+    ("meu", "?::d.\n0.5::e.\nd :- e.\n", None, "atom d is both a decision fact and a rule head"),
+    ("succ", "0.5::a.\nquery(a).\nfoo bar.\n", 3, "unrecognised statement 'foo bar'"),
+    ("map", "0.5::a.\nmap(a).\nevidence(a, true).\n", None,
+     "an atom cannot be both a map query and evidence"),
+    ("meu", "?::d.\n0.5::a.\nutility(a, 1).\nevidence(a, true).\n", None,
+     "evidence is not supported for expected-utility tasks"),
+]
+
+
+def _error_line(line, message):
+    return f"error: {message}\n" if line is None else f"error: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize("text, line, message", CNF_ERRORS)
+def test_malformed_cnf_is_input_error(capsys, tmp_path, text, line, message):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    assert run(capsys, "oracle", str(path)) == (1, "", _error_line(line, message))
+
+
+@pytest.mark.parametrize("text, line, message", NNF_ERRORS)
+def test_malformed_circuit_is_input_error(capsys, tmp_path, text, line, message):
+    cnf, nnf = tmp_path / "t.cnf", tmp_path / "bad.nnf"
+    cnf.write_text("p cnf 2 0\n")
+    nnf.write_text(text)
+    assert run(capsys, "eval", str(nnf), str(cnf)) == (1, "", _error_line(line, message))
+
+
+@pytest.mark.parametrize("task, text, line, message", PROGRAM_ERRORS)
+def test_malformed_program_is_input_error(capsys, tmp_path, task, text, line, message):
+    path = tmp_path / "bad.pl"
+    path.write_text(text)
+    expected = (1, "", _error_line(line, message))
+    assert run(capsys, "solve", "--task", task, str(path)) == expected
+
+
+@pytest.mark.parametrize("header, label, value", [
+    ("eu eu identity", "0.5 2", "1.5 2.0"),
+    ("natpair natpair identity", "2 3", "3 4"),
+])
+def test_pair_values_print_both_fields(capsys, tmp_path, header, label, value):
+    # the label of 1 plus the unit label of -1, the whole theory inner
+    path = tmp_path / "pair.cnf"
+    path.write_text(f"p cnf 1 0\nc s {header}\nc wi 1 {label} 0\n")
+    assert run(capsys, "oracle", str(path), "--format", "kv") == (0, f"result value {value}\n", "")
+
+
+@pytest.mark.parametrize("count", ["100000000", "99999999999999999999"])
+def test_huge_variable_count_meets_the_oracle_guard(tmp_path, count):
+    # the declared variables used to be listed in sets before any check, a
+    # MemoryError traceback at 10^8 and unbounded growth at 10^20. The
+    # address-space limit makes such a regression fail as that MemoryError
+    path = tmp_path / "huge.cnf"
+    path.write_text(f"p cnf {count} 1\n1 0\n")
+    src = str(Path(nestedamc.__file__).resolve().parents[1])
+    limit = 512 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "nestedamc.cli", "oracle", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"capacity error: {count} variables exceed the oracle guard of 24\n"
 
 
 def test_non_finite_utility_is_input_error(capsys, tmp_path):

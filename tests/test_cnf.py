@@ -95,7 +95,8 @@ def test_clauses_keep_literal_order_without_repeats():
     assert cnf.clauses == [(2, 1), (-3,)]
 
 
-# one label outside its semiring's domain per semiring: header lines, label line
+# labels outside their semiring's domain, one per semiring and one more per
+# finite domain: header lines, label line
 OUT_OF_DOMAIN = {
     "probability": (["c s probability probability identity"], "c wi 1 -0.5 0"),
     "maxtimes": (["c s probability maxtimes identity", "c o 1 0"], "c wo 1 -2.0 0"),
@@ -104,17 +105,31 @@ OUT_OF_DOMAIN = {
     "maxplus": (["c s maxplus maxplus identity"], "c wi -2 nan 0"),
     "eu": (["c s eu meuargmax euproject", "c o 1 0"], "c wi 2 0.5 nan 0"),
     "meuargmax": (["c s eu meuargmax euproject", "c o 1 0"], "c wo -1 nan 0"),
+    # the finite domains: inf times a zero label would make the value NaN
+    "probability inf": (["c s probability probability identity"], "c wi 1 inf 0"),
+    "maxtimes inf": (["c s probability maxtimes identity", "c o 1 0"], "c wo 1 inf 0"),
+    "mapargmax inf": (["c s probability mapargmax prob2map", "c o 1 0"], "c wo -1 inf 0"),
+    "eu inf": (["c s eu meuargmax euproject", "c o 1 0"], "c wi 2 inf 0.5 0"),
 }
 
 
-@pytest.mark.parametrize("sr", sorted(OUT_OF_DOMAIN))
-def test_label_outside_its_domain_is_a_parse_error(sr):
-    header, label = OUT_OF_DOMAIN[sr]
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_label_outside_its_domain_is_a_parse_error(case):
+    header, label = OUT_OF_DOMAIN[case]
+    sr = case.split()[0]
     lines = ["p cnf 2 1", *header, label, "1 2 0"]
     with pytest.raises(ParseError) as e:
         parse_cnf("\n".join(lines) + "\n")
     assert e.value.line == lines.index(label) + 1
     assert f"{sr} label" in str(e.value)
+
+
+def test_max_plus_labels_keep_both_infinities():
+    # maxplus and meuargmax multiply -inf as their zero and keep inf
+    cnf = parse_cnf("p cnf 2 0\nc s maxplus maxplus identity\nc wi 1 inf 0\nc wi -1 -inf 0\n")
+    assert (cnf.inner_weight(1), cnf.inner_weight(-1)) == (float("inf"), float("-inf"))
+    cnf = parse_cnf("p cnf 1 0\nc s eu meuargmax euproject\nc o 1 0\nc wo 1 inf 0\n")
+    assert cnf.outer_weight(1)[0] == float("inf")
 
 
 def test_unknown_comment_lines_ignored():

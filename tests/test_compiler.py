@@ -217,7 +217,7 @@ def test_compiled_structure_golden():
         compile_cnf(equivalence_cnf(8), tuple(range(1, 17)), CompileMode.X_FIRST,
                     cache_budget=20_000)
     digest.update(repr(dataclasses.astuple(e.value.stats)).encode())
-    assert digest.hexdigest()[:16] == "f666c4470b056484"
+    assert digest.hexdigest()[:16] == "ca55a14c362bdac9"
 
 
 def test_buffered_inner_units_propagate_below_the_split():
@@ -250,10 +250,10 @@ def test_compiled_sizes_golden():
     assert digest.hexdigest()[:16] == "35b13b1509abb8ed"
 
 
-def _benchmark_compiles():
-    """(theory, circuit) for the first seed-1 instance of each benchmark
-    workload, one per family (chain, forest, bicond), planned and compiled in
-    the workload's mode."""
+def _benchmark_theories():
+    """(theory, mode) for the first seed-1 instance of each benchmark
+    workload, one per family (chain, forest, bicond), in the workload's
+    mode."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     if perfbench not in sys.path:
         sys.path.append(perfbench)
@@ -262,7 +262,12 @@ def _benchmark_compiles():
     for w in workloads.WORKLOADS.values():
         inst = workloads.generate(w, 1)[0]
         cnf = inst.cnf or build_instance(parse_program(inst.text), TaskKind(inst.task)).cnf
-        mode = CompileMode(w.mode)
+        yield cnf, CompileMode(w.mode)
+
+
+def _benchmark_compiles():
+    """(theory, circuit) of _benchmark_theories, planned and compiled."""
+    for cnf, mode in _benchmark_theories():
         yield cnf, compile_cnf(cnf, plan_order(cnf, mode), mode)
 
 
@@ -274,7 +279,7 @@ def test_benchmark_compiles_golden():
     for _, circ in _benchmark_compiles():
         digest.update(repr(dataclasses.astuple(circ.stats)).encode())
         digest.update(emit_nnf(circ).encode())
-    assert digest.hexdigest()[:16] == "245705b9e2c40393"
+    assert digest.hexdigest()[:16] == "cd0f97325f8bfdc9"
 
 
 def test_emitted_circuits_golden():
@@ -313,7 +318,7 @@ def test_split_paths_golden():
             circ = compile_cnf(cnf, plan_order(cnf, mode), mode)
             digest.update(repr(dataclasses.astuple(circ.stats)).encode())
             digest.update(emit_nnf(circ).encode())
-    assert digest.hexdigest()[:16] == "c9801e9f45745d12"
+    assert digest.hexdigest()[:16] == "6c2d9da0d2737c87"
 
 
 def test_cache_key_tells_variables_apart():
@@ -367,18 +372,27 @@ def test_compile_restores_the_recursion_limit():
 
 
 def test_budget_estimate_tracks_traced_memory():
-    chain = implication_chain(50)
-    # (xi a b) for i=1..20: most lookups meet shortened residuals, so the
-    # interned residual table is charged here
+    # the estimate counts the theory's literals and variables and the
+    # circuit's nodes and edges; it stays near the traced peak on wide compiles
+    # (a benchmark chain, many cache keys), deep ones (implication chains,
+    # whose peak is the state held along the recursion) and X_FIRST ones
+    # that meet shortened residuals at most lookups ((xi a b) for i=1..20)
     n = 20
     xab = LabeledCnf(n + 2, [(x, n + 1, n + 2) for x in range(1, n + 1)],
                      outer_vars=frozenset(range(1, n + 1)))
     cases = [
         (equivalence_cnf(10), tuple(range(1, 21)), CompileMode.X_FIRST),
-        (chain, plan_order(chain, CompileMode.XD_FIRST), CompileMode.XD_FIRST),
         (xab, tuple(range(1, n + 3)), CompileMode.X_FIRST),
     ]
+    chain_map, mode = next(_benchmark_theories())  # the chain-xd workload's first
+    cases.append((chain_map, plan_order(chain_map, mode), mode))
+    for chain in (implication_chain(50), implication_chain(200)):
+        cases.append((chain, plan_order(chain, CompileMode.XD_FIRST), CompileMode.XD_FIRST))
     for cnf, order, mode in cases:
+        # objects taken from the interpreter's free lists are not traced: a
+        # full collection empties them, so what earlier tests left in them
+        # does not hide part of the peak
+        gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -386,7 +400,7 @@ def test_budget_estimate_tracks_traced_memory():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / 2 <= circ.stats.bytes_estimate <= 2 * peak, (mode, peak)
+        assert 0.8 <= circ.stats.bytes_estimate / peak <= 1.25, (cnf.num_vars, mode, peak)
 
 
 def test_compiled_circuit_holds_few_bytes_per_node():

@@ -221,3 +221,20 @@ def test_branching_matches_activity_scan(monkeypatch):
         assert session.solver.activity == reference.solver.activity
         assert session.solver.unsat == reference.solver.unsat
     assert len(session.solver.clauses) > attached
+
+
+def test_pigeonhole_runs_past_a_restart():
+    # seven pigeons, six holes: unsatisfiable, and hard enough for resolution
+    # that one solve call passes the 100 conflicts of the first restart
+    pigeons, holes = 7, 6
+
+    def x(p, h):
+        return p * holes + h + 1
+
+    clauses = [[x(p, h) for h in range(holes)] for p in range(pigeons)]
+    clauses += [[-x(p, h), -x(q, h)]
+                for h in range(holes) for p in range(pigeons) for q in range(p + 1, pigeons)]
+    solver = SatSolver(pigeons * holes, clauses)
+    assert solver.solve() is None
+    assert len(solver.clauses) - len(clauses) > 100  # learnt, one per conflict at most
+    assert solver.trail_lim == []
