@@ -312,6 +312,9 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return _EXIT_CAPACITY
+    except MemoryError:
+        print("capacity error: out of memory", file=sys.stderr)
+        return _EXIT_CAPACITY
     except (NestedAmcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_INPUT

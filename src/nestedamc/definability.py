@@ -16,6 +16,18 @@ same verdicts because the solver is complete:
       variables inside it, so each component with candidates gets its own
       `PadoaSession`, numbered compactly, and a query propagates only that
       component.
+  Shapes. A component's shape is its clauses and its base variables with
+      every variable renamed by its rank among the component's variables.
+      Two components of equal shape are one theory under the renaming that
+      maps rank to rank: it maps clauses to clauses and base to base, and
+      definability and satisfiability do not change under renaming. So a
+      call keeps a table from shape to the ranks of the defined candidates
+      and whether a query proved the component satisfiable; a component
+      whose shape is in the table takes both through its own renaming and
+      runs no session. The key is the shape itself, not a hash of it, so
+      equal keys are never a false hit. It is computed only for a component
+      whose variable, clause and base counts an earlier component of the
+      call shares, and the table is dropped when the call returns.
   Model pairs. A satisfiable query returns a model of T ∧ T' in which the two
       copies agree on the base. Every candidate z with z ≠ z' in that model
       has two models agreeing on the base and differing on z, so it is not
@@ -113,28 +125,62 @@ class PadoaSession:
         return False
 
 
+def _shape(group, order, local_base):
+    """A component's clauses and base with each variable renamed by its rank
+    (from 1) in `order`, the component's sorted variables."""
+    rank = {v: i for i, v in enumerate(order, 1)}
+    clauses = sorted(tuple(sorted(rank[l] if l > 0 else -rank[-l] for l in cl)) for cl in group)
+    return tuple(clauses), tuple(sorted(rank[v] for v in local_base))
+
+
 def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
     """All variables outside the base that the base defines, via one
-    incremental session per connected component and model-pair refutation.
-    The satisfiability check, when needed, is one solver built from the
-    unproven clauses and asked once."""
+    incremental session per connected component shape and model-pair
+    refutation. The satisfiability check, when needed, is one solver built
+    from the unproven clauses and asked once."""
     base = frozenset(base)
     if not base <= cnf.variables:
         raise PreconditionError("base mentions variables not in the theory")
     verdicts = dict.fromkeys(sorted(cnf.variables - base), True)
     queries = 0
     unproven = [cl for cl in cnf.clauses if not cl]
+    shapes = {}  # shape -> (ranks of the defined candidates, proven satisfiable)
+    first = {}  # counts -> the first component with them, until a second comes
     for group, variables in components(cnf):
-        candidates = sorted(variables - base)
-        if not candidates:
+        if variables <= base:
             unproven += group
             continue
-        session = PadoaSession(group, variables)
         local_base = base & variables
-        for y in candidates:
-            verdicts[y] = y not in session.refuted and session.is_defined(local_base, y)
-        queries += session.query_count
-        if not session.refuted:
+        order = sorted(variables)
+        counts = (len(order), len(group), len(local_base))
+        key = answer = None
+        if counts in first:  # a second component with these counts: key both
+            if first[counts] is not None:
+                earlier, earlier_answer = first[counts]
+                shapes[_shape(*earlier)] = earlier_answer
+                first[counts] = None
+            key = _shape(group, order, local_base)
+            answer = shapes.get(key)
+        if answer is None:
+            session = PadoaSession(group, variables)
+            defined = frozenset(
+                i
+                for i, y in enumerate(order, 1)
+                if y not in local_base
+                and y not in session.refuted
+                and session.is_defined(local_base, y)
+            )
+            queries += session.query_count
+            answer = (defined, bool(session.refuted))
+            if key is None:
+                first[counts] = ((group, order, local_base), answer)
+            else:
+                shapes[key] = answer
+        defined, proven = answer
+        for i, y in enumerate(order, 1):
+            if y not in local_base:
+                verdicts[y] = i in defined
+        if not proven:
             unproven += group
     if unproven and not all(verdicts.values()):
         queries += 1

@@ -15,6 +15,7 @@ min-cuts computed by node-splitting max-flow as long as the flow stays within
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .cnf import Graph, LabeledCnf, primal_graph
@@ -43,7 +44,8 @@ class TreeDecomposition:
 def _min_fill_order(g: Graph, rng: random.Random):
     """One min-fill elimination run; returns [(vertex, neighbours at elimination)].
 
-    Each step draws uniformly from the sorted vertices of least fill cost.
+    Each step draws uniformly from the sorted vertices of least fill cost;
+    each cost bucket is kept sorted as it changes, so a step sorts nothing.
     A vertex of degree d lying on t triangles has fill cost C(d, 2) - t, the
     number of its neighbour pairs that are not adjacent. Triangle counts are
     taken once, over int adjacency masks, then kept: a new fill edge (a, b)
@@ -56,17 +58,17 @@ def _min_fill_order(g: Graph, rng: random.Random):
     bits = {v: sum(1 << u for u in nbrs) for v, nbrs in adj.items()}
     tri = {v: sum((bits[v] & bits[u]).bit_count() for u in nbrs) // 2 for v, nbrs in adj.items()}
     cost: dict[int, int] = {}
-    buckets: dict[int, set[int]] = {}  # fill cost -> vertices of that cost
+    buckets: dict[int, list[int]] = {}  # fill cost -> sorted vertices of that cost
 
     def put(v):
         d = len(adj[v])
         c = cost[v] = d * (d - 1) // 2 - tri[v]
-        buckets.setdefault(c, set()).add(v)
+        insort(buckets.setdefault(c, []), v)
 
     def take(v) -> int:
         c = cost.pop(v)
         bucket = buckets[c]
-        bucket.discard(v)
+        del bucket[bisect_left(bucket, v)]
         if not bucket:
             del buckets[c]
         return c
@@ -75,7 +77,7 @@ def _min_fill_order(g: Graph, rng: random.Random):
         put(v)
     out = []
     while adj:
-        candidates = sorted(buckets[min(buckets)])
+        candidates = buckets[min(buckets)]
         v = candidates[rng.randrange(len(candidates))]
         nbrs = sorted(adj[v])
         out.append((v, nbrs))

@@ -357,7 +357,7 @@ result witness a
 """,
     ("smp", "lsm.pl"): """\
 definability defined 2
-definability queries 4
+definability queries 3
 order separator 0
 order width 1
 compile nodes 22
@@ -655,22 +655,38 @@ def test_pair_values_print_both_fields(capsys, tmp_path, header, label, value):
     assert run(capsys, "oracle", str(path), "--format", "kv") == (0, f"result value {value}\n", "")
 
 
+def run_huge(tmp_path, count, command):
+    """Run `command` on a CNF declaring `count` variables in a child process
+    whose address space alone is limited to 512 MiB."""
+    path = tmp_path / "huge.cnf"
+    path.write_text(f"p cnf {count} 1\n1 0\n")
+    src = str(Path(nestedamc.__file__).resolve().parents[1])
+    limit = 512 << 20
+    return subprocess.run(
+        [sys.executable, "-m", "nestedamc.cli", command, str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 @pytest.mark.parametrize("count", ["100000000", "99999999999999999999"])
 def test_huge_variable_count_meets_the_oracle_guard(tmp_path, count):
     # the declared variables used to be listed in sets before any check, a
     # MemoryError traceback at 10^8 and unbounded growth at 10^20. The
     # address-space limit makes such a regression fail as that MemoryError
-    path = tmp_path / "huge.cnf"
-    path.write_text(f"p cnf {count} 1\n1 0\n")
-    src = str(Path(nestedamc.__file__).resolve().parents[1])
-    limit = 512 << 20
-    done = subprocess.run(
-        [sys.executable, "-m", "nestedamc.cli", "oracle", str(path)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    done = run_huge(tmp_path, count, "oracle")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"capacity error: {count} variables exceed the oracle guard of 24\n"
+
+
+@pytest.mark.parametrize("count", ["100000000", "99999999999999999999"])
+def test_huge_variable_count_is_a_capacity_error_when_compiling(tmp_path, count):
+    # compile lists every declared variable, so it runs out of memory: that
+    # was a MemoryError traceback with exit 1 and no error line. The limit
+    # also bounds the 10^20 case, which grows until memory runs out
+    done = run_huge(tmp_path, count, "compile")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "capacity error: out of memory\n"
 
 
 def test_non_finite_utility_is_input_error(capsys, tmp_path):

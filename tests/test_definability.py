@@ -9,7 +9,8 @@ from gen import (
     planning_instances,
     random_cnf,
 )
-from nestedamc.cnf import LabeledCnf, enumerate_models
+from nestedamc.cnf import LabeledCnf, components, enumerate_models
+from nestedamc import definability
 from nestedamc.definability import PadoaSession, defined_vars
 from nestedamc.errors import PreconditionError
 from nestedamc.sat import SatSolver
@@ -24,7 +25,7 @@ def test_lex_defined_atoms():
     assert PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 3)
     report = defined_vars(cnf, {1, 2})
     assert report.defined == frozenset([3, 4])
-    assert report.query_count == 2
+    assert report.query_count == 1
 
 
 def test_equivalence_theory_block_defined():
@@ -198,3 +199,89 @@ def test_implication_chain_needs_a_constant_number_of_queries():
     assert defined_vars(small, small.outer_vars).defined == reference_defined(
         small, small.outer_vars
     )
+
+
+def connected_cnf(rng):
+    """A random theory on 2 to 6 variables whose primal graph is connected."""
+    while True:
+        cnf = random_cnf(rng, max_vars=6, max_clauses=8, min_vars=2)
+        if len(list(components(cnf))) == 1:
+            return cnf
+
+
+def copies(piece, bases, perms, extra_vars=0):
+    """A disjoint union of copies of `piece`, copy i renamed by perms[i] (a
+    permutation of 1..n) onto its own block of variables, with bases[i]
+    renamed into the base; `extra_vars` isolated variables follow."""
+    n = piece.num_vars
+    clauses, base = [], set()
+    for i, (piece_base, perm) in enumerate(zip(bases, perms)):
+        rename = {v: i * n + perm[v - 1] for v in range(1, n + 1)}
+        clauses += [tuple(rename[l] if l > 0 else -rename[-l] for l in cl) for cl in piece.clauses]
+        base |= {rename[v] for v in piece_base}
+    return LabeledCnf(len(bases) * n + extra_vars, clauses), frozenset(base)
+
+
+def test_shape_table_matches_whole_theory_queries_on_copies(monkeypatch):
+    sessions = []
+
+    class CountedSession(PadoaSession):
+        def __init__(self, clauses, variables):
+            super().__init__(clauses, variables)
+            sessions.append(variables)
+
+    monkeypatch.setattr(definability, "PadoaSession", CountedSession)
+    rng = random.Random(59)
+    shared = {False: 0, True: 0}  # satisfiable? -> unions that shared a shape
+    for _ in range(200):
+        sessions.clear()
+        piece = connected_cnf(rng)
+        n = piece.num_vars
+        if rng.random() < 0.1:
+            piece = LabeledCnf(n, piece.clauses + [(1,), (-1,)])
+        k = rng.randint(2, 4)
+        piece_base = set(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+        bases, perms = [], []
+        for _ in range(k):
+            perm = list(range(1, n + 1))
+            if rng.random() < 0.4:
+                rng.shuffle(perm)
+            other = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            bases.append(piece_base if rng.random() < 0.7 else other)
+            perms.append(perm)
+        cnf, base = copies(piece, bases, perms, extra_vars=rng.choice([0, 0, 1, 3]))
+        if rng.random() < 0.1:  # one copy alone made unsatisfiable
+            cnf = LabeledCnf(cnf.num_vars, cnf.clauses + [(n,), (-n,)])
+        if rng.random() < 0.3:  # some isolated variables in the base
+            base |= set(range(k * n + 1, cnf.num_vars + 1, 2))
+        report = defined_vars(cnf, base)
+        assert report.defined == reference_defined(cnf, base)
+        satisfiable = any(True for _ in enumerate_models(cnf))
+        asking = sum(1 for _, variables in components(cnf) if variables - base)
+        if len(sessions) < asking:  # some component's shape was in the table
+            shared[satisfiable] += 1
+    assert min(shared.values()) > 30
+
+
+def test_same_shape_copies_take_the_queries_of_one():
+    rng = random.Random(61)
+    for _ in range(100):
+        piece = connected_cnf(rng)
+        n = piece.num_vars
+        if rng.random() < 0.1:
+            piece = LabeledCnf(n, piece.clauses + [(1,), (-1,)])
+        piece_base = set(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+        one = defined_vars(piece, piece_base)
+        k = rng.randint(2, 5)
+        cnf, base = copies(piece, [piece_base] * k, [list(range(1, n + 1))] * k)
+        report = defined_vars(cnf, base)
+        assert report.query_count == one.query_count
+        assert report.defined == {i * n + v for i in range(k) for v in one.defined}
+
+
+def test_isolated_variables_share_one_query():
+    # 19,998 isolated variables are one component shape: each used to take
+    # a session and a query of its own, 19,999 queries in about 0.5 s
+    report = defined_vars(LabeledCnf(20000, [(1, 2)], outer_vars={1}), {1})
+    assert report.query_count <= 2
+    assert report.defined == frozenset()

@@ -435,7 +435,7 @@ def test_planned_orders_golden():
 def test_planned_query_count_golden():
     # how many Padoa queries the decisions above take: a change to the
     # queries alone re-pins this number, not the digest
-    assert planned_orders()[1] == 157
+    assert planned_orders()[1] == 150
 
 
 @pytest.mark.parametrize("mode", [CompileMode.XD_FIRST, CompileMode.FREE])
