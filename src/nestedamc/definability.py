@@ -25,9 +25,8 @@ same verdicts because the solver is complete:
       and whether a query proved the component satisfiable; a component
       whose shape is in the table takes both through its own renaming and
       runs no session. The key is the shape itself, not a hash of it, so
-      equal keys are never a false hit. It is computed only for a component
-      whose variable, clause and base counts an earlier component of the
-      call shares, and the table is dropped when the call returns.
+      equal keys are never a false hit, and the table is dropped when the
+      call returns.
   Model pairs. A satisfiable query returns a model of T ∧ T' in which the two
       copies agree on the base. Every candidate z with z ≠ z' in that model
       has two models agreeing on the base and differing on z, so it is not
@@ -145,22 +144,14 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
     queries = 0
     unproven = [cl for cl in cnf.clauses if not cl]
     shapes = {}  # shape -> (ranks of the defined candidates, proven satisfiable)
-    first = {}  # counts -> the first component with them, until a second comes
     for group, variables in components(cnf):
         if variables <= base:
             unproven += group
             continue
         local_base = base & variables
         order = sorted(variables)
-        counts = (len(order), len(group), len(local_base))
-        key = answer = None
-        if counts in first:  # a second component with these counts: key both
-            if first[counts] is not None:
-                earlier, earlier_answer = first[counts]
-                shapes[_shape(*earlier)] = earlier_answer
-                first[counts] = None
-            key = _shape(group, order, local_base)
-            answer = shapes.get(key)
+        key = _shape(group, order, local_base)
+        answer = shapes.get(key)
         if answer is None:
             session = PadoaSession(group, variables)
             defined = frozenset(
@@ -171,11 +162,7 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
                 and session.is_defined(local_base, y)
             )
             queries += session.query_count
-            answer = (defined, bool(session.refuted))
-            if key is None:
-                first[counts] = ((group, order, local_base), answer)
-            else:
-                shapes[key] = answer
+            answer = shapes[key] = (defined, bool(session.refuted))
         defined, proven = answer
         for i, y in enumerate(order, 1):
             if y not in local_base:

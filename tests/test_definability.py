@@ -222,7 +222,7 @@ def copies(piece, bases, perms, extra_vars=0):
     return LabeledCnf(len(bases) * n + extra_vars, clauses), frozenset(base)
 
 
-def test_shape_table_matches_whole_theory_queries_on_copies(monkeypatch):
+def test_shape_table_matches_reference_on_copies(monkeypatch):
     sessions = []
 
     class CountedSession(PadoaSession):
