@@ -26,7 +26,7 @@ from .circuit import (
     verify_circuit,
 )
 from .cnf import LabeledCnf, equivalence_cnf, parse_cnf
-from .compiler import CompileMode, compile_cnf
+from .compiler import CompileMode, check_theory_budget, compile_cnf
 from .definability import defined_vars
 from .errors import CapacityError, NestedAmcError, decode_ascii
 from .programs import TaskKind, build_instance, parse_program, plan_order, solve
@@ -118,6 +118,7 @@ def _cmd_solve(args, out: _Output) -> int:
 def _cmd_compile(args, out: _Output) -> int:
     cnf = parse_cnf(_read(args.input))
     mode = CompileMode(args.mode)
+    check_theory_budget(cnf, args.cache_mb << 20)
     order = plan_order(cnf, mode, seed=args.seed)
     circ = compile_cnf(cnf, order, mode, args.cache_mb << 20)
     stats = circ.stats

@@ -35,26 +35,22 @@ No node copies or rescans the residual formula; the layout follows sharpSAT
       began, so and-nodes list implied literals in a fixed order.
   Components. A block carries int bitmasks of its live clauses, of its
       shortened clauses (with the bit of each one's interned residual), of
-      its variables and of their decision ranks. After a decision and its
-      propagation the child's residual is derived from the parent's masks
-      and the occurrence masks of the new trail literals: clauses they
-      satisfy leave, clauses they shorten are interned again. The whole
-      child is looked up in the cache before it is partitioned, since equal
-      keys mean equal residuals and a residual fixes its split. On a miss
-      the search walks the live clauses from the free variables next to the
-      new literals, the seeds. Every component of a connected parent holds
-      a seed, so the search stops on reaching the last one: that component
-      is the child less the parts walked before. In an X_FIRST merged block
-      each seed's region is walked to its end, and the untouched rest keeps
-      its class; it is walked apart only when no mixed part remains. The
-      root, and a connected block of at most 32 clauses, where updating the
-      masks costs more than the walk they save, are walked whole instead:
-      one traversal from each variable that interns residuals as it goes.
-      A component such a walk finds with at most 32 clauses keeps no masks,
-      only its key and variables, since it is walked again at every split.
-      Components are ordered by their smallest variable; the next decision
-      is the lowest bit of the rank mask, or a light block's variable of
-      least rank.
+      its variables and of their decision ranks. The root's blocks come from
+      one walk over its live clauses, which interns residuals as it goes.
+      Every other block is derived: after a decision and its propagation
+      the child's residual comes from the parent's masks and the occurrence
+      masks of the new trail literals; clauses they satisfy leave, clauses
+      they shorten are interned again. The whole child is looked up in the
+      cache before it is partitioned, since equal keys mean equal residuals
+      and a residual fixes its split. On a miss the search walks the live
+      clauses from the free variables next to the new literals, the seeds.
+      Every component of a connected parent holds a seed, so the search
+      stops on reaching the last one: that component is the child less the
+      parts walked before. In an X_FIRST merged block each seed's region is
+      walked to its end, and the untouched rest keeps its class; it is
+      walked apart only when no mixed part remains. Components are ordered
+      by their smallest variable; the next decision is the lowest bit of
+      the rank mask.
   Cache. A component is keyed by its residual: the ids of its distinct
       residual clauses, each an unsatisfied clause's unassigned literals,
       held as an int with one bit per id. A clause that lost no literal is
@@ -73,9 +69,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
-from functools import reduce
 from heapq import heappop, heappush
-from operator import or_
 
 from .circuit import AND, LIT, OR, Circuit
 from .cnf import LabeledCnf
@@ -92,9 +86,6 @@ _LITERAL_BYTES = 160
 _VARIABLE_BYTES = 360
 _NODE_BYTES = 152
 _EDGE_BYTES = 18
-# a connected block of at most this many live clauses is walked whole at each
-# split instead of deriving its child: keeping its masks costs more than that
-_WALK_CLAUSES = 32
 _TRUE = -1  # the result of an empty residual; its node is built only as a root
 _UNSET = sys.maxsize  # trail position of an unassigned variable
 
@@ -129,21 +120,14 @@ class CompileStats:
 class _Compilation:
     """One compile. A block is a tuple (key, live clauses, residual bits of
     its shortened clauses by clause bit, shortened clauses, variables, ranks,
-    held units, outer occurrences, whole, variable list). The key, the live
-    and shortened clauses, the variables and the ranks are int bitmasks over
-    residual ids, clause ids, variable ids and decision ranks. Held units are
+    held units, outer occurrences, whole). The key, the live and shortened
+    clauses, the variables and the ranks are int bitmasks over residual
+    ids, clause ids, variable ids and decision ranks. Held units are
     the propagation heap entries of its inner unit clauses held back above
     it, and outer occurrences count the unassigned outer literals of its
     clauses; both stay empty outside X_FIRST. A block is whole when it is
-    connected, not whole when X_FIRST merged it from several components, and
-    None at the root, where nothing is known of its shape. The variable list
-    is the walk's, kept to walk the block again, or None for a derived one.
-
-    A light block is walked again at every split, so it keeps no clause
-    masks and no ranks, only its key, held units, outer occurrences and
-    variable list, and its variables in X_FIRST, which groups blocks by
-    them. A walk gives one to a component of at most _WALK_CLAUSES clauses;
-    the root is one too."""
+    connected, and not whole when X_FIRST merged it from several
+    components."""
 
     # slots: the hot methods read many attributes, and slot reads are cheaper
     __slots__ = ("cnf", "cache_budget", "theory_bytes", "x_first", "is_outer", "by_rank",
@@ -173,7 +157,7 @@ class _Compilation:
         for i, v in enumerate(order):
             self.rank[v] = i
         self.clauses = sorted({tuple(sorted(cl)) for cl in cnf.clauses})
-        self.theory_bytes = _LITERAL_BYTES * sum(map(len, self.clauses)) + _VARIABLE_BYTES * n
+        self.theory_bytes = _theory_bytes(self.clauses, n)
         self.cvars = [tuple(map(abs, cl)) for cl in self.clauses]
         # lists indexed by a literal in -n..n: a negative one counts from the end
         self.occ = occ = [[] for _ in range(2 * n + 1)]
@@ -382,7 +366,7 @@ class _Compilation:
         clauses they shorten interned again, or None when nothing is left.
         Its variables and ranks still hold those of `lits` and of variables
         whose clauses all left."""
-        _, live, short, shortm, variables, ranks, held, _, whole, _ = parent
+        _, live, short, shortm, variables, ranks, held, _, whole = parent
         if self.occm is None:
             self._build_masks()
         occm = self.occm
@@ -416,7 +400,7 @@ class _Compilation:
         key = live & ~shortm
         for r in short.values():
             key |= r
-        return (key, live, short, shortm, variables, ranks, held, n_outer, whole, None)
+        return (key, live, short, shortm, variables, ranks, held, n_outer, whole)
 
     def _search(self, child, lits):
         """The blocks of a derived child, walked from the free variables next
@@ -424,7 +408,7 @@ class _Compilation:
         so the search stops on reaching the last one: its component is what
         the others leave. A merged child's seed regions are walked to their
         end, and what they leave is its untouched parts."""
-        key, live, short, shortm, variables, ranks, held, n_outer, whole, _ = child
+        key, live, short, shortm, variables, ranks, held, n_outer, whole = child
         occm, rank, near, smark = self.occm, self.rank, self.near, self.smark
         gone_v = gone_r = around = 0
         for l in lits:
@@ -447,17 +431,24 @@ class _Compilation:
                 gone_v |= low
                 gone_r |= 1 << rank[v]
         child = (key, live, short, shortm, variables & ~gone_v, ranks & ~gone_r, held,
-                 n_outer, whole, None)
-        parts = self._walk(seeds, short, False, base, len(seeds) if whole else -1)
+                 n_outer, whole)
+        parts = self._walk(seeds, short, base, len(seeds) if whole else -1)
         return self._group(parts, self._minus(child, parts) if parts else child)
 
     def _build_masks(self):
         """The clauses of each literal and the variables sharing a clause
         with each variable, as bitmasks: built for the first split that
         derives a child."""
-        self.occm = [sum(1 << c for c in cs) for cs in self.occ]
-        cvarm = [sum(1 << v for v in cv) for cv in self.cvars]
-        self.near = [reduce(or_, map(cvarm.__getitem__, cs), 0) for cs in self.vocc]
+        self.occm = occm = [0] * len(self.occ)
+        self.near = near = [0] * len(self.vocc)
+        for b, cl, cv in zip(self.cbit, self.clauses, self.cvars):
+            m = 0
+            for v in cv:
+                m |= 1 << v
+            for l in cl:
+                occm[l] |= b
+            for v in cv:
+                near[v] |= m
 
     def _residual(self, c) -> int:
         """The bit of the id of clause c's residual, its unassigned literals."""
@@ -490,31 +481,29 @@ class _Compilation:
         # class, so it holds a mixed one exactly when outer literals remain.
         inner = self.inner
         if not any(b[7] and b[4] & inner for b in parts):
-            if rest is not None and rest[8] is False:
+            if rest is not None and not rest[8]:
                 parts.pop()
-                parts += self._walk(_bits(rest[4]), rest[2], True)
+                parts += self._walk(_bits(rest[4]), rest[2])
             parts.sort(key=_lowest)
             return parts
         blocks = sorted((b for b in parts if not b[4] & inner), key=_lowest)
         blocks.append(self._merge([b for b in parts if b[4] & inner]))
         return blocks
 
-    def _walk(self, starts, short, light, base=-1, left=-1):
+    def _walk(self, starts, short, base=-1, left=-1):
         """The blocks of the components of the free variables `starts`, each
         walked over the live clauses from the first of its variables met,
         with the residual bits of its shortened clauses taken from `short`
-        when it is current, else interned; with `light`, a component of at
-        most _WALK_CLAUSES clauses gets a light block. Components come in the
-        order of their smallest variable when `starts` is sorted. `left`
-        counts the seeds of split `base` not reached yet: the walk stops,
-        returning the blocks found so far, before it would reach the last
-        one. A negative count never stops it."""
+        when it is current, else interned. Components come in the order of
+        their smallest variable when `starts` is sorted. `left` counts the
+        seeds of split `base` not reached yet: the walk stops, returning the
+        blocks found so far, before it would reach the last one. A negative
+        count never stops it."""
         self.stamp += 1
         stamp = self.stamp
         vmark, cmark, smark = self.vmark, self.cmark, self.smark
         free, nsat, nlive, vocc, cvars = self.free, self.nsat, self.nlive, self.vocc, self.cvars
-        cbit, clauses, bits = self.cbit, self.clauses, self.residual_bits
-        x_first = self.x_first
+        cbit, rank = self.cbit, self.rank
         parts = []
         for v in starts:
             if not free[v] or vmark[v] == stamp:
@@ -525,38 +514,14 @@ class _Compilation:
             vmark[v] = stamp
             found = [v]
             cids = []
-            shortened = {}
-            # the bits of the clauses that lost no literal, and of the others' residuals
-            plain = residuals = 0
             for u in found:
                 for c in vocc[u]:
                     if nsat[c] or cmark[c] == stamp:
                         continue
                     cmark[c] = stamp
                     cids.append(c)
-                    cv = cvars[c]
-                    if nlive[c] < len(cv):
-                        b = cbit[c]
-                        if short is None:
-                            # _residual, written out: this loop is hot
-                            residual = []
-                            cv = []
-                            for l in clauses[c]:
-                                w = l if l > 0 else -l
-                                if free[w]:
-                                    residual.append(l)
-                                    cv.append(w)
-                            residual = tuple(residual)
-                            r = bits.get(residual) or bits.setdefault(residual, 1 << len(bits))
-                        else:
-                            r = short[b]
-                            cv = [w for w in cv if free[w]]
-                        shortened[b] = r
-                        residuals |= r
-                    else:
-                        plain += cbit[c]
-                    for w in cv:
-                        if vmark[w] != stamp:
+                    for w in cvars[c]:
+                        if vmark[w] != stamp and free[w]:
                             vmark[w] = stamp
                             found.append(w)
                             if smark[w] == base:
@@ -565,30 +530,28 @@ class _Compilation:
                                     return parts
             if not cids:  # every clause of v is satisfied
                 continue
-            found.sort()  # to walk the block again in variable order
-            if x_first:
+            shortened = {}
+            # the bits of the clauses that lost no literal, and of the others' residuals
+            plain = residuals = shortm = 0
+            for c in cids:
+                b = cbit[c]
+                if nlive[c] < len(cvars[c]):
+                    r = shortened[b] = self._residual(c) if short is None else short[b]
+                    residuals |= r
+                    shortm += b
+                else:
+                    plain += b
+            if self.x_first:
                 held = [self._held(c) for c in cids if nlive[c] == 1]
                 n_outer = sum(map(self.nout.__getitem__, cids))
             else:
                 held, n_outer = (), 0
-            small = light and len(cids) <= _WALK_CLAUSES
-            variables = None  # read of a small block only to group it in X_FIRST
-            if x_first or not small:
-                variables = 0
-                for w in found:
-                    variables += 1 << w
-            if small:
-                parts.append((plain | residuals, None, None, None, variables, None, held,
-                              n_outer, True, found))
-                continue
-            rank = self.rank
-            shortm = ranks = 0
-            for b in shortened:
-                shortm += b
+            variables = ranks = 0
             for w in found:
+                variables += 1 << w
                 ranks += 1 << rank[w]
             parts.append((plain | residuals, plain | shortm, shortened, shortm, variables, ranks,
-                          held, n_outer, True, found))
+                          held, n_outer, True))
         return parts
 
     def _minus(self, child, parts):
@@ -602,19 +565,17 @@ class _Compilation:
             del short[b]
         return (child[0] & ~got[0], live, short, child[3] & live, child[4] & ~got[4],
                 child[5] & ~got[5], [e for e in child[6] if live >> e[1] & 1],
-                child[7] - got[7], child[8], None)
+                child[7] - got[7], child[8])
 
     def _merge(self, blocks):
         """One block of several, which is whole only if it is one whole
-        block; a light one among several is walked again for its masks."""
+        block."""
         if len(blocks) == 1:
             return blocks[0]
         key = live = shortm = variables = ranks = n_outer = 0
         short = {}
         held = []
         for b in blocks:
-            if b[1] is None:
-                b = self._walk(b[9][:1], None, False)[0]
             key |= b[0]
             live |= b[1]
             short.update(b[2])
@@ -623,22 +584,17 @@ class _Compilation:
             ranks |= b[5]
             held += b[6]
             n_outer += b[7]
-        return (key, live, short, shortm, variables, ranks, held, n_outer, False, None)
+        return (key, live, short, shortm, variables, ranks, held, n_outer, False)
 
     def _expand(self, parent, lit, cands, n_outer, held=()) -> int:
-        """Propagate, then compile the blocks left of the parent block once
-        its decision literal `lit` (0 if none) is set; the caller undoes the
-        trail."""
+        """Propagate, then compile the blocks left of the parent block, None
+        at the root, once its decision literal `lit` (0 if none) is set; the
+        caller undoes the trail."""
         implied, conflict, n_outer = self._propagate(cands, n_outer, held)
         if conflict:
             return self._false()
-        live = parent[1]
-        if live is None or parent[8] and live.bit_count() <= _WALK_CLAUSES:
-            # a light block, or one so small that walking what is left of it
-            # costs less than deriving it
-            blocks = self._walk(parent[9] or _bits(parent[4]), None, True)
-            if self.x_first:
-                blocks = self._group(blocks, None)
+        if parent is None:
+            blocks = self._group(self._walk(range(1, self.cnf.num_vars + 1), None), None)
         else:
             blocks = self._split(parent, (lit, *implied) if lit else implied, n_outer)
         if not implied and not blocks:
@@ -669,10 +625,7 @@ class _Compilation:
 
     def _decide(self, comp) -> int:
         ranks = comp[5]
-        if ranks is None:  # a light block
-            v = self.by_rank[min(map(self.rank.__getitem__, comp[9]))]
-        else:
-            v = self.by_rank[(ranks & -ranks).bit_length() - 1]
+        v = self.by_rank[(ranks & -ranks).bit_length() - 1]
         self.stats.decisions += 1
         pos = self._branch(comp, v)
         neg = self._branch(comp, -v)
@@ -700,10 +653,7 @@ class _Compilation:
                 root = self._false()
             else:
                 units = [c for c, cl in enumerate(clauses) if len(cl) == 1]
-                n_outer = sum(self.nout)
-                variables = range(1, self.cnf.num_vars + 1)
-                root = self._expand((0, None, None, None, 0, None, (), n_outer, None, variables),
-                                    0, units, n_outer)
+                root = self._expand(None, 0, units, sum(self.nout))
         finally:
             sys.setrecursionlimit(limit)
         if root == _TRUE:
@@ -719,6 +669,26 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _theory_bytes(clauses, num_vars: int) -> int:
+    """The bytes the budget counts for a theory before the compile builds a
+    node, from its clauses and its variable count."""
+    return _LITERAL_BYTES * sum(map(len, clauses)) + _VARIABLE_BYTES * num_vars
+
+
+def check_theory_budget(cnf: LabeledCnf, cache_budget: int) -> None:
+    """Refuse, before any order is planned, a budget that every compile of
+    the theory would exceed: ConfigError when it is not positive, and the
+    compile's CapacityError when the theory's own share passes it."""
+    if cache_budget <= 0:
+        raise ConfigError(f"cache budget must be positive, got {cache_budget} bytes")
+    if _theory_bytes(cnf.clauses, cnf.num_vars) > cache_budget:
+        # the compile counts a repeated clause once
+        need = _theory_bytes({tuple(sorted(cl)) for cl in cnf.clauses}, cnf.num_vars)
+        if need > cache_budget:
+            raise CapacityError("compilation exceeded the cache budget",
+                                CompileStats(bytes_estimate=need))
 
 
 def _lowest(block):

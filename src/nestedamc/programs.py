@@ -25,7 +25,7 @@ from typing import Optional
 
 from .circuit import NestedInstance, evaluate_verified, smooth
 from .cnf import LabeledCnf
-from .compiler import DEFAULT_BUDGET, CompileMode, compile_cnf
+from .compiler import DEFAULT_BUDGET, CompileMode, check_theory_budget, compile_cnf
 from .definability import defined_vars
 from .errors import CapacityError, ConfigError, ParseError
 from .semirings import SemiringId, TransformId
@@ -417,6 +417,7 @@ def solve_instance(
     needs; a free-mode order on a nontrivial partition can produce a circuit
     that gets refused here rather than silently misevaluated.
     """
+    check_theory_budget(inst.cnf, cache_budget)
     diag = Diagnostics(instance=inst)
     t0 = time.perf_counter()
     order = plan_order(inst.cnf, mode, seed=seed, diag=diag)

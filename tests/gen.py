@@ -151,6 +151,48 @@ def random_program_text(rng: random.Random, family: str) -> str:
     return "\n".join(lines)
 
 
+def evidence_program_text(rng: random.Random, family: str) -> str:
+    """A random_program_text program for one task family with up to two more
+    evidence statements, each on a probabilistic fact, on a derived atom or
+    on a map atom: built for every task, the stream meets evidence of each
+    kind in SUCC and MAP and every error that build_instance raises for
+    evidence. A separate entry point, so random_program_text's seeded
+    streams stay as they are."""
+    text = random_program_text(rng, family)
+    p = parse_program(text)
+    derived = [a for a in p.atoms if a not in p.prob_facts and a not in p.decision_facts]
+    lines = [text]
+    for _ in range(rng.randint(0, 2)):
+        atom = rng.choice(rng.choice([list(p.prob_facts), derived, p.map_queries or derived]))
+        if atom not in p.evidence:
+            p.evidence[atom] = rng.random() < 0.5
+            lines.append(f"evidence({atom}, {str(p.evidence[atom]).lower()}).")
+    return "\n".join(lines)
+
+
+def acyclic_program_values(p: Program):
+    """MAP and SUCC values of a program whose rule bodies mention only atoms
+    derived by earlier rules, read from its semantics alone: each world of
+    its probabilistic facts has one model, found by applying the rules in
+    order. Returns (max over the map atoms' values of P(values, evidence),
+    P(first query, evidence)), independent of build_instance's labels; the
+    second is also the SMP value when there is no evidence."""
+    facts = list(p.prob_facts)
+    best: dict[tuple, float] = {}
+    succ = 0.0
+    for world in range(1 << len(facts)):
+        true = {f for i, f in enumerate(facts) if world >> i & 1}
+        weight = math.prod(p.prob_facts[f] if f in true else 1 - p.prob_facts[f] for f in facts)
+        for r in p.rules:
+            if all(a in true for a in r.pos) and not any(a in true for a in r.neg):
+                true.add(r.head)
+        if all((a in true) == val for a, val in p.evidence.items()):
+            key = tuple(a in true for a in p.map_queries)
+            best[key] = best.get(key, 0.0) + weight
+            succ += weight if p.queries and p.queries[0] in true else 0.0
+    return max(best.values(), default=0.0), succ
+
+
 def random_program(rng: random.Random, family: str, max_vars: int = 14,
                    max_clauses: int = 40) -> Program:
     from nestedamc.programs import clark_completion

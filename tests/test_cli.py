@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import nestedamc
+from nestedamc import cli, programs
 from nestedamc.circuit import NestedInstance
 from nestedamc.cli import main
 from nestedamc.cnf import parse_cnf
-from nestedamc.errors import ConfigError
+from nestedamc.errors import CapacityError, ConfigError
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -681,12 +682,31 @@ def test_huge_variable_count_meets_the_oracle_guard(tmp_path, count):
 
 @pytest.mark.parametrize("count", ["100000000", "99999999999999999999"])
 def test_huge_variable_count_is_a_capacity_error_when_compiling(tmp_path, count):
-    # compile lists every declared variable, so it runs out of memory: that
-    # was a MemoryError traceback with exit 1 and no error line. The limit
-    # also bounds the 10^20 case, which grows until memory runs out
+    # compile listed every declared variable and ran out of memory: that was
+    # a MemoryError traceback with exit 1 and no error line. The theory's own
+    # share of the budget now refuses both counts before anything is listed;
+    # the limit still bounds a regression that lists them first
     done = run_huge(tmp_path, count, "compile")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "capacity error: out of memory\n"
+    assert done.stderr == "capacity error: compilation exceeded the cache budget\n"
+
+
+def test_theory_over_the_budget_is_refused_before_planning(tmp_path, capsys, monkeypatch):
+    # 10^6 variables at 360 B each pass the 256 MB budget before the compile
+    # builds a node; compile used to plan an order for about 100 s first
+    def plan_order(*args, **kwargs):
+        raise AssertionError("an order was planned")
+
+    monkeypatch.setattr(cli, "plan_order", plan_order)
+    monkeypatch.setattr(programs, "plan_order", plan_order)
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 1000000 1\n1 0\n")
+    code, out, err = run(capsys, "compile", str(path))
+    assert (code, out, err) == (2, "", "capacity error: compilation exceeded the cache budget\n")
+    with pytest.raises(CapacityError) as e:
+        programs.solve_instance(NestedInstance(parse_cnf(path.read_text())))
+    assert str(e.value) == "compilation exceeded the cache budget"
+    assert e.value.stats.bytes_estimate == 360 * 10**6 + 160
 
 
 def test_non_finite_utility_is_input_error(capsys, tmp_path):

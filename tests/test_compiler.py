@@ -302,23 +302,52 @@ def test_emitted_circuits_golden():
     assert digest.hexdigest()[:16] == "9d44ed7996e9e401"
 
 
-def test_split_paths_golden():
-    # the exchange-format text and counters of 200 random instances of up to
-    # 24 variables and 70 clauses, and of a 240-variable implication chain,
-    # each compiled along its planned order in every mode. These are large
-    # enough for searches that stop before walking the last component and for
-    # X_FIRST merged blocks that split back into pure-inner parts; the digest
-    # was taken before the compiler derived components from their parents'
-    # clause masks, so a change to how components are found must leave it
-    rng = random.Random(1618)
-    cnfs = [random_partitioned_cnf(rng, 24, 70) for _ in range(200)]
+def forest_cnf(rng, k):
+    """k independent clusters of 3-8 variables and at most 24 clauses of 2-3
+    literals each, most of them all outer or all inner."""
+    clauses, outer, n = [], [], 0
+    for _ in range(k):
+        nv = rng.randint(3, 8)
+        for _ in range(rng.randint(nv, 3 * nv)):
+            vs = rng.sample(range(n + 1, n + nv + 1), rng.randint(2, 3))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        # mostly pure clusters: several mixed ones make X_FIRST one merged block
+        kind = rng.random()
+        if kind < 0.4:
+            outer += range(n + 1, n + nv + 1)
+        elif kind > 0.85:
+            outer += rng.sample(range(n + 1, n + nv + 1), rng.randint(1, nv - 1))
+        n += nv
+    return LabeledCnf(n, clauses, outer_vars=frozenset(outer))
+
+
+def _compiled_digest(cnfs):
     digest = hashlib.sha256()
-    for cnf in [*cnfs, implication_chain(120)]:
+    for cnf in cnfs:
         for mode in CompileMode:
             circ = compile_cnf(cnf, plan_order(cnf, mode), mode)
             digest.update(repr(dataclasses.astuple(circ.stats)).encode())
             digest.update(emit_nnf(circ).encode())
-    assert digest.hexdigest()[:16] == "6c2d9da0d2737c87"
+    return digest.hexdigest()[:16]
+
+
+def test_split_paths_golden():
+    # the exchange-format text and counters of theories compiled along their
+    # planned orders in every mode; a change to how components are found
+    # must leave them. 200 random instances of up to 24 variables and 70
+    # clauses and a 240-variable implication chain are large enough for
+    # searches that stop before walking the last component and for X_FIRST
+    # merged blocks that split back into pure-inner parts; their digest
+    # predates deriving components from the parents' clause masks
+    rng = random.Random(1618)
+    cnfs = [random_partitioned_cnf(rng, 24, 70) for _ in range(200)]
+    assert _compiled_digest([*cnfs, implication_chain(120)]) == "6c2d9da0d2737c87"
+    # 40 forests of 2-12 small clusters, all of whose blocks a compiler that
+    # walks components of at most 32 clauses whole at every split never
+    # derives; their digest was taken from such a compiler
+    rng = random.Random(2718)
+    forests = [forest_cnf(rng, rng.randint(2, 12)) for _ in range(40)]
+    assert _compiled_digest(forests) == "59b6be8d5a739f92"
 
 
 def test_cache_key_tells_variables_apart():
