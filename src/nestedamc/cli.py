@@ -118,9 +118,10 @@ def _cmd_solve(args, out: _Output) -> int:
 def _cmd_compile(args, out: _Output) -> int:
     cnf = parse_cnf(_read(args.input))
     mode = CompileMode(args.mode)
-    check_theory_budget(cnf, args.cache_mb << 20)
+    budget = args.cache_mb << 20
+    check_theory_budget(cnf, budget)
     order = plan_order(cnf, mode, seed=args.seed)
-    circ = compile_cnf(cnf, order, mode, args.cache_mb << 20)
+    circ = compile_cnf(cnf, order, mode, budget)
     stats = circ.stats
     if args.smooth:
         circ = smooth(circ, cnf.outer_vars)
