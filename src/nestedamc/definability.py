@@ -3,7 +3,7 @@
 A variable y is defined by a base set X w.r.t. a theory T when every
 assignment to X fixes y in all models. One satisfiability query decides it:
 take a primed copy T' of T, force the base variables equal across the copies
-through selector literals, and ask for a model with y true and y' false.
+and ask for a model with y true and y' false.
 Unsatisfiability of the query is equivalent to definedness.
 
 `defined_vars` answers every candidate outside the base with far fewer and
@@ -31,11 +31,13 @@ same verdicts because the solver is complete:
       copies agree on the base. Every candidate z with z ≠ z' in that model
       has two models agreeing on the base and differing on z, so it is not
       defined and needs no query of its own.
-  Steering. Before each query, the saved phase of every primed candidate
-      copy not yet refuted is set opposite to its unprimed copy's phase. The
-      solver's free decisions then pull the two copies apart wherever the
-      theory and the base allow, so a satisfiable query tends to refute many
-      candidates at once instead of only the one it asked about.
+  Steering. Before a session's first query, every candidate's primed copy
+      gets the saved phase opposite its unprimed copy's. Before each later
+      one, the unprimed copy draws a fresh phase from the session's own
+      `random.Random(0)`, and so does the primed copy of a refuted candidate,
+      while an unrefuted one's is set opposite again. Free decisions then pull
+      the copies apart, and each model pair splits the remaining candidates
+      roughly in half instead of repeating the last pair.
   Satisfiability. An unsatisfiable theory defines every variable, and a
       component-local "not defined" only holds when every other component is
       satisfiable. A component is proven satisfiable once a query on it has
@@ -45,12 +47,14 @@ same verdicts because the solver is complete:
       every candidate is defined. "Defined" needs no check: it holds either
       way.
 
-Within a session, the selector encoding lets one incremental solver answer
-the queries for every candidate of its component, reusing learned clauses.
+A session serves one base, so its equalities are hard binary clauses and a
+query assumes only y and ¬y': one incremental solver over the two copies
+answers every candidate of its component, reusing learned clauses.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .cnf import LabeledCnf, components
@@ -66,61 +70,57 @@ class DefinabilityReport:
 
 class PadoaSession:
     """Incremental definability queries over one theory, given as its clauses
-    and its variables.
+    and its variables, from one base among those variables.
 
-    With k variables, the i-th smallest is solver variable i, its primed copy
-    k + i and its selector 2k + i; `_prime` and `_selector` map the theory's
-    variables to those solver variables. `refuted` collects every variable
-    whose two copies differ in some model a query returned: none of them is
-    defined by the base of that query. The encoding of both copies and the
-    selectors is built once and handed to the `SatSolver` constructor; after
-    that the session only asks `solve` queries under assumptions. The clauses
-    must be free of repeated literals and tautologies, as `LabeledCnf` keeps
-    them, because the solver does not check them.
+    With k variables, the i-th smallest is solver variable i and its primed
+    copy k + i; two binary clauses bind the copies of each base variable
+    equal. `refuted` collects every variable whose two copies differ in some
+    model a query returned: none of them is defined by the base. The encoding
+    is built once and handed to the `SatSolver` constructor; after that the
+    session only asks `solve` queries under the assumptions y and ¬y'. The
+    clauses must be free of repeated literals and tautologies, as `LabeledCnf`
+    keeps them, because the solver does not check them.
     """
 
-    def __init__(self, clauses, variables):
+    def __init__(self, clauses, variables, base):
         self.variables = sorted(variables)
+        self.base = frozenset(base)
+        self._index = index = {v: i for i, v in enumerate(self.variables, 1)}
+        if not index.keys() >= self.base:
+            raise PreconditionError("base mentions variables not in the theory")
         k = len(self.variables)
-        self._index = {v: i for i, v in enumerate(self.variables, 1)}
-        self._prime = {v: i + k for v, i in self._index.items()}
-        self._selector = {v: i + 2 * k for v, i in self._index.items()}
-        index = self._index
         encoding = []
         for cl in clauses:
             lits = [index[l] if l > 0 else -index[-l] for l in cl]
             encoding.append(lits)
             encoding.append([l + k if l > 0 else l - k for l in lits])
-        for i in range(1, k + 1):
-            s, p = i + 2 * k, i + k
-            encoding.append([-s, -i, p])
-            encoding.append([-s, i, -p])
-        self.solver = SatSolver(3 * k, encoding)
+        self._free = []  # (variable, solver variable) outside the base
+        for v, i in index.items():
+            if v in self.base:
+                encoding += [i, -i - k], [-i, i + k]
+            else:
+                self._free.append((v, i))
+        self.solver = SatSolver(2 * k, encoding)
+        self._rng = random.Random(0)
         self.query_count = 0
         self.refuted: set[int] = set()
 
-    def is_defined(self, base, y: int) -> bool:
-        base = frozenset(base)
-        if y in base:
+    def is_defined(self, y: int) -> bool:
+        if y in self.base:
             raise PreconditionError(f"candidate {y} is part of the base set")
-        if y not in self._index or not self._index.keys() >= base:
+        if y not in self._index:
             raise PreconditionError("query mentions variables not in the theory")
-        assumptions = [self._selector[v] for v in sorted(base)]
-        assumptions += [self._index[y], -self._prime[y]]
-        k = len(self.variables)
-        phase, refuted = self.solver.phase, self.refuted
-        for v, i in self._index.items():
-            if v not in base and v not in refuted:
-                phase[i + k] = not phase[i]
+        k, phase, rng, refuted = len(self.variables), self.solver.phase, self._rng, self.refuted
+        for v, i in self._free:
+            if self.query_count:
+                phase[i] = rng.random() < 0.5
+            phase[i + k] = rng.random() < 0.5 if v in refuted else not phase[i]
         self.query_count += 1
-        model = self.solver.solve(assumptions)
+        model = self.solver.solve([self._index[y], -self._index[y] - k])
         if model is None:
             return True
-        self.refuted.update(
-            v
-            for v, a, b in zip(self.variables, model, model[k:])
-            if (a > 0) != (b > 0)
-        )
+        refuted.update(v for v, a, b in zip(self.variables, model, model[k:])
+                       if (a > 0) != (b > 0))
         return False
 
 
@@ -153,13 +153,13 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
         key = _shape(group, order, local_base)
         answer = shapes.get(key)
         if answer is None:
-            session = PadoaSession(group, variables)
+            session = PadoaSession(group, variables, local_base)
             defined = frozenset(
                 i
                 for i, y in enumerate(order, 1)
                 if y not in local_base
                 and y not in session.refuted
-                and session.is_defined(local_base, y)
+                and session.is_defined(y)
             )
             queries += session.query_count
             answer = shapes[key] = (defined, bool(session.refuted))

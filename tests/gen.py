@@ -171,26 +171,34 @@ def evidence_program_text(rng: random.Random, family: str) -> str:
 
 
 def acyclic_program_values(p: Program):
-    """MAP and SUCC values of a program whose rule bodies mention only atoms
-    derived by earlier rules, read from its semantics alone: each world of
-    its probabilistic facts has one model, found by applying the rules in
-    order. Returns (max over the map atoms' values of P(values, evidence),
-    P(first query, evidence)), independent of build_instance's labels; the
-    second is also the SMP value when there is no evidence."""
-    facts = list(p.prob_facts)
+    """MAP, SUCC and MEU values of a program whose rule bodies mention only
+    atoms derived by earlier rules, read from its semantics alone: each world
+    of its probabilistic facts, under each assignment to its decision facts,
+    has one model, found by applying the rules in order. Returns (max over the
+    map atoms' values of P(values, evidence), P(first query, evidence), max
+    over the decisions of the expected sum of the utilities of the literals
+    true in the model), independent of build_instance's labels. The first two
+    take every decision false; the second is also the SMP value when there is
+    no evidence, and the third ignores evidence, which MEU rejects."""
+    facts, decisions = list(p.prob_facts), p.decision_facts
     best: dict[tuple, float] = {}
     succ = 0.0
-    for world in range(1 << len(facts)):
-        true = {f for i, f in enumerate(facts) if world >> i & 1}
-        weight = math.prod(p.prob_facts[f] if f in true else 1 - p.prob_facts[f] for f in facts)
-        for r in p.rules:
-            if all(a in true for a in r.pos) and not any(a in true for a in r.neg):
-                true.add(r.head)
-        if all((a in true) == val for a, val in p.evidence.items()):
-            key = tuple(a in true for a in p.map_queries)
-            best[key] = best.get(key, 0.0) + weight
-            succ += weight if p.queries and p.queries[0] in true else 0.0
-    return max(best.values(), default=0.0), succ
+    expected = [0.0] * (1 << len(decisions))
+    for choice in range(1 << len(decisions)):
+        for world in range(1 << len(facts)):
+            true = {f for i, f in enumerate(facts) if world >> i & 1}
+            true |= {d for i, d in enumerate(decisions) if choice >> i & 1}
+            weight = math.prod(p.prob_facts[f] if f in true else 1 - p.prob_facts[f] for f in facts)
+            for r in p.rules:
+                if all(a in true for a in r.pos) and not any(a in true for a in r.neg):
+                    true.add(r.head)
+            expected[choice] += weight * sum(
+                u for (a, sign), u in p.utilities.items() if (a in true) == sign)
+            if choice == 0 and all((a in true) == val for a, val in p.evidence.items()):
+                key = tuple(a in true for a in p.map_queries)
+                best[key] = best.get(key, 0.0) + weight
+                succ += weight if p.queries and p.queries[0] in true else 0.0
+    return max(best.values(), default=0.0), succ, max(expected)
 
 
 def random_program(rng: random.Random, family: str, max_vars: int = 14,

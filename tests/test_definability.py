@@ -13,6 +13,7 @@ from nestedamc.cnf import LabeledCnf, components, enumerate_models
 from nestedamc import definability
 from nestedamc.definability import PadoaSession, defined_vars
 from nestedamc.errors import PreconditionError
+from nestedamc.programs import TaskKind, build_instance, parse_program
 from nestedamc.sat import SatSolver
 
 
@@ -22,7 +23,7 @@ def lex_completion():
 
 def test_lex_defined_atoms():
     cnf = lex_completion()
-    assert PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 3)
+    assert PadoaSession(cnf.clauses, cnf.variables, {1, 2}).is_defined(3)
     report = defined_vars(cnf, {1, 2})
     assert report.defined == frozenset([3, 4])
     assert report.query_count == 1
@@ -37,13 +38,17 @@ def test_equivalence_theory_block_defined():
 def test_parity_counterexample_not_defined():
     # {z or y or ~x, z or ~y or x}: once z holds, x is unconstrained
     cnf = LabeledCnf(3, [(1, 2, -3), (1, -2, 3)])
-    assert not PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 3)
+    assert not PadoaSession(cnf.clauses, cnf.variables, {1, 2}).is_defined(3)
 
 
 def test_base_membership_rejected():
     cnf = lex_completion()
     with pytest.raises(PreconditionError):
-        PadoaSession(cnf.clauses, cnf.variables).is_defined({1, 2}, 1)
+        PadoaSession(cnf.clauses, cnf.variables, {1, 2}).is_defined(1)
+    with pytest.raises(PreconditionError):
+        PadoaSession(cnf.clauses, cnf.variables, {1, 2}).is_defined(5)
+    with pytest.raises(PreconditionError):
+        PadoaSession(cnf.clauses, cnf.variables, {1, 5})
     # a base naming a variable outside the theory, even with no candidate left
     with pytest.raises(PreconditionError):
         defined_vars(lex_completion(), {1, 2, 3, 4, 5})
@@ -58,9 +63,9 @@ def test_full_base_defines_nothing_new():
 
 def test_entailed_variable_is_defined_by_anything():
     cnf = LabeledCnf(3, [(2,), (1, 3)])  # entails 2
-    assert PadoaSession(cnf.clauses, cnf.variables).is_defined(frozenset(), 2)
-    assert PadoaSession(cnf.clauses, cnf.variables).is_defined({1}, 2)
-    assert PadoaSession(cnf.clauses, cnf.variables).is_defined({3}, 2)
+    assert PadoaSession(cnf.clauses, cnf.variables, frozenset()).is_defined(2)
+    assert PadoaSession(cnf.clauses, cnf.variables, {1}).is_defined(2)
+    assert PadoaSession(cnf.clauses, cnf.variables, {3}).is_defined(2)
 
 
 def test_unsatisfiable_theory_defines_everything():
@@ -201,6 +206,35 @@ def test_implication_chain_needs_a_constant_number_of_queries():
     )
 
 
+def chain_map_text(n):
+    """The benchmark's chain MAP program with its signs drawn as the benchmark
+    draws them from Random(0): r_i follows f_i and r_(i-1) under random signs
+    and, from i = 3, f_(i-2) and not f_(i-1); every 4th fact is a map atom.
+    The probabilities only label the theory, so they are all 0.5."""
+    rng = random.Random(0)
+    lines = [f"0.5::f{i}." for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        body = [f"f{i}"] + [f"r{i - 1}"] * (i > 1)
+        lits = [a if rng.random() < 0.5 else f"\\+{a}" for a in body]
+        lines.append(f"r{i} :- {', '.join(lits)}.")
+        if i >= 3:
+            lines.append(f"r{i} :- f{i - 2}, \\+f{i - 1}.")
+    lines += [f"map(f{i})." for i in range(4, n + 1, 4)]
+    return "\n".join(lines)
+
+
+def test_fresh_phases_split_the_candidates_of_a_chain():
+    # with the first query's steering repeated before every query, phase
+    # saving kept returning nearly the same model pair: after the first
+    # query each refuted one to four candidates, 19 queries in all. With
+    # fresh phases the second query refutes 18, and 10 queries suffice
+    cnf = build_instance(parse_program(chain_map_text(24)), TaskKind.MAP).cnf
+    report = defined_vars(cnf, cnf.outer_vars)
+    assert report.defined == reference_defined(cnf, cnf.outer_vars)
+    assert defined_vars(cnf, cnf.outer_vars) == report
+    assert report.query_count <= 10
+
+
 def connected_cnf(rng):
     """A random theory on 2 to 6 variables whose primal graph is connected."""
     while True:
@@ -226,8 +260,8 @@ def test_shape_table_matches_reference_on_copies(monkeypatch):
     sessions = []
 
     class CountedSession(PadoaSession):
-        def __init__(self, clauses, variables):
-            super().__init__(clauses, variables)
+        def __init__(self, clauses, variables, base):
+            super().__init__(clauses, variables, base)
             sessions.append(variables)
 
     monkeypatch.setattr(definability, "PadoaSession", CountedSession)

@@ -380,10 +380,11 @@ def test_evidence_programs_match_the_oracle_on_every_build_path():
     # tied argmax witness reaching the optimum; the stream reaches every
     # evidence path of build_instance and each of its ConfigErrors. The
     # oracle reads the built labels, so the values of the programs without
-    # choice pairs are also checked against their semantics
+    # choice pairs, MEU ones included, are also checked against their semantics
     rng = random.Random(4242)
     families = ("succ", "map", "meu", "smp")
     reached = set()
+    meu_checked = 0
     for i in range(160):
         p = parse_program(evidence_program_text(rng, families[i % 4]))
         for task in TaskKind:
@@ -397,10 +398,12 @@ def test_evidence_programs_match_the_oracle_on_every_build_path():
             mode = (CompileMode.XD_FIRST, CompileMode.X_FIRST)[i % 2]
             got, _ = solve_instance(inst, mode)
             want = brute_force_nested(inst)
-            if families[i % 4] in ("succ", "map"):  # no choice pairs: one model a world
-                map_value, succ_value = acyclic_program_values(p)
-                semantic = map_value if task is TaskKind.MAP else succ_value
-                assert values_close(want[0] if task is TaskKind.MAP else want, semantic)
+            # no choice pairs and, but for MEU, no decisions: one model a world
+            if families[i % 4] in ("succ", "map") or task is TaskKind.MEU:
+                map_value, succ_value, meu_value = acyclic_program_values(p)
+                semantic = {TaskKind.MAP: map_value, TaskKind.MEU: meu_value}.get(task, succ_value)
+                assert values_close(want[0] if isinstance(want, tuple) else want, semantic)
+                meu_checked += task is TaskKind.MEU
             if values_close(got, want):
                 continue
             assert isinstance(got, tuple) and values_close(got[0], want[0]), (task, got, want)
@@ -419,6 +422,7 @@ def test_evidence_programs_match_the_oracle_on_every_build_path():
         "stable-model probability needs exactly one query atom",
         "evidence is not supported for stable-model probability",
     }
+    assert meu_checked >= 10
 
 
 def instance_labels():

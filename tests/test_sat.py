@@ -44,18 +44,20 @@ def test_contradiction_unsat():
 def test_padoa_encoding_of_defined_variable_is_unsat():
     # a<->c, b<->d: c is defined by {a,b}, so the copies-differ query fails
     cnf = LabeledCnf(4, [(-1, 3), (1, -3), (-2, 4), (2, -4)])
-    session = PadoaSession(cnf.clauses, cnf.variables)
-    assumptions = [session._selector[1], session._selector[2], 3, -session._prime[3]]
+    # variable v is solver variable v and its primed copy 4 + v
+    session = PadoaSession(cnf.clauses, cnf.variables, {1, 2})
+    assumptions = [3, -7]
     assert session.solver.solve(assumptions) is None
     # without fixing the base the copies may differ
-    assert session.solver.solve([3, -session._prime[3]]) is not None
-    # cross-check by enumerating the 12-variable encoding directly
+    free = PadoaSession(cnf.clauses, cnf.variables, frozenset())
+    assert free.solver.solve(assumptions) is not None
+    # cross-check by enumerating the 8-variable encoding directly
     from nestedamc.cnf import enumerate_models
 
     encoding = [tuple(cl) for cl in session.solver.clauses]
     encoding += [(l,) for l in assumptions]
-    twelve = LabeledCnf(12, encoding)
-    assert list(enumerate_models(twelve)) == []
+    eight = LabeledCnf(8, encoding)
+    assert list(enumerate_models(eight)) == []
 
 
 # SatSolver.value reads 1 for a true literal, -1 for a false one and 0 while
@@ -209,14 +211,12 @@ def test_branching_matches_activity_scan(monkeypatch):
     # one Padoa query stream, the workload the heap was built for
     r = random.Random(1)
     cnf = LabeledCnf(40, random_3cnf(r, 40, 120), outer_vars=r.sample(range(1, 41), 20))
-    session = PadoaSession(cnf.clauses, cnf.variables)
+    session = PadoaSession(cnf.clauses, cnf.variables, cnf.outer_vars)
     attached = len(session.solver.clauses)
     monkeypatch.setattr(definability, "SatSolver", ScanSolver)
-    reference = PadoaSession(cnf.clauses, cnf.variables)
+    reference = PadoaSession(cnf.clauses, cnf.variables, cnf.outer_vars)
     for y in sorted(cnf.variables - cnf.outer_vars):
-        assert session.is_defined(cnf.outer_vars, y) == reference.is_defined(
-            cnf.outer_vars, y
-        )
+        assert session.is_defined(y) == reference.is_defined(y)
         assert session.solver.clauses == reference.solver.clauses
         assert session.solver.activity == reference.solver.activity
         assert session.solver.unsat == reference.solver.unsat
