@@ -21,9 +21,13 @@ the empty or-node. The same step keeps one record, `uneven_or`: the id of the
 first or-node whose children's masks differ from its own, -1 while there is
 none. It is the circuit's one or-node smoothness check.
 
-`smooth` returns its input itself, without a scan, when the input is already
-smooth: `uneven_or` is -1 and the root's mask covers every variable.
-Otherwise it rebuilds the circuit, hash-consing the nodes it makes.
+Smoothing has one padding rule, `Padding`. The compiler applies it to each
+decision's branches as it builds the or-node, so a compiled circuit is
+smooth but perhaps at its root. `smooth` returns its input itself, without a
+scan, when the input is already smooth: `uneven_or` is -1 and the root's
+mask covers every variable. Otherwise, for a parsed circuit or a compiled
+root that misses a variable, it rebuilds the circuit, hash-consing the nodes
+it makes.
 
 Exchange grammar (one node per line, ids implicit by line order, children
 must precede parents):
@@ -210,20 +214,132 @@ def emit_nnf(circuit: Circuit) -> str:
 # --------------------------------------------------------------- smoothing
 
 
+class Padding:
+    """Smoothing's one padding rule, used by `smooth` and the compiler: pad
+    a node of `circuit` with (v or not v) gates for the variables of a mask
+    it misses, building nodes through the hash-consing `mk(kind, value,
+    children)` and `lit(literal)`.
+
+    Gates for missing inner variables are pushed below the outer-variable
+    structure of `outer_mask` (into the unique mixed child of an and-node, or
+    into every child of an or-node), so a circuit that decides the outer
+    variables first keeps that shape; the rest join the node in an and-node.
+    """
+
+    __slots__ = ("circuit", "mk", "lit", "outer", "gates", "memo")
+
+    def __init__(self, circuit: Circuit, mk, lit, outer_mask: int):
+        self.circuit = circuit
+        self.mk = mk
+        self.lit = lit
+        self.outer = outer_mask
+        self.gates: dict[int, int] = {}  # variable -> its gate
+        self.memo: dict[tuple[int, int], int] = {}  # (node, missing) -> padded node
+
+    def _attach(self, base, missing: int) -> int:
+        """The and-node of `base` and the gates of the variables of
+        `missing`, lowest variable first."""
+        gates = []
+        while missing:
+            low = missing & -missing
+            v = low.bit_length() - 1
+            got = self.gates.get(v)
+            if got is None:
+                got = self.gates[v] = self.mk(OR, v, (self.lit(v), self.lit(-v)))
+            gates.append(got)
+            missing ^= low
+        return self.mk(AND, 0, (*base, *gates))
+
+    def _targets(self, kind: int, children, mask: int, missing: int):
+        """The children a padding by `missing` of a node recurses into, or
+        None when the gates are attached at the node itself: every child of
+        a mixed or-node, or the unique mixed child of a mixed and-node."""
+        out = self.outer
+        if not (missing & ~out and mask & out and mask & ~out):
+            return None
+        if kind == OR:
+            return children or None
+        masks = self.circuit.masks
+        mixed = [c for c in children if masks[c] & out and masks[c] & ~out]
+        return mixed if len(mixed) == 1 else None
+
+    def _padded(self, nid: int, missing: int, targets, done) -> int:
+        """Node `nid` padded, once its `targets` are padded into `done`."""
+        circuit = self.circuit
+        kind = circuit.kinds[nid]
+        if targets is None:
+            return self._attach(circuit.children(nid) if kind == AND else (nid,), missing)
+        if kind == OR:
+            res = self.mk(OR, circuit.vals[nid], done)
+        else:
+            res = self.mk(AND, 0, [done[0] if c == targets[0] else c
+                                   for c in circuit.children(nid)])
+        if missing & self.outer:
+            res = self._attach(circuit.children(res) if kind == AND else (res,),
+                               missing & self.outer)
+        return res
+
+    def pad_and(self, children, missing: int) -> int:
+        """The and-node of `children` padded by `missing`, built without the
+        unpadded and-node, so the padding leaves no dead node behind."""
+        mask = 0
+        for c in children:
+            mask |= self.circuit.masks[c]
+        targets = self._targets(AND, children, mask, missing)
+        if targets is None:
+            return self._attach(children, missing)
+        done = self.pad(targets[0], missing & ~self.outer)
+        return self._attach([done if c == targets[0] else c for c in children],
+                            missing & self.outer)
+
+    def pad(self, nid: int, missing: int) -> int:
+        """Node `nid` padded by the variables of `missing`."""
+        # a depth-first recursion over mixed nodes, run on an explicit stack:
+        # each frame pads its targets one at a time, in order, and builds its
+        # own node once all are done, so nodes are made in recursion order
+        if not missing:
+            return nid
+        memo, circuit, out = self.memo, self.circuit, self.outer
+        got = memo.get((nid, missing))
+        if got is not None:
+            return got
+
+        def frame(nid, missing):
+            targets = self._targets(circuit.kinds[nid], circuit.children(nid),
+                                    circuit.masks[nid], missing)
+            return nid, missing, targets, []
+
+        stack = [frame(nid, missing)]
+        while True:
+            nid, missing, targets, done = stack[-1]
+            if targets is not None and len(done) < len(targets):
+                inner = missing & ~out
+                got = memo.get((targets[len(done)], inner))
+                if got is None:
+                    stack.append(frame(targets[len(done)], inner))
+                else:
+                    done.append(got)
+                continue
+            res = memo[nid, missing] = self._padded(nid, missing, targets, done)
+            stack.pop()
+            if not stack:
+                return res
+            stack[-1][3].append(res)
+
+
 def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
     """Make every or-node's children mention the same variables and the root
-    mention the whole universe, by padding with (v or not v) gates. The model
-    set is unchanged. An already-smooth circuit comes back itself, duplicate
-    nodes and all; any other is rebuilt with its nodes hash-consed.
+    mention the whole universe, by padding with (v or not v) gates under the
+    rule of `Padding`, whose outer variables are `outer_vars`. The model set
+    is unchanged.
 
-    When `outer_vars` is given, gates for missing inner variables are pushed
-    below the outer-variable structure (into the unique mixed child of an
-    and-node, or into every child of an or-node), so a circuit that decides
-    the outer variables first keeps that shape.
+    The compiler pads every decision as it builds it, so a compiled circuit
+    is smooth below its root: it comes back itself when its root mentions
+    every variable. Any other circuit, a parsed one or a compiled one whose
+    root misses a variable, is rebuilt with its nodes hash-consed.
     """
     if circuit.uneven_or < 0 and not circuit.full_mask & ~circuit.masks[circuit.root]:
         return circuit
-    out_mask = _mask_of(outer_vars or ())
     out = Circuit(circuit.num_vars)
     new_masks = out.masks
     index: dict[tuple, int] = {}
@@ -235,76 +351,7 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
             got = index[key] = out.add(kind, val, children)
         return got
 
-    gate_cache: dict[int, int] = {}
-
-    def gate(v: int) -> int:
-        got = gate_cache.get(v)
-        if got is None:
-            got = gate_cache[v] = mk(OR, v, (mk(LIT, v), mk(LIT, -v)))
-        return got
-
-    def attach(nid: int, missing_mask: int) -> int:
-        gates = []
-        while missing_mask:  # the set bits, lowest variable first
-            low = missing_mask & -missing_mask
-            gates.append(gate(low.bit_length() - 1))
-            missing_mask ^= low
-        base = tuple(out.children(nid)) if out.kinds[nid] == AND else (nid,)
-        return mk(AND, 0, (*base, *gates))
-
-    pad_memo: dict[tuple[int, int], int] = {}
-
-    def pad_targets(nid: int, missing: int):
-        """The children a padding of `nid` recurses into, or None when the
-        gates are attached at `nid` itself: every child of a mixed or-node,
-        or the unique mixed child of a mixed and-node."""
-        m = new_masks[nid]
-        if not (missing & ~out_mask and m & out_mask and m & ~out_mask):
-            return None
-        ch = out.children(nid)
-        if out.kinds[nid] == OR:
-            return ch or None
-        mixed = [c for c in ch if new_masks[c] & out_mask and new_masks[c] & ~out_mask]
-        return mixed if len(mixed) == 1 else None
-
-    def padded(nid: int, missing: int, targets, done) -> int:
-        if targets is None:
-            return attach(nid, missing)
-        if out.kinds[nid] == OR:
-            res = mk(OR, out.vals[nid], done)
-        else:
-            res = mk(AND, 0, [done[0] if c == targets[0] else c for c in out.children(nid)])
-        if missing & out_mask:
-            res = attach(res, missing & out_mask)
-        return res
-
-    def pad(nid: int, missing: int) -> int:
-        # a depth-first recursion over mixed nodes, run on an explicit stack:
-        # each frame pads its targets one at a time, in order, and builds its
-        # own node once all are done, so nodes are made in recursion order
-        if not missing:
-            return nid
-        got = pad_memo.get((nid, missing))
-        if got is not None:
-            return got
-        stack = [(nid, missing, pad_targets(nid, missing), [])]
-        while True:
-            nid, missing, targets, done = stack[-1]
-            if targets is not None and len(done) < len(targets):
-                child = targets[len(done)]
-                inner = missing & ~out_mask
-                got = pad_memo.get((child, inner))
-                if got is None:
-                    stack.append((child, inner, pad_targets(child, inner), []))
-                else:
-                    done.append(got)
-                continue
-            res = pad_memo[nid, missing] = padded(nid, missing, targets, done)
-            stack.pop()
-            if not stack:
-                return res
-            stack[-1][3].append(res)
-
+    padding = Padding(out, mk, lambda lit: mk(LIT, lit), _mask_of(outer_vars or ()))
     kinds, vals, offsets, kids = circuit.kinds, circuit.vals, circuit.offsets, circuit.kids
     mapping: list[int] = []
     for i in range(len(kinds)):
@@ -314,11 +361,11 @@ def smooth(circuit: Circuit, outer_vars=None) -> Circuit:
             union = 0
             for c in children:
                 union |= new_masks[c]
-            children = [pad(c, union & ~new_masks[c]) for c in children]
+            children = [padding.pad(c, union & ~new_masks[c]) for c in children]
         mapping.append(mk(kind, vals[i], children))
 
     root = mapping[circuit.root]
-    out.root = pad(root, out.full_mask & ~new_masks[root])
+    out.root = padding.pad(root, out.full_mask & ~new_masks[root])
     return out
 
 

@@ -21,6 +21,13 @@ Three modes:
              outer-containing block so the circuit satisfies the strict
              outer-first shape.
 
+Smoothness. A decision whose branches mention different variables pads
+each branch, before the or-node is built, with (v or not v) gates for the
+variables only the other mentions, under `circuit.Padding`'s rule: inner
+gates go below the outer-variable structure. So every or-node is smooth and
+the circuit is the DAG `smooth` would make of the unpadded one; a root that
+misses a variable is left for `smooth` to pad. The budget counts the gates.
+
 No node copies or rescans the residual formula; the layout follows sharpSAT
 (Thurley, SAT 2006):
 
@@ -71,7 +78,7 @@ import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .circuit import AND, LIT, OR, Circuit
+from .circuit import AND, LIT, OR, Circuit, Padding
 from .cnf import LabeledCnf
 from .errors import CapacityError, ConfigError, PreconditionError
 
@@ -133,7 +140,7 @@ class _Compilation:
     __slots__ = ("cnf", "cache_budget", "theory_bytes", "x_first", "is_outer", "by_rank",
                  "rank", "clauses", "cvars", "occ", "vocc", "occm", "near", "inner", "nsat",
                  "nlive", "nout", "free", "pos", "trail", "stamp", "vmark", "cmark",
-                 "smark", "stats", "circuit", "index", "lit_ids", "cache", "cbit",
+                 "smark", "stats", "circuit", "index", "lit_ids", "padding", "cache", "cbit",
                  "residual_bits")
 
     def __init__(self, cnf: LabeledCnf, order, mode: CompileMode, cache_budget: int):
@@ -185,6 +192,9 @@ class _Compilation:
         self.circuit = Circuit(n, stats=self.stats)
         self.index: dict[tuple, int] = {}  # (kind, value, *children) -> node id
         self.lit_ids: dict[int, int] = {}
+        # it holds _mk and _lit, so run drops it: no cycle keeps the compile alive
+        self.padding = Padding(self.circuit, self._mk, self._lit,
+                               sum(1 << v for v in cnf.outer_vars))
         self.cache: dict[int, int] = {}
         self.cbit = [1 << c for c in range(len(self.clauses))]  # bit by clause id
         # residual clause -> bit of its id; a clause that lost no literal is its own id
@@ -228,8 +238,15 @@ class _Compilation:
         return self._mk(AND, 0, children)
 
     def _decision(self, var: int, pos: int, neg: int) -> int:
-        hi = self._lit(var) if pos == _TRUE else self._and((self._lit(var), pos))
-        lo = self._lit(-var) if neg == _TRUE else self._and((self._lit(-var), neg))
+        # each branch is padded by the variables only the other one mentions
+        masks = self.circuit.masks
+        bit = 1 << var
+        mh = bit if pos == _TRUE else bit | masks[pos]
+        ml = bit if neg == _TRUE else bit | masks[neg]
+        hi = (self._lit(var),) if pos == _TRUE else (self._lit(var), pos)
+        hi = self.padding.pad_and(hi, ml & ~mh) if ml & ~mh else self._and(hi)
+        lo = (self._lit(-var),) if neg == _TRUE else (self._lit(-var), neg)
+        lo = self.padding.pad_and(lo, mh & ~ml) if mh & ~ml else self._and(lo)
         return self._mk(OR, var, (hi, lo))
 
     # ------------------------------------------------------------ the trail
@@ -656,6 +673,7 @@ class _Compilation:
                 root = self._expand(None, 0, units, sum(self.nout))
         finally:
             sys.setrecursionlimit(limit)
+            self.padding = None
         if root == _TRUE:
             root = self._mk(AND, 0)
         self._budget()

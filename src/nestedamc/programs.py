@@ -279,8 +279,12 @@ def build_instance(p: Program, task: TaskKind) -> NestedInstance:
             counts (query models, all models) inside.
 
     Evidence zeroes the literal it contradicts, so an evidence fact keeps
-    its prior; MEU and SMP reject evidence.
+    its prior; MEU and SMP reject evidence. SUCC and MAP reject decision
+    facts, whose literals both weigh 1 there and would sum over the
+    decisions; SMP counts them as choices.
     """
+    if p.decision_facts and task in (TaskKind.SUCC, TaskKind.MAP):
+        raise ConfigError("decision facts are not supported for success or MAP tasks")
     base, index = clark_completion(p)
     weight = {}
     for atom, prob in p.prob_facts.items():
@@ -374,9 +378,10 @@ class Diagnostics:
         return out
 
     def memory_metrics(self):
-        """Where the memory went: the compiler's byte estimate and the
-        circuit's size after smoothing. `--stats` writes them beside
-        `metrics()`; the kv stream leaves them out."""
+        """Where the memory went: the compiler's byte estimate, which counts
+        the padding gates, and the circuit's size after smoothing, the
+        compiled size unless the root missed a variable. `--stats` writes
+        them beside `metrics()`; the kv stream leaves them out."""
         return [
             ("compile", "bytes_estimate", self.compile_stats.bytes_estimate),
             ("smooth", "nodes", self.smooth_nodes),
@@ -437,7 +442,9 @@ def solve_instance(
 
     t0 = time.perf_counter()
     sm = smooth(circ, inst.cnf.outer_vars)
-    del circ  # only its counts are kept, so a padded circuit is not held twice
+    # only its counts are kept: when smooth rebuilt an uneven root, the
+    # compiled circuit is not held beside the padded one
+    del circ
     diag.smooth_nodes = sm.node_count
     diag.smooth_edges = sm.edge_count
     d = diag.defined

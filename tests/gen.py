@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -29,6 +30,17 @@ def nodes_of(circ: Circuit) -> list[tuple]:
     """The circuit's nodes as (kind, value, children) tuples, in id order."""
     return [(circ.kinds[i], circ.vals[i], tuple(circ.children(i)))
             for i in range(circ.node_count)]
+
+
+def dag_digest(circ: Circuit) -> str:
+    """A content hash of the DAG below the root: each node hashes its kind,
+    its value and its children's hashes in order, so two circuits whose roots
+    span equal DAGs hash alike whatever their node ids and unreachable nodes."""
+    hashes: list[bytes] = []
+    for kind, val, kids in nodes_of(circ):
+        node = repr((kind, val, [hashes[c] for c in kids])).encode()
+        hashes.append(hashlib.sha256(node).digest())
+    return hashes[circ.root].hex()[:16]
 
 
 def circuit_of(nodes, root: int, num_vars: int) -> Circuit:

@@ -494,13 +494,13 @@ def test_truncated_circuit_is_input_error(capsys, tmp_path):
     nnf = tmp_path / "chain.nnf"
     assert run(capsys, "compile", str(cnf), "-o", str(nnf), "--mode", "free")[0] == 0
     lines = nnf.read_text().splitlines(keepends=True)
-    assert lines[0] == "nnf 165 405 30\n"
+    assert lines[0] == "nnf 171 413 30\n"
     code, out, _ = run(capsys, "eval", str(nnf), str(cnf))
     assert (code, out) == (0, "value: 31.0\n")
     nnf.write_text("".join(lines[:-3]))
     code, out, err = run(capsys, "eval", str(nnf), str(cnf))
     assert (code, out) == (1, "")
-    assert err == "error: header declares 165 nodes and 405 edges, the file has 162 and 401\n"
+    assert err == "error: header declares 171 nodes and 413 edges, the file has 168 and 409\n"
 
 
 def test_defined_non_integer_base_is_input_error(files, capsys):
@@ -517,6 +517,21 @@ def test_non_ascii_input_is_input_error(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: line 6: non-ASCII byte in ")
     assert out == ""
+
+
+@pytest.mark.parametrize("task, text", [
+    ("map", "0.5::f0. ?::d0. r0 :- f0, d0. map(f0)."),
+    ("succ", "0.5::f0. ?::d0. ?::d1. r0 :- d1, d0. query(r0)."),
+])
+def test_decision_facts_in_success_and_map_tasks_are_input_errors(capsys, tmp_path, task, text):
+    # both literals of a decision fact would weigh 1 in these tasks, and the
+    # value would sum over the decisions: the MAP program solved to 1.0 with
+    # witness ~f0, where the optimum is 0.5, and the success program to 1.0
+    src = tmp_path / "decisions.pl"
+    src.write_text(text)
+    code, out, err = run(capsys, "solve", "--task", task, str(src))
+    assert (code, out) == (1, "")
+    assert err == "error: decision facts are not supported for success or MAP tasks\n"
 
 
 PAIRING_ERRORS = [

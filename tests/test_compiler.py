@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from gen import equivalence_cnf, implication_chain, nodes_of, random_cnf, random_partitioned_cnf
+from gen import (
+    dag_digest,
+    equivalence_cnf,
+    implication_chain,
+    nodes_of,
+    random_cnf,
+    random_partitioned_cnf,
+    random_program,
+)
 from nestedamc.circuit import (
     LIT,
     OR,
@@ -55,6 +63,18 @@ def test_budget_exhaustion_carries_stats():
     with pytest.raises(CapacityError) as e:
         compile_cnf(cnf, order, CompileMode.X_FIRST, cache_budget=10_000)
     assert e.value.stats is not None and e.value.stats.nodes > 0
+
+
+def test_padding_is_charged_to_the_budget():
+    # FREE mode interleaves the chain's outer and inner decisions, so their
+    # branches mention different variables and each decision pads them with
+    # gates. Unpadded, the compile made 2,239 nodes, about 1.4 MB by the
+    # budget's count; padded, it passes 4 MB on its way to 50,429 nodes
+    cnf = implication_chain(300)
+    order = plan_order(cnf, CompileMode.FREE)
+    with pytest.raises(CapacityError) as e:
+        compile_cnf(cnf, order, CompileMode.FREE, cache_budget=4 << 20)
+    assert e.value.stats.nodes > 2239
 
 
 def test_repeated_literal_clause_is_a_unit():
@@ -217,7 +237,7 @@ def test_compiled_structure_golden():
         compile_cnf(equivalence_cnf(8), tuple(range(1, 17)), CompileMode.X_FIRST,
                     cache_budget=20_000)
     digest.update(repr(dataclasses.astuple(e.value.stats)).encode())
-    assert digest.hexdigest()[:16] == "ca55a14c362bdac9"
+    assert digest.hexdigest()[:16] == "b2215924a4710448"
 
 
 def test_buffered_inner_units_propagate_below_the_split():
@@ -227,15 +247,15 @@ def test_buffered_inner_units_propagate_below_the_split():
     cnf = LabeledCnf(4, [(1, 2), (3,), (-3, 4)], outer_vars={1, 2})
     circ = compile_cnf(cnf, (1, 2, 3, 4), CompileMode.X_FIRST)
     s = circ.stats
-    assert (s.decisions, s.propagations, s.nodes, s.cache_entries) == (1, 3, 9, 2)
+    assert (s.decisions, s.propagations, s.nodes, s.cache_entries) == (1, 3, 12, 2)
     assert models_of(circ, cnf) == frozenset(enumerate_models(cnf))
 
 
 def test_compiled_sizes_golden():
     # nodes, edges, decisions and model counts of the 60 instances of
-    # test_compiled_structure_golden in every mode. The digest was taken
-    # before the trail-based core and does not depend on the cache layout,
-    # so a cache change must leave it as it is.
+    # test_compiled_structure_golden in every mode. The digest does not
+    # depend on the cache layout, so a cache change must leave it as it is;
+    # it was re-taken when decisions began to pad their branches.
     rng = random.Random(2718)
     digest = hashlib.sha256()
     for _ in range(60):
@@ -247,7 +267,7 @@ def test_compiled_sizes_golden():
             s = circ.stats
             sizes = (s.nodes, s.edges, s.decisions, count_models(circ, cnf.variables))
             digest.update(repr(sizes).encode())
-    assert digest.hexdigest()[:16] == "35b13b1509abb8ed"
+    assert digest.hexdigest()[:16] == "dadb7148a8f13bdc"
 
 
 def _benchmark_theories():
@@ -279,7 +299,7 @@ def test_benchmark_compiles_golden():
     for _, circ in _benchmark_compiles():
         digest.update(repr(dataclasses.astuple(circ.stats)).encode())
         digest.update(emit_nnf(circ).encode())
-    assert digest.hexdigest()[:16] == "cd0f97325f8bfdc9"
+    assert digest.hexdigest()[:16] == "35d96ed1df928f2e"
 
 
 def test_emitted_circuits_golden():
@@ -299,7 +319,49 @@ def test_emitted_circuits_golden():
     for cnf, circ in [*compiled, *_benchmark_compiles()]:
         digest.update(emit_nnf(circ).encode())
         digest.update(emit_nnf(smooth(circ, cnf.outer_vars)).encode())
-    assert digest.hexdigest()[:16] == "9d44ed7996e9e401"
+    assert digest.hexdigest()[:16] == "5968e9b5e9dd2ed2"
+
+
+def _smoothed_dags(compiled):
+    """A digest of the DAGs of the smoothed circuits of (theory, circuit)
+    pairs. On the way, checks that each compiled circuit is smooth below its
+    root and that `smooth` hands back one whose root mentions every variable."""
+    digest = hashlib.sha256()
+    for cnf, circ in compiled:
+        assert circ.uneven_or == -1
+        sm = smooth(circ, cnf.outer_vars)
+        assert (sm is circ) == (not circ.full_mask & ~circ.masks[circ.root])
+        digest.update(dag_digest(sm).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_smoothed_dags_golden():
+    # the compiler pads each decision's branches by smooth's own rule as it
+    # builds the or-node, so a smoothed compile is the DAG that smoothing
+    # the unpadded circuit gave: the digests were taken from a compiler that
+    # left all padding to smooth. The sets: the 60 instances of
+    # test_compiled_structure_golden in every mode, the 40 random programs per
+    # nested task of test_property_reports_golden in every mode, and one
+    # benchmark instance per family, each of which smooth hands back itself
+    rng = random.Random(2718)
+    compiled = []
+    for _ in range(60):
+        cnf = random_partitioned_cnf(rng, 12, 25)
+        seq = list(cnf.variables)
+        rng.shuffle(seq)
+        compiled += [(cnf, compile_cnf(cnf, tuple(seq), mode)) for mode in CompileMode]
+    assert _smoothed_dags(compiled) == "368b4f8a722abe0f"
+    rng = random.Random(1201)
+    compiled = []
+    for family, task in (("map", TaskKind.MAP), ("meu", TaskKind.MEU), ("smp", TaskKind.SMP)):
+        for _ in range(40):
+            cnf = build_instance(random_program(rng, family), task).cnf
+            compiled += [(cnf, compile_cnf(cnf, plan_order(cnf, mode), mode))
+                         for mode in CompileMode]
+    assert _smoothed_dags(compiled) == "6a83634bf7a644f1"
+    benchmark = list(_benchmark_compiles())
+    assert all(smooth(circ, cnf.outer_vars) is circ for cnf, circ in benchmark)
+    assert _smoothed_dags(benchmark) == "8d5357be632ec0ac"
 
 
 def forest_cnf(rng, k):
@@ -337,17 +399,18 @@ def test_split_paths_golden():
     # must leave them. 200 random instances of up to 24 variables and 70
     # clauses and a 240-variable implication chain are large enough for
     # searches that stop before walking the last component and for X_FIRST
-    # merged blocks that split back into pure-inner parts; their digest
-    # predates deriving components from the parents' clause masks
+    # merged blocks that split back into pure-inner parts. Both digests were
+    # re-taken when decisions began to pad their branches, which moved no
+    # decision and left every smoothed circuit the same DAG
     rng = random.Random(1618)
     cnfs = [random_partitioned_cnf(rng, 24, 70) for _ in range(200)]
-    assert _compiled_digest([*cnfs, implication_chain(120)]) == "6c2d9da0d2737c87"
+    assert _compiled_digest([*cnfs, implication_chain(120)]) == "f35c439b266a4289"
     # 40 forests of 2-12 small clusters, all of whose blocks a compiler that
     # walks components of at most 32 clauses whole at every split never
-    # derives; their digest was taken from such a compiler
+    # derives; their first digest was taken from such a compiler
     rng = random.Random(2718)
     forests = [forest_cnf(rng, rng.randint(2, 12)) for _ in range(40)]
-    assert _compiled_digest(forests) == "59b6be8d5a739f92"
+    assert _compiled_digest(forests) == "2a374929a26ffa28"
 
 
 def test_cache_key_tells_variables_apart():
@@ -449,6 +512,18 @@ def test_compiled_circuit_holds_few_bytes_per_node():
         tracemalloc.stop()
     assert circ.node_count == 4133
     assert held / circ.node_count < 80
+
+
+def test_compile_leaves_no_reference_cycle():
+    # the padding helper holds the compile's bound methods; were it kept past
+    # the compile, the compile's arrays would live until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        compile_cnf(implication_chain(20), tuple(range(1, 41)), CompileMode.FREE)
+        assert not [o for o in gc.get_objects() if type(o).__name__ == "_Compilation"]
+    finally:
+        gc.enable()
 
 
 def test_compiler_does_not_load_the_planner():

@@ -308,7 +308,8 @@ def test_auxiliaries_are_defined_and_unlabelled():
 def test_property_reports_golden():
     # every field of the verifier's report, flagged node ids included, on 40
     # random programs per nested task in every mode, each circuit verified
-    # as compiled and after smoothing: 720 reports, 287 of them not smooth
+    # as compiled and after smoothing: 720 reports, 161 of them not smooth,
+    # all compiled circuits whose root misses a variable
     rng = random.Random(1201)
     digest = hashlib.sha256()
     for family, task in (("map", TaskKind.MAP), ("meu", TaskKind.MEU), ("smp", TaskKind.SMP)):
@@ -319,7 +320,7 @@ def test_property_reports_golden():
                 circ = compile_cnf(cnf, plan_order(cnf, mode), mode)
                 for c in (circ, smooth(circ, cnf.outer_vars)):
                     digest.update(repr(verify_circuit(c, cnf, d)).encode())
-    assert digest.hexdigest()[:16] == "6c3c6b58bbd70036"
+    assert digest.hexdigest()[:16] == "460d65bbb0625db6"
 
 
 def test_map_witness_is_a_sound_assignment():
@@ -420,6 +421,7 @@ def test_evidence_programs_match_the_oracle_on_every_build_path():
         "expected-utility maximisation needs decision facts",
         "evidence is not supported for expected-utility tasks",
         "stable-model probability needs exactly one query atom",
+        "decision facts are not supported for success or MAP tasks",
         "evidence is not supported for stable-model probability",
     }
     assert meu_checked >= 10
@@ -456,7 +458,7 @@ def instance_labels():
 def test_instance_labels_golden():
     # pins what build_instance labels for every task: the same theories,
     # semirings and effective weights, or the same error message
-    assert instance_labels() == "36999a67e35bfda3"
+    assert instance_labels() == "1e3842abf8dad329"
 
 
 def planned_orders():
