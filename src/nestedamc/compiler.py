@@ -69,6 +69,21 @@ No node copies or rescans the residual formula; the layout follows sharpSAT
       equal keys compile to the same node. Only components are cached: the
       decision points, plus X_FIRST pure-inner blocks that hold inner units
       and so propagate before they decide.
+
+Root templates. When the root splits into several blocks, each whole one is
+keyed by its shape: its residual clauses in clause-id order, each variable
+renamed by its rank among the block's variables sorted by id, the same
+renamed variables listed by decision rank, and which of them are outer.
+The renaming is monotone, so literal order, clause order and the order of
+components by smallest variable are all kept, and a block of a shape met
+before would compile to the first one's nodes with its variables renamed.
+So the first block of a shape compiles, and each later one copies that
+compile's nodes in id order through the renaming, straight into the
+circuit: a copy is over new variables, so it is a new node, save the false
+node and any node made before the template, which stay shared. The copy
+adds the template's counters, and its cache entries count towards the
+budget without being stored: no later block can meet them. X_FIRST merged
+blocks are never whole and always compile.
 """
 
 from __future__ import annotations
@@ -141,7 +156,7 @@ class _Compilation:
                  "rank", "clauses", "cvars", "occ", "vocc", "occm", "near", "inner", "nsat",
                  "nlive", "nout", "free", "pos", "trail", "stamp", "vmark", "cmark",
                  "smark", "stats", "circuit", "index", "lit_ids", "padding", "cache", "cbit",
-                 "residual_bits")
+                 "residual_bits", "copied_entries")
 
     def __init__(self, cnf: LabeledCnf, order, mode: CompileMode, cache_budget: int):
         if frozenset(order) != cnf.variables:
@@ -196,6 +211,7 @@ class _Compilation:
         self.padding = Padding(self.circuit, self._mk, self._lit,
                                sum(1 << v for v in cnf.outer_vars))
         self.cache: dict[int, int] = {}
+        self.copied_entries = 0  # the cache entries of the root's copied blocks
         self.cbit = [1 << c for c in range(len(self.clauses))]  # bit by clause id
         # residual clause -> bit of its id; a clause that lost no literal is its own id
         self.residual_bits = dict(zip(self.clauses, self.cbit))
@@ -210,7 +226,7 @@ class _Compilation:
         circuit, stats = self.circuit, self.stats
         stats.nodes = circuit.node_count
         stats.edges = circuit.edge_count
-        stats.cache_entries = len(self.cache)
+        stats.cache_entries = len(self.cache) + self.copied_entries
         stats.bytes_estimate = (self.theory_bytes + _NODE_BYTES * stats.nodes
                                 + _EDGE_BYTES * stats.edges)
         if stats.bytes_estimate > self.cache_budget:
@@ -618,9 +634,73 @@ class _Compilation:
             return _TRUE
         # blocks are non-empty, so no child is _TRUE
         children = [self._lit(l) for l in implied]
-        for block in blocks:
-            children.append(self._component(block))
+        if parent is None and len(blocks) > 1:
+            children += self._root_components(blocks)
+        else:
+            for block in blocks:
+                children.append(self._component(block))
         return self._and(children)
+
+    def _root_components(self, blocks):
+        """The nodes of the root's blocks: a whole block of a shape met
+        before is a copy of the first one's nodes (see Root templates)."""
+        clauses, free, by_rank, outer = self.clauses, self.free, self.by_rank, self.cnf.outer_vars
+        circuit, stats = self.circuit, self.stats
+        templates = {}  # shape -> (variables, first node, end node, root, counters)
+        nodes = []
+        for block in blocks:
+            if not block[8]:
+                nodes.append(self._component(block))
+                continue
+            variables = list(_bits(block[4]))
+            local = {v: i for i, v in enumerate(variables, 1)}
+            shape = (
+                tuple([tuple([local[l] if l > 0 else -local[-l]
+                              for l in clauses[c] if free[l if l > 0 else -l]])
+                       for c in _bits(block[1])]),
+                tuple([local[by_rank[r]] for r in _bits(block[5])]),
+                tuple([v in outer for v in variables]),
+            )
+            template = templates.get(shape)
+            if template is None:
+                lo = circuit.node_count
+                counters = (stats.decisions, stats.propagations, stats.cache_hits,
+                            len(self.cache))
+                root = self._component(block)
+                counters = (stats.decisions - counters[0], stats.propagations - counters[1],
+                            stats.cache_hits - counters[2], len(self.cache) - counters[3])
+                templates[shape] = (variables, lo, circuit.node_count, root, counters)
+                nodes.append(root)
+            else:
+                nodes.append(self._copy(template, variables))
+        return nodes
+
+    def _copy(self, template, variables) -> int:
+        """The root of a template block's nodes built again over `variables`,
+        with the template's counters added."""
+        tvars, lo, hi, root, (decisions, propagations, hits, entries) = template
+        circuit = self.circuit
+        vals, offsets, kids, masks, add = (circuit.vals, circuit.offsets, circuit.kids,
+                                          circuit.masks, circuit.add)
+        rename = [0] * (tvars[-1] + 1)
+        for v, w in zip(tvars, variables):
+            rename[v] = w
+        ids = []
+        for i, kind in enumerate(circuit.kinds[lo:hi], lo):
+            if not masks[i]:  # the false node
+                ids.append(i)
+                continue
+            val = vals[i]
+            val = rename[val] if val >= 0 else -rename[-val]
+            ids.append(add(kind, val, [c if c < lo else ids[c - lo]
+                                       for c in kids[offsets[i]:offsets[i + 1]]]))
+        stats = self.stats
+        stats.decisions += decisions
+        stats.propagations += propagations
+        stats.cache_hits += hits
+        self.copied_entries += entries
+        self._budget()
+        return root if root < lo else ids[root - lo]
 
     def _component(self, comp) -> int:
         key = comp[0]

@@ -30,6 +30,7 @@ from nestedamc.circuit import (
     verify_circuit,
 )
 from nestedamc.cnf import LabeledCnf, enumerate_models, parse_cnf
+from nestedamc import compiler
 from nestedamc.compiler import CompileMode, compile_cnf
 from nestedamc.definability import defined_vars
 from nestedamc.errors import CapacityError, PreconditionError
@@ -411,6 +412,187 @@ def test_split_paths_golden():
     rng = random.Random(2718)
     forests = [forest_cnf(rng, rng.randint(2, 12)) for _ in range(40)]
     assert _compiled_digest(forests) == "2a374929a26ffa28"
+
+
+def _counting_copies(monkeypatch):
+    """Record (template variables, copy variables) for every root block the
+    compiler copies instead of compiling."""
+    copies = []
+    copy = compiler._Compilation._copy
+
+    def counted(self, template, variables):
+        copies.append((tuple(template[0]), tuple(variables)))
+        return copy(self, template, variables)
+
+    monkeypatch.setattr(compiler._Compilation, "_copy", counted)
+    return copies
+
+
+def _compile_without_templates(monkeypatch, cnf, order, mode):
+    """The compile with every root block compiled on its own."""
+    with monkeypatch.context() as m:
+        m.setattr(compiler._Compilation, "_root_components",
+                  lambda self, blocks: [self._component(b) for b in blocks])
+        return compile_cnf(cnf, order, mode)
+
+
+def _monotone_copies(rng, cnf, k):
+    """k copies of the theory's variables: copy j maps variable v to
+    maps[j][v], each copy's map increasing, the copies' ids interleaved."""
+    owner = [j for j in range(k) for _ in range(cnf.num_vars)]
+    rng.shuffle(owner)
+    maps = [[0] for _ in range(k)]
+    for v, j in enumerate(owner, 1):
+        maps[j].append(v)
+    return maps
+
+
+def _rename(cl, to):
+    return tuple(to[l] if l > 0 else -to[-l] for l in cl)
+
+
+def _interleave(rng, seqs):
+    """One sequence holding each of `seqs` in its own order."""
+    seqs = [list(s) for s in seqs if s]
+    out = []
+    while seqs:
+        seq = rng.choice(seqs)
+        out.append(seq.pop(0))
+        if not seq:
+            seqs.remove(seq)
+    return out
+
+
+def _renamed_hashes(circ, rename):
+    """dag_digest's per-node hashes with each variable v read as rename.get(v, v)."""
+    hashes = []
+    for kind, val, kids in nodes_of(circ):
+        val = rename.get(val, val) if val >= 0 else -rename.get(-val, -val)
+        node = repr((kind, val, [hashes[c] for c in kids])).encode()
+        hashes.append(hashlib.sha256(node).digest())
+    return hashes
+
+
+def _parts(circ, variables):
+    """The children of the root (the root itself when it is not an and-node
+    of several) over some of `variables` only, in order."""
+    mask = sum(1 << v for v in variables)
+    kids = circ.children(circ.root) if nodes_of(circ)[circ.root][0] != OR else ()
+    kids = kids if len(kids) > 1 else (circ.root,)
+    return [c for c in kids if circ.masks[c] and not circ.masks[c] & ~mask]
+
+
+def _counters(circ):
+    s = circ.stats
+    return (s.decisions, s.propagations, s.cache_hits, s.cache_entries)
+
+
+def _satisfiable_component(rng, outer):
+    """A random satisfiable theory of 3-7 variables with a unit clause, so
+    the root shortens clauses, and outer variables drawn by `outer`."""
+    while True:
+        cnf = random_cnf(rng, 7, 14)
+        lit = rng.choice([1, -1]) * rng.randint(1, cnf.num_vars)
+        xs = frozenset(v for v in cnf.variables if outer(v))
+        cnf = LabeledCnf(cnf.num_vars, [*cnf.clauses, (lit,)], outer_vars=xs)
+        if next(enumerate_models(cnf), None) is not None:
+            return cnf
+
+
+def test_root_copies_are_exact(monkeypatch):
+    # k monotone-renamed copies of one component, ids interleaved, beside two
+    # copies of a second one: the compile equals the one that compiles every
+    # root block, its counters grow by the single compile's for each further
+    # copy, and each copy's part of the root is the single compile's DAG
+    # renamed. In X_FIRST the first component is pure outer and the second
+    # mixed, so pure-outer copies sit beside one merged block
+    copies = _counting_copies(monkeypatch)
+    rng = random.Random(4242)
+    k = 3
+    for trial in range(30):
+        for mode in CompileMode:
+            x_first = mode is CompileMode.X_FIRST
+            a = _satisfiable_component(rng, lambda v: x_first or rng.random() < 0.4)
+            b = _satisfiable_component(rng, lambda v: v == 1 or rng.random() < 0.4)
+            maps = _monotone_copies(rng, LabeledCnf(a.num_vars + b.num_vars, []), k + 2)
+            # copies 0..k-1 hold a over the first a.num_vars of their ids,
+            # copies k and k+1 hold b over theirs
+            amaps = [m[:a.num_vars + 1] for m in maps[:k]]
+            bmaps = [m[:b.num_vars + 1] for m in maps[k:]]
+            used = sorted(v for m in amaps + bmaps for v in m[1:])
+            dense = {v: i for i, v in enumerate(used, 1)}
+            amaps = [[0] + [dense[v] for v in m[1:]] for m in amaps]
+            bmaps = [[0] + [dense[v] for v in m[1:]] for m in bmaps]
+            aseq = rng.sample(range(1, a.num_vars + 1), a.num_vars)
+            bseq = rng.sample(range(1, b.num_vars + 1), b.num_vars)
+            srcs = [a] * k + [b, b]
+            full = _interleave(rng, [[m[v] for v in (aseq if src is a else bseq)]
+                                     for src, m in zip(srcs, amaps + bmaps)])
+
+            def theory(ks):
+                """The copies `ks` of a with both of b, renamed densely,
+                with the order of all copies restricted to them."""
+                ms = [amaps[j] for j in ks] + bmaps
+                keep = sorted(v for m in ms for v in m[1:])
+                to = {v: i for i, v in enumerate(keep, 1)}
+                ms = [[0] + [to[v] for v in m[1:]] for m in ms]
+                parts = list(zip([a] * len(ks) + [b, b], ms))
+                clauses = [_rename(cl, m) for src, m in parts for cl in src.clauses]
+                outer = {m[v] for src, m in parts for v in src.outer_vars}
+                cnf = LabeledCnf(len(keep), clauses, outer_vars=frozenset(outer))
+                return cnf, [to[v] for v in full if v in to], ms
+
+            big, order, ms = theory(range(k))
+            before = len(copies)
+            circ = compile_cnf(big, order, mode)
+            plain = _compile_without_templates(monkeypatch, big, order, mode)
+            assert emit_nnf(circ) == emit_nnf(plain), (trial, mode)
+            assert circ.stats == plain.stats, (trial, mode)
+            single = compile_cnf(a, aseq, mode)
+            if single.stats.decisions:
+                assert len(copies) - before >= k - 1, (trial, mode)
+            ref, ref_order, _ = theory([0])
+            expected = [r + (k - 1) * s for r, s in
+                        zip(_counters(compile_cnf(ref, ref_order, mode)), _counters(single))]
+            assert list(_counters(circ)) == expected, (trial, mode)
+            want = _renamed_hashes(single, {})
+            want = [want[c] for c in _parts(single, a.variables)]
+            for m in ms[:k]:
+                got = _renamed_hashes(circ, {w: v for v, w in enumerate(m) if v})
+                assert [got[c] for c in _parts(circ, m[1:])] == want, (trial, mode)
+    assert copies
+
+
+def test_root_copy_needs_the_same_rank_pattern_and_outer_flags(monkeypatch):
+    # three copies of one component whose middle one is ordered in reverse,
+    # or has other outer variables: the last copy is copied from the first,
+    # the middle one is compiled, and each matches its own standalone
+    # compile. In X_FIRST the component is pure outer, or pure inner in the
+    # middle, since mixed ones would merge into one block
+    copies = _counting_copies(monkeypatch)
+    clauses = [(1, 2), (2, 3), (-1, -3)]
+    for mode in CompileMode:
+        outer = (1, 2, 3) if mode is CompileMode.X_FIRST else (2,)
+        other = () if mode is CompileMode.X_FIRST else (1,)
+        for seqs, outers in [([(1, 2, 3), (3, 2, 1), (1, 2, 3)], [outer] * 3),
+                             ([(1, 2, 3)] * 3, [outer, other, outer])]:
+            big = LabeledCnf(9, [_rename(cl, [0, *range(3 * j + 1, 3 * j + 4)])
+                                 for j in range(3) for cl in clauses],
+                             outer_vars=frozenset(3 * j + v for j in range(3)
+                                                  for v in outers[j]))
+            order = [3 * j + v for j in range(3) for v in seqs[j]]
+            copies.clear()
+            circ = compile_cnf(big, order, mode)
+            assert copies == [((1, 2, 3), (7, 8, 9))], mode
+            assert emit_nnf(circ) == emit_nnf(
+                _compile_without_templates(monkeypatch, big, order, mode)), mode
+            for j in range(3):
+                a = LabeledCnf(3, clauses, outer_vars=frozenset(outers[j]))
+                single = compile_cnf(a, seqs[j], mode)
+                want = _renamed_hashes(single, {})
+                got = _renamed_hashes(circ, {3 * j + v: v for v in (1, 2, 3)})
+                assert [got[c] for c in _parts(circ, range(3 * j + 1, 3 * j + 4))] == \
+                    [want[c] for c in _parts(single, (1, 2, 3))], (mode, j)
 
 
 def test_cache_key_tells_variables_apart():
