@@ -298,6 +298,19 @@ def components(cnf: LabeledCnf) -> Iterator[tuple[list[tuple[int, ...]], frozens
         yield [cnf.clauses[i] for i in ids], frozenset(variables)
 
 
+def shape(group, variables, *marked):
+    """A component's clauses with each variable renamed by its rank (from 1)
+    among `variables`, the component's variables sorted, in input order; and
+    its shape: the renamed clauses, each sorted, in sorted order, then the
+    sorted ranks of each set of `marked` variables. The renaming is monotone,
+    so it keeps literal order, and two components of one shape are equal up
+    to renaming."""
+    rank = {v: i for i, v in enumerate(variables, 1)}
+    renamed = [tuple([rank[l] if l > 0 else -rank[-l] for l in cl]) for cl in group]
+    return renamed, (tuple(sorted(tuple(sorted(cl)) for cl in renamed)),
+                     *(tuple(sorted(rank[v] for v in m)) for m in marked))
+
+
 def equivalence_cnf(n: int) -> LabeledCnf:
     """n biconditionals X_i <-> Y_i with the X block as outer variables: every
     Y_i is defined by the X block, yet a strict outer-first circuit needs 2^n

@@ -57,7 +57,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cnf import LabeledCnf, components
+from .cnf import LabeledCnf, components, shape
 from .errors import PreconditionError
 from .sat import SatSolver
 
@@ -124,14 +124,6 @@ class PadoaSession:
         return False
 
 
-def _shape(group, order, local_base):
-    """A component's clauses and base with each variable renamed by its rank
-    (from 1) in `order`, the component's sorted variables."""
-    rank = {v: i for i, v in enumerate(order, 1)}
-    clauses = sorted(tuple(sorted(rank[l] if l > 0 else -rank[-l] for l in cl)) for cl in group)
-    return tuple(clauses), tuple(sorted(rank[v] for v in local_base))
-
-
 def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
     """All variables outside the base that the base defines, via one
     incremental session per connected component shape and model-pair
@@ -150,7 +142,7 @@ def defined_vars(cnf: LabeledCnf, base) -> DefinabilityReport:
             continue
         local_base = base & variables
         order = sorted(variables)
-        key = _shape(group, order, local_base)
+        key = shape(group, order, local_base)[1]
         answer = shapes.get(key)
         if answer is None:
             session = PadoaSession(group, variables, local_base)

@@ -295,12 +295,13 @@ def _benchmark_compiles():
 def test_benchmark_compiles_golden():
     # the counters and the exchange-format text of the benchmark's compiles,
     # one instance per family: a change to the compiler's cache or search
-    # must leave what the benchmark compiles, and how, as it is
+    # must leave what the benchmark compiles, and how, as it is. Re-taken
+    # when plan_order began to plan each component on its own
     digest = hashlib.sha256()
     for _, circ in _benchmark_compiles():
         digest.update(repr(dataclasses.astuple(circ.stats)).encode())
         digest.update(emit_nnf(circ).encode())
-    assert digest.hexdigest()[:16] == "35d96ed1df928f2e"
+    assert digest.hexdigest()[:16] == "2c0a8b5a34f5e3ec"
 
 
 def test_emitted_circuits_golden():
@@ -308,6 +309,7 @@ def test_emitted_circuits_golden():
     # instances of test_compiled_structure_golden in every mode, plus one
     # benchmark instance per family. The digest does not depend on how a
     # circuit is stored, so a change of representation must leave it as it is.
+    # Re-taken when plan_order began to plan each component on its own.
     rng = random.Random(2718)
     compiled = []
     for _ in range(60):
@@ -320,7 +322,7 @@ def test_emitted_circuits_golden():
     for cnf, circ in [*compiled, *_benchmark_compiles()]:
         digest.update(emit_nnf(circ).encode())
         digest.update(emit_nnf(smooth(circ, cnf.outer_vars)).encode())
-    assert digest.hexdigest()[:16] == "5968e9b5e9dd2ed2"
+    assert digest.hexdigest()[:16] == "805bd025ce626c46"
 
 
 def _smoothed_dags(compiled):
@@ -343,7 +345,9 @@ def test_smoothed_dags_golden():
     # left all padding to smooth. The sets: the 60 instances of
     # test_compiled_structure_golden in every mode, the 40 random programs per
     # nested task of test_property_reports_golden in every mode, and one
-    # benchmark instance per family, each of which smooth hands back itself
+    # benchmark instance per family, each of which smooth hands back itself.
+    # The last two were re-taken when plan_order began to plan each
+    # component on its own
     rng = random.Random(2718)
     compiled = []
     for _ in range(60):
@@ -359,10 +363,10 @@ def test_smoothed_dags_golden():
             cnf = build_instance(random_program(rng, family), task).cnf
             compiled += [(cnf, compile_cnf(cnf, plan_order(cnf, mode), mode))
                          for mode in CompileMode]
-    assert _smoothed_dags(compiled) == "6a83634bf7a644f1"
+    assert _smoothed_dags(compiled) == "1be1c9b7b1941f25"
     benchmark = list(_benchmark_compiles())
     assert all(smooth(circ, cnf.outer_vars) is circ for cnf, circ in benchmark)
-    assert _smoothed_dags(benchmark) == "8d5357be632ec0ac"
+    assert _smoothed_dags(benchmark) == "8ced81da864be7af"
 
 
 def forest_cnf(rng, k):
@@ -402,16 +406,17 @@ def test_split_paths_golden():
     # searches that stop before walking the last component and for X_FIRST
     # merged blocks that split back into pure-inner parts. Both digests were
     # re-taken when decisions began to pad their branches, which moved no
-    # decision and left every smoothed circuit the same DAG
+    # decision and left every smoothed circuit the same DAG, and again when
+    # plan_order began to plan each component on its own
     rng = random.Random(1618)
     cnfs = [random_partitioned_cnf(rng, 24, 70) for _ in range(200)]
-    assert _compiled_digest([*cnfs, implication_chain(120)]) == "f35c439b266a4289"
+    assert _compiled_digest([*cnfs, implication_chain(120)]) == "43ef6c495047e8de"
     # 40 forests of 2-12 small clusters, all of whose blocks a compiler that
     # walks components of at most 32 clauses whole at every split never
     # derives; their first digest was taken from such a compiler
     rng = random.Random(2718)
     forests = [forest_cnf(rng, rng.randint(2, 12)) for _ in range(40)]
-    assert _compiled_digest(forests) == "2a374929a26ffa28"
+    assert _compiled_digest(forests) == "43ebdd97bf69e762"
 
 
 def _counting_copies(monkeypatch):
