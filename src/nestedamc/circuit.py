@@ -712,7 +712,9 @@ def verify_circuit(
     equivalence_var_limit: int = 20,
 ) -> PropertyReport:
     """Check decomposability, determinism, smoothness, outer-firstness, and
-    outer-firstness modulo the statically defined variables `d`.
+    outer-firstness modulo the statically defined variables `d`, on the
+    nodes the root reaches: one pass down the ids marks them, and every
+    other node is skipped.
 
     The modulo-definability check uses the fixed global `d`; nodes justified
     only by propagation context or by component splits are flagged rather
@@ -730,28 +732,36 @@ def verify_circuit(
     cls = bytes(map(by_mask.__getitem__, masks))
 
     live_mask = _mask_of(cnf.variables)
-    smooth_ok = circuit.uneven_or < 0 and masks[circuit.root] & live_mask == live_mask
+    smooth_ok = masks[circuit.root] & live_mask == live_mask
     decomposable = outer_first = strictly = mod_ok = True
     sat_fallback = []
     flagged = []
     # or-parents branching on a variable; dvar 0 means the branch variable is
     # unknown, which the flagging below treats conservatively. Node ids run
-    # down, parents before children, so an and-node's entry is complete when
-    # the and-node is checked.
+    # down, parents before children, so a node is known to be reached, and an
+    # and-node's entry is complete, when the node is checked.
     branched_on: dict[int, set[int]] = {}
+    reached = [False] * n
+    reached[circuit.root] = True
+    uneven = circuit.uneven_or >= 0  # else no or-node is uneven, reached or not
     for i in range(n - 1, -1, -1):
         kind = kinds[i]
-        if kind == LIT:
+        if kind == LIT or not reached[i]:
             continue
         ch = kids[offsets[i]:offsets[i + 1]]
         if kind == OR:
+            if uneven and any(masks[c] != masks[i] for c in ch):
+                smooth_ok = False
             if len(ch) > 1:
                 dvar = vals[i]
                 fixed = [_decision_literal(circuit, c, dvar) if dvar else None for c in ch]
                 if None in fixed or len(set(fixed)) != len(fixed):
                     sat_fallback.append(i)
                 for c in ch:
+                    reached[c] = True
                     branched_on.setdefault(c, set()).add(dvar)
+            elif ch:
+                reached[ch[0]] = True
             continue
         # Outer-first: at most one mixed child per and-node, and beside a
         # mixed child only children over outer variables. Modulo definability
@@ -766,6 +776,7 @@ def verify_circuit(
         acc = mixed = inner = mixed_mod = inner_mod = 0
         disjoint = True
         for c in ch:
+            reached[c] = True
             if acc & masks[c]:
                 disjoint = False
             acc |= masks[c]

@@ -582,6 +582,27 @@ def test_verifier_flags_nondecision_or():
     assert not rep2.deterministic
 
 
+def test_verifier_reads_only_what_the_root_reaches():
+    # the root decides x1 over gates for x2 and x3; beside it lie dead nodes
+    # that fail every check but outer-firstness: an uneven non-deterministic
+    # or-node, and an and-node whose children share x1
+    b = Builder()
+    x1, x3, nx3 = b.lit(1), b.lit(3), b.lit(-3)
+    gate2 = b.or_(2, b.lit(2), b.lit(-2))
+    gate3 = b.or_(3, x3, nx3)
+    decision = b.or_(1, b.and_(x1, gate2), b.and_(b.lit(-1), gate2))
+    root = b.and_(decision, gate3)
+    dead = [b.or_(0, x1, x3), b.and_(b.and_(x1, x3), b.and_(x1, nx3))]
+    cnf = LabeledCnf(3, [], outer_vars=frozenset([1, 3]))
+    circ = b.circuit(root, 3)
+    assert circ.uneven_or == dead[0]
+    rep = verify_circuit(circ, cnf, equivalence_var_limit=0)
+    assert rep.decomposable and rep.deterministic and rep.smooth and rep.outer_first
+    # the same nodes below the root fail it
+    rep = verify_circuit(b.circuit(b.and_(root, *dead), 3), cnf, equivalence_var_limit=0)
+    assert not (rep.decomposable or rep.deterministic or rep.smooth)
+
+
 class CheckedLoadSolver(SatSolver):
     """A solver that first asserts the loader's precondition: no clause
     repeats a literal or holds one beside its complement."""
@@ -607,10 +628,15 @@ def nondecision_circuits(draw):
 @given(nondecision_circuits())
 @settings(max_examples=300, deadline=None)
 def test_determinism_verdict_matches_enumeration(drawn):
-    # every multi-child or-node goes to the satisfiability fallback, repeated
-    # and complementary children included; the verdict must say whether some
-    # assignment makes two children of one or-node true
+    # every multi-child or-node the root reaches goes to the satisfiability
+    # fallback, repeated and complementary children included; the verdict
+    # must say whether some assignment makes two children of one such
+    # or-node true. Nodes the root does not reach are not checked
     circ, nodes = drawn
+    reached = {circ.root}
+    for i in range(len(nodes) - 1, -1, -1):
+        if i in reached:
+            reached.update(nodes[i][2])
     everything = (1 << (1 << circ.num_vars)) - 1
     models = []  # bit a set when assignment a satisfies the node
     for kind, val, children in nodes:
@@ -628,7 +654,7 @@ def test_determinism_verdict_matches_enumeration(drawn):
         models.append(m)
     expected = not any(
         models[a] & models[b]
-        for kind, _, children in nodes if kind == OR
+        for node, (kind, _, children) in enumerate(nodes) if kind == OR and node in reached
         for i, a in enumerate(children) for b in children[i + 1:]
     )
     cnf = LabeledCnf(circ.num_vars, [])

@@ -311,7 +311,9 @@ def test_property_reports_golden():
     # random programs per nested task in every mode, each circuit verified
     # as compiled and after smoothing: 720 reports, 162 of them not smooth,
     # all compiled circuits whose root misses a variable. Re-taken when
-    # plan_order began to plan each component on its own
+    # plan_order began to plan each component on its own, and when the
+    # verifier began to skip the nodes the root does not reach, which took
+    # dead nodes out of the flagged lists of 42 reports
     rng = random.Random(1201)
     digest = hashlib.sha256()
     for family, task in (("map", TaskKind.MAP), ("meu", TaskKind.MEU), ("smp", TaskKind.SMP)):
@@ -322,7 +324,7 @@ def test_property_reports_golden():
                 circ = compile_cnf(cnf, plan_order(cnf, mode), mode)
                 for c in (circ, smooth(circ, cnf.outer_vars)):
                     digest.update(repr(verify_circuit(c, cnf, d)).encode())
-    assert digest.hexdigest()[:16] == "362fb56fbad08071"
+    assert digest.hexdigest()[:16] == "7bf6f91cdcab155d"
 
 
 def test_map_witness_is_a_sound_assignment():
