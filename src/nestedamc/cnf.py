@@ -236,27 +236,6 @@ def parse_cnf(text) -> LabeledCnf:
     )
 
 
-def emit_cnf(cnf: LabeledCnf) -> str:
-    """Serialize back to the labeled DIMACS format (parse round-trips)."""
-    out = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    out.append(
-        f"c s {cnf.inner_sr.value} {cnf.outer_sr.value} {cnf.transform.value}"
-    )
-    if cnf.outer_vars:
-        out.append("c o " + " ".join(str(v) for v in sorted(cnf.outer_vars)) + " 0")
-    for v in sorted(cnf.names):
-        out.append(f"c n {v} {cnf.names[v]}")
-    sin = SEMIRINGS[cnf.inner_sr]
-    sout = SEMIRINGS[cnf.outer_sr]
-    for lit in sorted(cnf.inner_label, key=lambda l: (abs(l), l)):
-        out.append(f"c wi {lit} {sin.format_label(cnf.inner_label[lit])} 0")
-    for lit in sorted(cnf.outer_label, key=lambda l: (abs(l), l)):
-        out.append(f"c wo {lit} {sout.format_label(cnf.outer_label[lit])} 0")
-    for cl in cnf.clauses:
-        out.append(" ".join(str(l) for l in cl) + " 0")
-    return "\n".join(out) + "\n"
-
-
 def primal_graph(cnf: LabeledCnf) -> Graph:
     """Vertices are the variables; edges join variables sharing a clause."""
     g: Graph = {v: set() for v in sorted(cnf.variables)}

@@ -10,6 +10,7 @@ from nestedamc.circuit import Circuit
 # equivalence_cnf is re-exported for the tests and the benchmark that import it from here
 from nestedamc.cnf import Graph, LabeledCnf, enumerate_models, equivalence_cnf  # noqa: F401
 from nestedamc.programs import Program, parse_program
+from nestedamc.semirings import SEMIRINGS
 from nestedamc.treedecomp import TreeDecomposition, _reach
 
 PROB_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -24,6 +25,27 @@ def values_close(a, b) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
     return a == b
+
+
+def emit_cnf(cnf: LabeledCnf) -> str:
+    """Serialize back to the labeled DIMACS format (parse_cnf round-trips)."""
+    out = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    out.append(
+        f"c s {cnf.inner_sr.value} {cnf.outer_sr.value} {cnf.transform.value}"
+    )
+    if cnf.outer_vars:
+        out.append("c o " + " ".join(str(v) for v in sorted(cnf.outer_vars)) + " 0")
+    for v in sorted(cnf.names):
+        out.append(f"c n {v} {cnf.names[v]}")
+    sin = SEMIRINGS[cnf.inner_sr]
+    sout = SEMIRINGS[cnf.outer_sr]
+    for lit in sorted(cnf.inner_label, key=lambda l: (abs(l), l)):
+        out.append(f"c wi {lit} {sin.format_label(cnf.inner_label[lit])} 0")
+    for lit in sorted(cnf.outer_label, key=lambda l: (abs(l), l)):
+        out.append(f"c wo {lit} {sout.format_label(cnf.outer_label[lit])} 0")
+    for cl in cnf.clauses:
+        out.append(" ".join(str(l) for l in cl) + " 0")
+    return "\n".join(out) + "\n"
 
 
 def nodes_of(circ: Circuit) -> list[tuple]:

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from gen import random_cnf
+from gen import emit_cnf, random_cnf
 from nestedamc.cnf import (
     LabeledCnf,
-    emit_cnf,
     enumerate_models,
     parse_cnf,
     primal_graph,
