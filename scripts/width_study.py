@@ -4,8 +4,10 @@
 Samples random task programs, builds the compilation order twice per instance
 (once with the separator restricted to the outer block, once widened by the
 variables the outer block defines) and reports both widths plus the resulting
-circuit sizes. Definability can only shrink the constrained width; the gap
-measures how much structure the relaxation recovers on these instances.
+circuit sizes. Each connected component is planned on its own, with its own
+separator, so a width is the largest of the components' widths.
+Definability can only shrink the constrained width; the gap measures how
+much structure the relaxation recovers on these instances.
 
 Usage: python scripts/width_study.py [--per-family 50] [--seed 0]
 """

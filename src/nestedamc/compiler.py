@@ -645,7 +645,7 @@ class _Compilation:
         """The nodes of the root's blocks: a whole block of a shape met
         before is a copy of the first one's nodes (see Root templates)."""
         clauses, free, by_rank, outer = self.clauses, self.free, self.by_rank, self.cnf.outer_vars
-        circuit, stats = self.circuit, self.stats
+        circuit = self.circuit
         templates = {}  # shape -> (variables, first node, end node, root, counters)
         nodes = []
         for block in blocks:
@@ -662,18 +662,20 @@ class _Compilation:
                 tuple([v in outer for v in variables]),
             )
             template = templates.get(shape)
-            if template is None:
-                lo = circuit.node_count
-                counters = (stats.decisions, stats.propagations, stats.cache_hits,
-                            len(self.cache))
-                root = self._component(block)
-                counters = (stats.decisions - counters[0], stats.propagations - counters[1],
-                            stats.cache_hits - counters[2], len(self.cache) - counters[3])
-                templates[shape] = (variables, lo, circuit.node_count, root, counters)
-                nodes.append(root)
-            else:
+            if template is not None:
                 nodes.append(self._copy(template, variables))
+                continue
+            lo, before = circuit.node_count, self._counters()
+            nodes.append(self._component(block))
+            templates[shape] = (variables, lo, circuit.node_count, nodes[-1],
+                                [a - b for a, b in zip(self._counters(), before)])
         return nodes
+
+    def _counters(self):
+        """The counters a root copy adds: decisions, propagations, cache
+        hits and cache entries."""
+        stats = self.stats
+        return stats.decisions, stats.propagations, stats.cache_hits, len(self.cache)
 
     def _copy(self, template, variables) -> int:
         """The root of a template block's nodes built again over `variables`,

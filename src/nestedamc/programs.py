@@ -352,8 +352,8 @@ def build_instance(p: Program, task: TaskKind) -> NestedInstance:
 class Diagnostics:
     defined: frozenset[int] = frozenset()
     definability_queries: int = 0
-    separator_size: int = 0
-    width: int = 0
+    separator_size: int = 0  # the sum of the components' separators
+    width: int = 0  # the largest width of a component's decomposition
     circuit_nodes: int = 0
     circuit_edges: int = 0
     compile_stats: Optional[object] = None
