@@ -82,9 +82,6 @@ class Semiring:
     def parse_label(self, lit: int, fields: list[str]):
         raise NotImplementedError
 
-    def format_label(self, v) -> str:
-        raise NotImplementedError
-
 
 class _Probability(Semiring):
     id = SemiringId.PROBABILITY
@@ -102,9 +99,6 @@ class _Probability(Semiring):
 
     def parse_label(self, lit, fields):
         return float(fields[0])
-
-    def format_label(self, v):
-        return repr(float(v))
 
 
 class _MaxTimes(_Probability):
@@ -138,9 +132,6 @@ class _MaxPlus(Semiring):
     def parse_label(self, lit, fields):
         return float(fields[0])
 
-    def format_label(self, v):
-        return repr(float(v))
-
 
 class _ExpectedUtility(Semiring):
     id = SemiringId.EU
@@ -166,9 +157,6 @@ class _ExpectedUtility(Semiring):
 
     def parse_label(self, lit, fields):
         return (float(fields[0]), float(fields[1]))
-
-    def format_label(self, v):
-        return f"{v[0]!r} {v[1]!r}"
 
 
 class _NatPair(Semiring):
@@ -198,9 +186,6 @@ class _NatPair(Semiring):
 
     def parse_label(self, lit, fields):
         return (int(fields[0]), int(fields[1]))
-
-    def format_label(self, v):
-        return f"{v[0]} {v[1]}"
 
 
 class _Argmax(Semiring):
@@ -245,9 +230,6 @@ class _Argmax(Semiring):
 
     def parse_label(self, lit, fields):
         return self._canon(float(fields[0]), frozenset([lit]))
-
-    def format_label(self, v):
-        return repr(float(v[0]))
 
 
 class _MapArgmax(_Argmax):

@@ -27,6 +27,15 @@ def values_close(a, b) -> bool:
     return a == b
 
 
+def _label_text(sr, value) -> str:
+    """The fields of a label as `parse_cnf` reads them: both numbers of a
+    pair label, else the one number; an argmax label's witness is its own
+    literal, so only its number is written."""
+    if SEMIRINGS[sr].label_arity == 2:
+        return " ".join(map(repr, value))
+    return repr(float(value[0] if isinstance(value, tuple) else value))
+
+
 def emit_cnf(cnf: LabeledCnf) -> str:
     """Serialize back to the labeled DIMACS format (parse_cnf round-trips)."""
     out = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
@@ -37,12 +46,10 @@ def emit_cnf(cnf: LabeledCnf) -> str:
         out.append("c o " + " ".join(str(v) for v in sorted(cnf.outer_vars)) + " 0")
     for v in sorted(cnf.names):
         out.append(f"c n {v} {cnf.names[v]}")
-    sin = SEMIRINGS[cnf.inner_sr]
-    sout = SEMIRINGS[cnf.outer_sr]
     for lit in sorted(cnf.inner_label, key=lambda l: (abs(l), l)):
-        out.append(f"c wi {lit} {sin.format_label(cnf.inner_label[lit])} 0")
+        out.append(f"c wi {lit} {_label_text(cnf.inner_sr, cnf.inner_label[lit])} 0")
     for lit in sorted(cnf.outer_label, key=lambda l: (abs(l), l)):
-        out.append(f"c wo {lit} {sout.format_label(cnf.outer_label[lit])} 0")
+        out.append(f"c wo {lit} {_label_text(cnf.outer_sr, cnf.outer_label[lit])} 0")
     for cl in cnf.clauses:
         out.append(" ".join(str(l) for l in cl) + " 0")
     return "\n".join(out) + "\n"
