@@ -418,17 +418,19 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     whenever an inner value meets an outer context at an and-node (or at the
     root), it crosses through the transformation function.
 
-    Refuses a circuit that is not smooth (an `uneven_or` or-node, or a root
-    that misses one of the instance's variables) with a PreconditionError
-    naming the node; `evaluate_verified` checks the other properties first.
+    Refuses a circuit that is not smooth (an or-node the root reaches whose
+    children's variables differ, or a root that misses one of the instance's
+    variables) with a PreconditionError naming the node; `evaluate_verified`
+    checks the other properties first. Nodes the root does not reach are
+    evaluated too, but cannot change its value.
     """
     cnf = instance.cnf
     kinds, vals, offsets, kids, masks = (
         circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
     missing = _mask_of(cnf.variables) & ~masks[circuit.root]
-    if circuit.uneven_or >= 0 or missing:
-        node = (f"or-node {circuit.uneven_or} has children over different variables"
-                if circuit.uneven_or >= 0 else
+    uneven = _reached_uneven_or(circuit) if circuit.uneven_or >= 0 else -1
+    if uneven >= 0 or missing:
+        node = (f"or-node {uneven} has children over different variables" if uneven >= 0 else
                 f"root node {circuit.root} misses variable {_vars_of(missing)[0]}")
         raise PreconditionError(f"{node}; evaluation requires a smooth circuit")
     sin = SEMIRINGS[cnf.inner_sr]
@@ -471,6 +473,22 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     if not outer[circuit.root]:
         result = t(result)
     return result
+
+
+def _reached_uneven_or(circuit: Circuit) -> int:
+    """The highest id of an or-node the root reaches whose children's masks
+    differ from its own, or -1: one pass down the ids from the root."""
+    kinds, offsets, kids, masks = circuit.kinds, circuit.offsets, circuit.kids, circuit.masks
+    reached = [False] * circuit.node_count
+    reached[circuit.root] = True
+    for i in range(circuit.root, -1, -1):
+        if reached[i]:
+            ch = kids[offsets[i]:offsets[i + 1]]
+            if kinds[i] == OR and any(masks[c] != masks[i] for c in ch):
+                return i
+            for c in ch:
+                reached[c] = True
+    return -1
 
 
 def brute_force_nested(instance: NestedInstance, max_vars: int = 24):

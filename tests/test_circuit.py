@@ -585,7 +585,8 @@ def test_verifier_flags_nondecision_or():
 def test_verifier_reads_only_what_the_root_reaches():
     # the root decides x1 over gates for x2 and x3; beside it lie dead nodes
     # that fail every check but outer-firstness: an uneven non-deterministic
-    # or-node, and an and-node whose children share x1
+    # or-node, and an and-node whose children share x1. The verifier and the
+    # evaluator skip them
     b = Builder()
     x1, x3, nx3 = b.lit(1), b.lit(3), b.lit(-3)
     gate2 = b.or_(2, b.lit(2), b.lit(-2))
@@ -598,6 +599,9 @@ def test_verifier_reads_only_what_the_root_reaches():
     assert circ.uneven_or == dead[0]
     rep = verify_circuit(circ, cnf, equivalence_var_limit=0)
     assert rep.decomposable and rep.deterministic and rep.smooth and rep.outer_first
+    # nor do they stop the evaluation: all 8 models weigh 1
+    assert evaluate_nested(circ, NestedInstance(cnf)) == 8.0
+    assert evaluate_verified(circ, NestedInstance(cnf)) == 8.0
     # the same nodes below the root fail it
     rep = verify_circuit(b.circuit(b.and_(root, *dead), 3), cnf, equivalence_var_limit=0)
     assert not (rep.decomposable or rep.deterministic or rep.smooth)
