@@ -441,12 +441,13 @@ def _compile_without_templates(monkeypatch, cnf, order, mode):
         return compile_cnf(cnf, order, mode)
 
 
-def _monotone_copies(rng, cnf, k):
-    """k copies of the theory's variables: copy j maps variable v to
-    maps[j][v], each copy's map increasing, the copies' ids interleaved."""
-    owner = [j for j in range(k) for _ in range(cnf.num_vars)]
+def _monotone_copies(rng, sizes):
+    """Copies of theories of `sizes` variables over one set of ids: copy j
+    maps variable v to maps[j][v], each copy's map increasing, the copies'
+    ids interleaved."""
+    owner = [j for j, n in enumerate(sizes) for _ in range(n)]
     rng.shuffle(owner)
-    maps = [[0] for _ in range(k)]
+    maps = [[0] for _ in sizes]
     for v, j in enumerate(owner, 1):
         maps[j].append(v)
     return maps
@@ -519,15 +520,8 @@ def test_root_copies_are_exact(monkeypatch):
             x_first = mode is CompileMode.X_FIRST
             a = _satisfiable_component(rng, lambda v: x_first or rng.random() < 0.4)
             b = _satisfiable_component(rng, lambda v: v == 1 or rng.random() < 0.4)
-            maps = _monotone_copies(rng, LabeledCnf(a.num_vars + b.num_vars, []), k + 2)
-            # copies 0..k-1 hold a over the first a.num_vars of their ids,
-            # copies k and k+1 hold b over theirs
-            amaps = [m[:a.num_vars + 1] for m in maps[:k]]
-            bmaps = [m[:b.num_vars + 1] for m in maps[k:]]
-            used = sorted(v for m in amaps + bmaps for v in m[1:])
-            dense = {v: i for i, v in enumerate(used, 1)}
-            amaps = [[0] + [dense[v] for v in m[1:]] for m in amaps]
-            bmaps = [[0] + [dense[v] for v in m[1:]] for m in bmaps]
+            maps = _monotone_copies(rng, [a.num_vars] * k + [b.num_vars] * 2)
+            amaps, bmaps = maps[:k], maps[k:]
             aseq = rng.sample(range(1, a.num_vars + 1), a.num_vars)
             bseq = rng.sample(range(1, b.num_vars + 1), b.num_vars)
             srcs = [a] * k + [b, b]
