@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Optional
 
 from .cnf import LabeledCnf, enumerate_models
@@ -421,18 +421,25 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     Refuses a circuit that is not smooth (an or-node the root reaches whose
     children's variables differ, or a root that misses one of the instance's
     variables) with a PreconditionError naming the node; `evaluate_verified`
-    checks the other properties first. Nodes the root does not reach are
-    evaluated too, but cannot change its value.
+    checks the other properties first. When some or-node is uneven, only the
+    nodes the root reaches are evaluated: an unreached one may join an outer
+    and an inner value, which neither semiring can add.
     """
     cnf = instance.cnf
     kinds, vals, offsets, kids, masks = (
         circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
     missing = _mask_of(cnf.variables) & ~masks[circuit.root]
-    uneven = _reached_uneven_or(circuit) if circuit.uneven_or >= 0 else -1
-    if uneven >= 0 or missing:
-        node = (f"or-node {uneven} has children over different variables" if uneven >= 0 else
-                f"root node {circuit.root} misses variable {_vars_of(missing)[0]}")
-        raise PreconditionError(f"{node}; evaluation requires a smooth circuit")
+    reached = None
+    if circuit.uneven_or >= 0:
+        reached = bytearray(len(kinds))
+        for i, ch in _reached(circuit):
+            if kinds[i] == OR and any(masks[c] != masks[i] for c in ch):
+                raise PreconditionError(f"or-node {i} has children over different variables; "
+                                        "evaluation requires a smooth circuit")
+            reached[i] = 1
+    if missing:
+        raise PreconditionError(f"root node {circuit.root} misses variable "
+                                f"{_vars_of(missing)[0]}; evaluation requires a smooth circuit")
     sin = SEMIRINGS[cnf.inner_sr]
     sout = SEMIRINGS[cnf.outer_sr]
     t = TRANSFORMS[cnf.transform].fn
@@ -440,8 +447,10 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     outer = [m & outer_mask != 0 for m in masks]  # mentions an outer variable
 
     values: list[object] = [None] * len(kinds)
-    nodes = zip(kinds, vals, outer, offsets, offsets[1:])
-    for i, (kind, val, is_outer, lo, hi) in enumerate(nodes):
+    nodes = enumerate(zip(kinds, vals, outer, offsets, offsets[1:]))
+    if reached is not None:
+        nodes = compress(nodes, reached)
+    for i, (kind, val, is_outer, lo, hi) in nodes:
         if kind == LIT:
             values[i] = cnf.outer_weight(val) if is_outer else cnf.inner_weight(val)
             continue
@@ -475,20 +484,18 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
     return result
 
 
-def _reached_uneven_or(circuit: Circuit) -> int:
-    """The highest id of an or-node the root reaches whose children's masks
-    differ from its own, or -1: one pass down the ids from the root."""
-    kinds, offsets, kids, masks = circuit.kinds, circuit.offsets, circuit.kids, circuit.masks
-    reached = [False] * circuit.node_count
-    reached[circuit.root] = True
+def _reached(circuit: Circuit):
+    """Yield (id, children) for each node the root reaches, by decreasing
+    id: one pass down the ids from the root, parents before children."""
+    offsets, kids = circuit.offsets, circuit.kids
+    reached = bytearray(circuit.node_count)
+    reached[circuit.root] = 1
     for i in range(circuit.root, -1, -1):
         if reached[i]:
             ch = kids[offsets[i]:offsets[i + 1]]
-            if kinds[i] == OR and any(masks[c] != masks[i] for c in ch):
-                return i
             for c in ch:
-                reached[c] = True
-    return -1
+                reached[c] = 1
+            yield i, ch
 
 
 def brute_force_nested(instance: NestedInstance, max_vars: int = 24):
@@ -731,16 +738,14 @@ def verify_circuit(
 ) -> PropertyReport:
     """Check decomposability, determinism, smoothness, outer-firstness, and
     outer-firstness modulo the statically defined variables `d`, on the
-    nodes the root reaches: one pass down the ids marks them, and every
-    other node is skipped.
+    nodes the root reaches (`_reached`); every other node is skipped.
 
     The modulo-definability check uses the fixed global `d`; nodes justified
     only by propagation context or by component splits are flagged rather
     than failed. Model equivalence against the CNF is checked by enumeration
     when the variable count permits.
     """
-    kinds, vals, offsets, kids, masks = (
-        circuit.kinds, circuit.vals, circuit.offsets, circuit.kids, circuit.masks)
+    kinds, vals, masks = circuit.kinds, circuit.vals, circuit.masks
     n = len(kinds)
     outer_mask = _mask_of(cnf.outer_vars)
     xd_mask = outer_mask | _mask_of(d)
@@ -756,17 +761,14 @@ def verify_circuit(
     flagged = []
     # or-parents branching on a variable; dvar 0 means the branch variable is
     # unknown, which the flagging below treats conservatively. Node ids run
-    # down, parents before children, so a node is known to be reached, and an
-    # and-node's entry is complete, when the node is checked.
+    # down, parents before children, so an and-node's entry is complete when
+    # the node is checked.
     branched_on: dict[int, set[int]] = {}
-    reached = [False] * n
-    reached[circuit.root] = True
     uneven = circuit.uneven_or >= 0  # else no or-node is uneven, reached or not
-    for i in range(n - 1, -1, -1):
+    for i, ch in _reached(circuit):
         kind = kinds[i]
-        if kind == LIT or not reached[i]:
+        if kind == LIT:
             continue
-        ch = kids[offsets[i]:offsets[i + 1]]
         if kind == OR:
             if uneven and any(masks[c] != masks[i] for c in ch):
                 smooth_ok = False
@@ -776,10 +778,7 @@ def verify_circuit(
                 if None in fixed or len(set(fixed)) != len(fixed):
                     sat_fallback.append(i)
                 for c in ch:
-                    reached[c] = True
                     branched_on.setdefault(c, set()).add(dvar)
-            elif ch:
-                reached[ch[0]] = True
             continue
         # Outer-first: at most one mixed child per and-node, and beside a
         # mixed child only children over outer variables. Modulo definability
@@ -794,7 +793,6 @@ def verify_circuit(
         acc = mixed = inner = mixed_mod = inner_mod = 0
         disjoint = True
         for c in ch:
-            reached[c] = True
             if acc & masks[c]:
                 disjoint = False
             acc |= masks[c]

@@ -607,6 +607,32 @@ def test_verifier_reads_only_what_the_root_reaches():
     assert not (rep.decomposable or rep.deterministic or rep.smooth)
 
 
+def test_unreached_uneven_or_node_is_not_evaluated():
+    # MAP over outer x1 and inner x2: a dead or-node joins the outer x1 and
+    # the inner x2, whose probability the argmax semiring cannot add. It is
+    # skipped, and the root's value comes out
+    b = Builder()
+    x1, nx1, x2, nx2 = b.lit(1), b.lit(-1), b.lit(2), b.lit(-2)
+    dead = b.or_(0, x1, x2)
+    gate2 = b.or_(2, x2, nx2)
+    root = b.or_(1, b.and_(x1, gate2), b.and_(nx1, gate2))
+    circ = b.circuit(root, 2)
+    assert circ.uneven_or == dead
+    inst = NestedInstance(LabeledCnf(
+        2, [], outer_vars=frozenset([1]),
+        inner_label={2: 0.3, -2: 0.7},
+        outer_label={1: (0.6, frozenset([1])), -1: (0.4, frozenset([-1]))},
+        inner_sr=SemiringId.PROBABILITY, outer_sr=SemiringId.MAP_ARGMAX,
+        transform=TransformId.PROB_TO_MAP,
+    ))
+    for evaluate in (evaluate_nested, evaluate_verified):
+        value, witness = evaluate(circ, inst)
+        assert value == pytest.approx(0.6, rel=1e-12) and witness == frozenset([1])
+    # reached, the same node is refused
+    with pytest.raises(PreconditionError, match=f"or-node {dead} "):
+        evaluate_nested(b.circuit(b.and_(root, dead), 2), inst)
+
+
 class CheckedLoadSolver(SatSolver):
     """A solver that first asserts the loader's precondition: no clause
     repeats a literal or holds one beside its complement."""
@@ -637,10 +663,7 @@ def test_determinism_verdict_matches_enumeration(drawn):
     # must say whether some assignment makes two children of one such
     # or-node true. Nodes the root does not reach are not checked
     circ, nodes = drawn
-    reached = {circ.root}
-    for i in range(len(nodes) - 1, -1, -1):
-        if i in reached:
-            reached.update(nodes[i][2])
+    reached = {i for i, _ in circuit_module._reached(circ)}
     everything = (1 << (1 << circ.num_vars)) - 1
     models = []  # bit a set when assignment a satisfies the node
     for kind, val, children in nodes:
