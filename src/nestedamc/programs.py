@@ -400,8 +400,9 @@ def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
     of one shape (`cnf.shape` of their clauses, the variables the separator
     may take and the defined ones) share one plan: the first is planned as a
     theory of its renamed clauses, and the order is renamed onto the rest. A
-    theory of one component is planned whole, as it is. The width reported
-    is the largest component's, the separator size the sum of theirs."""
+    theory of one component over 1..n is renamed by identity, so it is
+    planned as it stands. The width reported is the largest component's, the
+    separator size the sum of theirs."""
     d = frozenset()
     if mode is CompileMode.XD_FIRST and cnf.outer_vars:
         report = defined_vars(cnf, cnf.outer_vars)
@@ -410,25 +411,20 @@ def plan_order(cnf: LabeledCnf, mode: CompileMode, seed: int = 0,
             diag.defined = d
             diag.definability_queries = report.query_count
     x = cnf.variables if mode is CompileMode.FREE else cnf.outer_vars
-    parts = list(components(cnf))
-    if len(parts) < 2:
-        td, order, sep = constrain_and_root(cnf, x, d, seed=seed)
-        width, separator = td.width, len(sep)
-    else:
-        plans = {}  # shape -> (local order, width, separator size)
-        order, width, separator = [], 0, 0
-        for group, variables in parts:
-            variables = sorted(variables)
-            renamed, key = shape(group, variables, x.intersection(variables),
-                                 d.intersection(variables))
-            plan = plans.get(key)
-            if plan is None:
-                td, local, sep = constrain_and_root(
-                    LabeledCnf(len(variables), renamed), key[1], key[2], seed=seed)
-                plan = plans[key] = (local, td.width, len(sep))
-            order += [variables[i - 1] for i in plan[0]]
-            width = max(width, plan[1])
-            separator += plan[2]
+    plans = {}  # shape -> (local order, width, separator size)
+    order, width, separator = [], 0, 0
+    for group, variables in components(cnf):
+        variables = sorted(variables)
+        clauses, key = shape(group, variables, x.intersection(variables),
+                             d.intersection(variables))
+        plan = plans.get(key)
+        if plan is None:
+            td, local, sep = constrain_and_root(
+                LabeledCnf(len(variables), clauses), key[1], key[2], seed=seed)
+            plan = plans[key] = (local, td.width, len(sep))
+        order += [variables[i - 1] for i in plan[0]]
+        width = max(width, plan[1])
+        separator += plan[2]
     if diag is not None:
         diag.separator_size = separator
         diag.width = width
