@@ -277,16 +277,21 @@ def components(cnf: LabeledCnf) -> Iterator[tuple[list[tuple[int, ...]], frozens
         yield [cnf.clauses[i] for i in ids], frozenset(variables)
 
 
-def shape(group, variables, *marked):
-    """A component's clauses with each variable renamed by its rank (from 1)
-    among `variables`, the component's variables sorted, in input order; and
-    its shape: the renamed clauses, each sorted, in sorted order, then the
-    sorted ranks of each set of `marked` variables. The renaming is monotone,
-    so it keeps literal order, and two components of one shape are equal up
-    to renaming."""
+def renamed(group, variables):
+    """`group`'s clauses in input order with each variable renamed by its
+    rank (from 1) among `variables`, the group's variables sorted; and that
+    rank map. The renaming is monotone, so it keeps literal order, and two
+    groups equal up to a monotone renaming come out equal."""
     rank = {v: i for i, v in enumerate(variables, 1)}
-    renamed = [tuple([rank[l] if l > 0 else -rank[-l] for l in cl]) for cl in group]
-    return renamed, (tuple(sorted(tuple(sorted(cl)) for cl in renamed)),
+    return [tuple([rank[l] if l > 0 else -rank[-l] for l in cl]) for cl in group], rank
+
+
+def shape(group, variables, *marked):
+    """A component's `renamed` clauses, and its shape: those clauses, each
+    sorted, in sorted order, then the sorted ranks of each set of `marked`
+    variables. Two components of one shape are equal up to renaming."""
+    clauses, rank = renamed(group, variables)
+    return clauses, (tuple(sorted(tuple(sorted(cl)) for cl in clauses)),
                      *(tuple(sorted(rank[v] for v in m)) for m in marked))
 
 

@@ -94,7 +94,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .circuit import AND, LIT, OR, Circuit, Padding
-from .cnf import LabeledCnf
+from .cnf import LabeledCnf, renamed
 from .errors import CapacityError, ConfigError, PreconditionError
 
 DEFAULT_BUDGET = 256 << 20  # bytes
@@ -653,14 +653,10 @@ class _Compilation:
                 nodes.append(self._component(block))
                 continue
             variables = list(_bits(block[4]))
-            local = {v: i for i, v in enumerate(variables, 1)}
-            shape = (
-                tuple([tuple([local[l] if l > 0 else -local[-l]
-                              for l in clauses[c] if free[l if l > 0 else -l]])
-                       for c in _bits(block[1])]),
-                tuple([local[by_rank[r]] for r in _bits(block[5])]),
-                tuple([v in outer for v in variables]),
-            )
+            residual, local = renamed([[l for l in clauses[c] if free[l if l > 0 else -l]]
+                                       for c in _bits(block[1])], variables)
+            shape = (tuple(residual), tuple([local[by_rank[r]] for r in _bits(block[5])]),
+                     tuple([v in outer for v in variables]))
             template = templates.get(shape)
             if template is not None:
                 nodes.append(self._copy(template, variables))
