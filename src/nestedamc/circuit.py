@@ -487,12 +487,12 @@ def evaluate_nested(circuit: Circuit, instance: NestedInstance):
 def _reached(circuit: Circuit):
     """Yield (id, children) for each node the root reaches, by decreasing
     id: one pass down the ids from the root, parents before children."""
-    offsets, kids = circuit.offsets, circuit.kids
+    offsets, kids, root = circuit.offsets, circuit.kids, circuit.root
     reached = bytearray(circuit.node_count)
-    reached[circuit.root] = 1
-    for i in range(circuit.root, -1, -1):
+    reached[root] = 1
+    for i, lo, hi in zip(range(root, -1, -1), offsets[root::-1], offsets[root + 1::-1]):
         if reached[i]:
-            ch = kids[offsets[i]:offsets[i + 1]]
+            ch = kids[lo:hi]
             for c in ch:
                 reached[c] = 1
             yield i, ch

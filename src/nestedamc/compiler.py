@@ -644,7 +644,8 @@ class _Compilation:
     def _root_components(self, blocks):
         """The nodes of the root's blocks: a whole block of a shape met
         before is a copy of the first one's nodes (see Root templates)."""
-        clauses, free, by_rank, outer = self.clauses, self.free, self.by_rank, self.cnf.outer_vars
+        clauses, free, nlive = self.clauses, self.free, self.nlive
+        by_rank, outer = self.by_rank, self.cnf.outer_vars
         circuit = self.circuit
         templates = {}  # shape -> (variables, first node, end node, root, counters)
         nodes = []
@@ -653,7 +654,9 @@ class _Compilation:
                 nodes.append(self._component(block))
                 continue
             variables = list(_bits(block[4]))
+            # a clause that lost no literal is its own residual
             residual, local = renamed([[l for l in clauses[c] if free[l if l > 0 else -l]]
+                                       if nlive[c] < len(clauses[c]) else clauses[c]
                                        for c in _bits(block[1])], variables)
             shape = (tuple(residual), tuple([local[by_rank[r]] for r in _bits(block[5])]),
                      tuple([v in outer for v in variables]))
